@@ -4,9 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, Optional
 
-from .ideal import IdealPresentation, radical_membership
 from .poly import Polynomial
 
 
@@ -83,6 +82,10 @@ class MorphismOfPairs:
         self.source = source
         self.target = target
         self.components = {v: components[v] for v in target.variables}
+        # classify.is_quasi_prepared caches its verdict here.  Nothing
+        # reassigns the three fields above after construction, so the cached
+        # verdict cannot go stale.
+        self._quasi_prepared: Optional[tuple[bool, tuple[str, ...]]] = None
 
     def component(self, target_var: str) -> Polynomial:
         return self.components[target_var]
@@ -119,10 +122,15 @@ def validate_pair_condition(phi: MorphismOfPairs) -> tuple[bool, list[str]]:
     """Each divisorial component must vanish only on the source divisor.
 
     Over the algebraic closure this is the containment of the reduced
-    preimage of the target divisor in the source divisor.
+    preimage of the target divisor in the source divisor.  By the
+    Nullstellensatz a component f satisfies it exactly when f divides a
+    power of the product of the source divisor variables, and in a UFD the
+    divisors of a monomial are a constant times a monomial.  So the
+    condition holds exactly when f = c*u^a with a supported on the source
+    divisor variables: one term, with exponent 0 on every free variable.
     """
     diagnostics: list[str] = []
-    u_prod = phi.source.divisor_product()
+    free = set(phi.source.free_vars)
     ok = True
     for x in phi.target.divisor_vars:
         comp = phi.components[x]
@@ -130,7 +138,10 @@ def validate_pair_condition(phi: MorphismOfPairs) -> tuple[bool, list[str]]:
             raise DegenerateMorphismError(
                 f"divisor variable {x!r} pulls back to zero"
             )
-        if not radical_membership(u_prod, IdealPresentation([comp], phi.source.variables)):
+        exps = next(iter(comp.terms))
+        if len(comp.terms) != 1 or any(
+            e for v, e in zip(phi.source.variables, exps) if v in free
+        ):
             ok = False
             diagnostics.append(
                 f"pullback of {x!r} vanishes outside the source divisor: {comp}"
@@ -140,17 +151,18 @@ def validate_pair_condition(phi: MorphismOfPairs) -> tuple[bool, list[str]]:
 
 def preimage_equality_check(phi: MorphismOfPairs) -> bool:
     """Whether the reduced preimage of the target divisor equals the source
-    divisor (given that the pair condition already holds)."""
+    divisor (given that the pair condition already holds).
+
+    Under the pair condition the product of the divisorial components is
+    c*u^s, with s the sum of their exponent vectors, and its reduced zero
+    set is the union of the hyperplanes u = 0 with a positive entry in s.
+    """
     ok, _ = validate_pair_condition(phi)
     if not ok:
         return False
-    pullback_product = Polynomial.constant(1, phi.source.variables)
+    total = [0] * len(phi.source.variables)
     for x in phi.target.divisor_vars:
-        pullback_product = pullback_product * phi.components[x]
-    for u in phi.source.divisor_vars:
-        u_ideal = IdealPresentation(
-            [Polynomial.variable(u, phi.source.variables)], phi.source.variables
-        )
-        if not radical_membership(pullback_product, u_ideal):
-            return False
-    return True
+        (exps,) = phi.components[x].terms
+        total = [t + e for t, e in zip(total, exps)]
+    sums = dict(zip(phi.source.variables, total))
+    return all(sums[u] > 0 for u in phi.source.divisor_vars)

@@ -76,15 +76,22 @@ def singular_locus_ideal(phi: MorphismOfPairs) -> IdealPresentation:
 
 def is_quasi_prepared(phi: MorphismOfPairs) -> tuple[bool, list[str]]:
     """Singular locus inside the divisor, and reduced divisor preimage
-    equal to the divisor."""
-    diagnostics = []
-    sing = singular_locus_ideal(phi)
-    u_prod = phi.source.divisor_product()
-    if not radical_membership(u_prod, sing):
-        diagnostics.append("singular locus not contained in the divisor")
-    if not preimage_equality_check(phi):
-        diagnostics.append("divisor preimage does not equal the source divisor")
-    return (not diagnostics), diagnostics
+    equal to the divisor.
+
+    The verdict is computed once per morphism and cached on it; every call
+    returns a fresh diagnostics list.
+    """
+    if phi._quasi_prepared is None:
+        diagnostics = []
+        sing = singular_locus_ideal(phi)
+        u_prod = phi.source.divisor_product()
+        if not radical_membership(u_prod, sing):
+            diagnostics.append("singular locus not contained in the divisor")
+        if not preimage_equality_check(phi):
+            diagnostics.append("divisor preimage does not equal the source divisor")
+        phi._quasi_prepared = (not diagnostics), tuple(diagnostics)
+    ok, diagnostics = phi._quasi_prepared
+    return ok, list(diagnostics)
 
 
 def top_fitting_ideal(phi: MorphismOfPairs) -> IdealPresentation:

@@ -39,6 +39,10 @@ class ProblemSyntaxError(ValueError):
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([a-zA-Z][a-zA-Z0-9_]*)|([-+*^()]))")
 
+# Each parenthesis level costs four stack frames of the recursive-descent
+# parser; the cap keeps deep nesting well inside Python's recursion limit.
+MAX_NESTING = 100
+
 
 class _ExprParser:
     def __init__(self, text: str, ambient: tuple[str, ...], line: int):
@@ -64,6 +68,7 @@ class _ExprParser:
             else:
                 self.tokens.append(("op", m.group(3), m.start(3) + 1))
         self.i = 0
+        self.depth = 0
 
     def peek(self) -> Optional[tuple[str, str, int]]:
         return self.tokens[self.i] if self.i < len(self.tokens) else None
@@ -130,7 +135,13 @@ class _ExprParser:
                 )
             return Polynomial.variable(tok[1], self.ambient)
         if tok[1] == "(":
+            if self.depth == MAX_NESTING:
+                raise ProblemSyntaxError(
+                    f"parentheses nested deeper than {MAX_NESTING}", self.line, tok[2]
+                )
+            self.depth += 1
             p = self.sum()
+            self.depth -= 1
             close = self.next()
             if close[1] != ")":
                 raise ProblemSyntaxError("expected ')'", self.line, close[2])

@@ -61,8 +61,7 @@ class PrincipalMonomialCertificate:
 class IdealPresentation:
     """A generator list over a fixed ambient, with a one-shot basis cache.
 
-    The cache is filled idempotently per order tag; concurrent fills
-    compute equal values, so a race only wastes work.
+    The cache is filled idempotently per order tag.
     """
 
     def __init__(self, generators: Sequence[Polynomial], ambient: Sequence[str]):

@@ -62,11 +62,6 @@ class LogKForm:
         return " + ".join(parts) if parts else "0"
 
 
-def _basis_order(chart: ChartedPair) -> list[str]:
-    # Basis element per chart variable, in chart order.
-    return list(chart.variables)
-
-
 def log_differential(f: Polynomial, chart: ChartedPair) -> LogKForm:
     """df expressed in the log basis: u*df/du against du/u, df/dv against dv."""
     if f.ambient != chart.variables:

@@ -56,9 +56,6 @@ class Monomial:
     def gcd(self, other: "Monomial") -> "Monomial":
         return Monomial(min(a, b) for a, b in zip(self.exponents, other.exponents))
 
-    def is_one(self) -> bool:
-        return all(e == 0 for e in self.exponents)
-
     def as_string(self, ambient: Sequence[str]) -> str:
         factors = []
         for v, e in zip(ambient, self.exponents):
@@ -117,10 +114,6 @@ class Polynomial:
         exps = tuple(1 if j == i else 0 for j in range(len(amb)))
         return cls({exps: Fraction(1)}, amb)
 
-    @classmethod
-    def from_monomial(cls, m: Monomial, ambient: Sequence[str], coeff=1) -> "Polynomial":
-        return cls({m.exponents: Fraction(coeff)}, ambient)
-
     # -- basic queries --------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -128,9 +121,6 @@ class Polynomial:
 
     def is_constant(self) -> bool:
         return all(all(e == 0 for e in exps) for exps in self.terms)
-
-    def constant_term(self) -> Fraction:
-        return self.terms.get((0,) * len(self.ambient), Fraction(0))
 
     @property
     def total_degree(self) -> int:

@@ -9,6 +9,7 @@ from math import gcd
 
 from logmono.chart import ChartedPair, MorphismOfPairs, RationalPoint
 from logmono.classify import is_quasi_prepared
+from logmono.ideal import IdealPresentation, radical_membership
 from logmono.poly import Polynomial
 
 
@@ -177,6 +178,85 @@ def monomial_surface_corpus(rng=None, count=25):
         if ok:
             out.append(phi)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Pair condition: random morphisms and the radical-membership oracle
+
+
+def _divisorial_component(rng, src: ChartedPair) -> Polynomial:
+    """A nonzero component drawn so that both pair verdicts occur: nonzero
+    constants, divisor monomials, free-variable factors and multi-term
+    polynomials, some with a divisor monomial factored out."""
+    amb = src.variables
+    div = [v in src.divisor_vars for v in amb]
+    coeff = rng.choice([-2, -1, 1, 3])
+    kind = rng.choice(["constant", "divisor", "free", "sum", "factored"])
+    if kind == "constant":
+        return Polynomial.constant(coeff, amb)
+    exps = [rng.randint(0, 3) if d else 0 for d in div]
+    if kind == "free" and not all(div):
+        i = rng.choice([k for k, d in enumerate(div) if not d])
+        exps[i] = rng.randint(1, 2)
+    mono = _monomial(amb, exps, coeff)
+    if kind in ("divisor", "free"):
+        return mono
+    while True:
+        p = random_sparse_poly(amb, rng, max_terms=3, max_deg=2)
+        if len(p.terms) > 1:
+            break
+    return p if kind == "sum" else mono * p
+
+
+def pair_condition_corpus(rng=None, count=300):
+    """Random surface morphisms over several source charts, one with an
+    empty divisor, and every target divisor from none to both variables."""
+    rng = rng or random.Random(31)
+    sources = [
+        ChartedPair(("u1", "u2", "v1"), ("u1", "u2")),
+        ChartedPair(("u1", "u2"), ("u1", "u2")),
+        ChartedPair(("u1", "v1", "v2"), ("u1",)),
+        ChartedPair(("v1", "v2"), ()),
+    ]
+    divisors = [(), ("x1",), ("y1",), ("x1", "y1")]
+    out = []
+    for _ in range(count):
+        src = rng.choice(sources)
+        tgt = ChartedPair(("x1", "y1"), rng.choice(divisors))
+        comps = {}
+        for x in tgt.variables:
+            if x in tgt.divisor_vars:
+                comps[x] = _divisorial_component(rng, src)
+            else:
+                comps[x] = random_sparse_poly(src.variables, rng, max_terms=2)
+        out.append(MorphismOfPairs(src, tgt, comps))
+    return out
+
+
+def radical_pair_condition(phi: MorphismOfPairs) -> bool:
+    """Rabinowitsch oracle: the product of the source divisor variables lies
+    in the radical of each divisorial component."""
+    u_prod = phi.source.divisor_product()
+    return all(
+        radical_membership(u_prod, IdealPresentation([phi.components[x]], phi.source.variables))
+        for x in phi.target.divisor_vars
+    )
+
+
+def radical_preimage_equality(phi: MorphismOfPairs) -> bool:
+    """Rabinowitsch oracle: given the pair condition, the product of the
+    divisorial components lies in the radical of each (u) for u in the
+    source divisor."""
+    if not radical_pair_condition(phi):
+        return False
+    amb = phi.source.variables
+    product = Polynomial.constant(1, amb)
+    for x in phi.target.divisor_vars:
+        product = product * phi.components[x]
+    return all(
+        radical_membership(product, IdealPresentation([Polynomial.variable(u, amb)], amb))
+        for u in phi.source.divisor_vars
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,15 @@ from logmono.chart import (
     stratum_of_point,
     validate_pair_condition,
 )
-from helpers import P
+from helpers import (
+    P,
+    empty_divisor_corpus,
+    monomial_surface_corpus,
+    normal_form_corpus,
+    pair_condition_corpus,
+    radical_pair_condition,
+    radical_preimage_equality,
+)
 
 
 SRC = ChartedPair(("u1", "u2", "v1"), ("u1", "u2"))
@@ -110,3 +118,32 @@ class TestPreimageEquality:
 
     def test_fails_with_pair_condition(self):
         assert not preimage_equality_check(phi_of("u1 + 1", "v1"))
+
+
+class TestAgainstRadicalOracle:
+    """The support and exponent-sum checks against the Rabinowitsch
+    radical-membership formulation of the same conditions."""
+
+    @staticmethod
+    def verdicts(phis):
+        out = []
+        for phi in phis:
+            ok, diags = validate_pair_condition(phi)
+            assert ok == (not diags)
+            assert ok == radical_pair_condition(phi), phi
+            eq = preimage_equality_check(phi)
+            assert eq == radical_preimage_equality(phi), phi
+            out.append((ok, eq))
+        return out
+
+    def test_corpora(self):
+        phis = [phi for phi, _ in normal_form_corpus()]
+        phis += empty_divisor_corpus() + monomial_surface_corpus()
+        self.verdicts(phis)
+
+    def test_random_morphisms(self):
+        phis = pair_condition_corpus()
+        assert len(phis) >= 300
+        verdicts = self.verdicts(phis)
+        # Every combination that the pair condition allows occurs.
+        assert set(verdicts) == {(False, False), (True, False), (True, True)}

@@ -64,6 +64,17 @@ class TestQuasiPrepared:
         assert not ok
         assert any("preimage" in d for d in diags)
 
+    def test_cached_diagnostics_are_not_shared(self):
+        src = ChartedPair(("u", "v"), ("u",))
+        tgt = ChartedPair(("x", "y"), ("x",))
+        amb = src.variables
+        phi = MorphismOfPairs(src, tgt, {"x": P("u^2", amb), "y": P("v^2", amb)})
+        ok, diags = is_quasi_prepared(phi)
+        expected = list(diags)
+        diags.clear()
+        diags.append("mutated")
+        assert is_quasi_prepared(phi) == (ok, expected)
+
 
 class TestStronglyPrepared:
     def test_semantic_certificates(self):

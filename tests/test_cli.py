@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -164,6 +165,13 @@ class TestErrorHandling:
         code, _, err = run(capsys, "logrank", str(path))
         assert code == 2 and "point" in err
 
+    def test_deep_nesting_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "deep.problem"
+        path.write_text(EXAMPLE1.replace("(u1*u2)", "(" * 5000 + "u1*u2" + ")" * 5000))
+        code, out, err = run(capsys, "classify", str(path))
+        assert code == 2 and not out
+        assert "line 3" in err and "nested deeper than" in err
+
     def test_bad_center(self, capsys, example1):
         code, _, err = run(capsys, "blowup", "--center", "u1", example1)
         assert code == 2
@@ -171,6 +179,26 @@ class TestErrorHandling:
     def test_lradapted_requires_sections(self, capsys, example1):
         code, _, err = run(capsys, "lradapted", example1)
         assert code == 2 and "filtration" in err
+
+
+def test_classify_decides_quasi_prepared_once(capsys, example1, monkeypatch):
+    import logmono.ideal
+
+    calls = []
+    original = logmono.ideal.radical_membership
+
+    def counting(f, I):
+        calls.append(f)
+        return original(f, I)
+
+    # Patch every logmono module that imported the function by name.
+    for name, module in list(sys.modules.items()):
+        if name.startswith("logmono") and getattr(module, "radical_membership", None) is original:
+            monkeypatch.setattr(module, "radical_membership", counting)
+    code, _, _ = run(capsys, "classify", example1)
+    assert code == 0
+    # The singular-locus check; the pair and preimage checks use no ideal.
+    assert len(calls) == 1
 
 
 def test_reports_are_deterministic(capsys, example1):

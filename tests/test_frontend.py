@@ -3,6 +3,7 @@ import json
 import pytest
 
 from logmono.frontend import (
+    MAX_NESTING,
     ProblemSyntaxError,
     Report,
     parse_expression,
@@ -40,6 +41,16 @@ class TestExpressionParser:
     def test_unbalanced_parens(self):
         with pytest.raises(ProblemSyntaxError):
             parse_expression("(x + y", ("x", "y"))
+
+    def test_nesting_depth_capped(self):
+        amb = ("x",)
+        at_cap = "(" * MAX_NESTING + "x" + ")" * MAX_NESTING
+        assert parse_expression(at_cap, amb) == P("x", amb)
+        deep = "(" * 5000 + "x" + ")" * 5000
+        with pytest.raises(ProblemSyntaxError) as e:
+            parse_expression(deep, amb)
+        assert "nested deeper than" in str(e.value)
+        assert e.value.column == MAX_NESTING + 1
 
     def test_stray_character(self):
         with pytest.raises(ProblemSyntaxError) as e:
