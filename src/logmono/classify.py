@@ -7,7 +7,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import gcd
 from typing import Optional, Sequence
 
@@ -25,8 +24,8 @@ from .ideal import (
     is_principal_monomial_at,
     radical_membership,
 )
-from .logdiff import _det
-from .rank import JacobianMatrix, log_rank_at_point
+from .logdiff import maximal_minors
+from .rank import jacobian, log_rank_at_point, rational_matrix_rank
 from .poly import Monomial, Polynomial
 
 
@@ -61,16 +60,9 @@ class DivisorFiltration:
 
 def singular_locus_ideal(phi: MorphismOfPairs) -> IdealPresentation:
     """Ideal of maximal minors of the Jacobian (requires n >= N)."""
-    n = len(phi.source.variables)
-    N = len(phi.target.variables)
-    if n < N:
+    if len(phi.source.variables) < len(phi.target.variables):
         raise ValueError("source dimension below target dimension")
-    jac = JacobianMatrix(phi)
-    gens = []
-    for cols in combinations(range(n), N):
-        minor = _det([[jac.entries[i][j] for j in cols] for i in range(N)])
-        if not minor.is_zero():
-            gens.append(minor)
+    gens = [minor for _, minor in maximal_minors(jacobian(phi))]
     return IdealPresentation(gens, phi.source.variables)
 
 
@@ -295,15 +287,9 @@ def is_monomial_morphism_at(
             return None
         rows.append(content.exponents)
     N = len(phi.target.variables)
-    if _integer_matrix_rank(rows) != N:
+    if rational_matrix_rank(rows) != N:
         return None
     return rows
-
-
-def _integer_matrix_rank(rows: Sequence[Sequence[int]]) -> int:
-    from .rank import rational_matrix_rank
-
-    return rational_matrix_rank([[Fraction(x) for x in r] for r in rows])
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import comb
 from typing import Optional
 
 from .chart import ChartedPair, MorphismOfPairs, RationalPoint
@@ -42,6 +43,12 @@ _TOKEN = re.compile(r"\s*(?:(\d+)|([a-zA-Z][a-zA-Z0-9_]*)|([-+*^()]))")
 # Each parenthesis level costs four stack frames of the recursive-descent
 # parser; the cap keeps deep nesting well inside Python's recursion limit.
 MAX_NESTING = 100
+
+# A product or power is refused, before it is computed, when its result
+# could have more terms than this: t1*t2 for a product of a t1-term and a
+# t2-term polynomial, and comb(t + k - 1, k) for the k-th power of a t-term
+# one.  The worst power the cap admits, (u+1)^499, takes under a second.
+MAX_TERMS = 500
 
 
 class _ExprParser:
@@ -111,7 +118,9 @@ class _ExprParser:
             if tok is None or tok[0] != "op" or tok[1] != "*":
                 return p
             self.next()
-            p = p * self.power()
+            q = self.power()
+            self.check_terms("product", len(p.terms) * len(q.terms), tok)
+            p = p * q
 
     def power(self) -> Polynomial:
         p = self.atom()
@@ -121,8 +130,21 @@ class _ExprParser:
             etok = self.next()
             if etok[0] != "int":
                 raise ProblemSyntaxError("exponent must be an integer", self.line, etok[2])
-            return p ** int(etok[1])
+            t, k = len(p.terms), int(etok[1])
+            if k:
+                # The count is at least t; skip computing it for huge bases.
+                self.check_terms("power", comb(t + k - 1, k) if t <= MAX_TERMS else t, tok)
+            return p ** k
         return p
+
+    def check_terms(self, what: str, bound: int, tok: tuple[str, str, int]) -> None:
+        if bound > MAX_TERMS:
+            raise ProblemSyntaxError(
+                f"{what} may have {bound} terms, over the budget of "
+                f"MAX_TERMS = {MAX_TERMS}",
+                self.line,
+                tok[2],
+            )
 
     def atom(self) -> Polynomial:
         tok = self.next()

@@ -4,23 +4,26 @@ The degree-1 log basis of a chart is du_i/u_i for each divisor variable
 and dv_j for each free variable, in chart order.  A log k-form stores one
 polynomial coefficient per basis index pair (I, J) with I a sorted subset
 of divisor variables and J a sorted subset of free variables.
+
+Pullbacks along a morphism of pairs are wedges of rows of its log
+Jacobian.  Under the pair condition a divisorial component is c*u^a, so
+its row is the integer exponent vector a; a free component's row is its
+log differential.  The coefficients of a pulled-back basis form are
+maximal minors of these rows, so no division happens.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .chart import ChartedPair, MorphismOfPairs, validate_pair_condition
-from .poly import Polynomial, exact_divide
+from .poly import Polynomial
 
 
 class NotAMorphismOfPairsError(ValueError):
-    """A pullback coefficient failed to be a polynomial.
-
-    For a genuine morphism of pairs every coefficient of a pulled-back
-    log form is regular, so inexact division marks malformed input.
-    """
+    """The pair condition fails: a divisorial component vanishes outside
+    the source divisor, so log forms do not pull back to log forms."""
 
 
 class LogKForm:
@@ -62,33 +65,34 @@ class LogKForm:
         return " + ".join(parts) if parts else "0"
 
 
-def log_differential(f: Polynomial, chart: ChartedPair) -> LogKForm:
-    """df expressed in the log basis: u*df/du against du/u, df/dv against dv."""
+def _log_row(f: Polynomial, chart: ChartedPair) -> list[Polynomial]:
+    """df over the chart's log basis, in chart order: u*df/du for divisor
+    variables, df/dv for free variables."""
     if f.ambient != chart.variables:
         raise ValueError("polynomial not in chart variables")
     divisor = set(chart.divisor_vars)
-    coeffs = {}
+    row = []
     for v in chart.variables:
         d = f.partial_derivative(v)
-        if v in divisor:
-            d = d * Polynomial.variable(v, chart.variables)
-            key = ((v,), ())
-        else:
-            key = ((), (v,))
-        if not d.is_zero():
-            coeffs[key] = d
-    return LogKForm(1, chart, coeffs)
+        row.append(d * Polynomial.variable(v, chart.variables) if v in divisor else d)
+    return row
 
 
-def _coefficient_vector(form: LogKForm) -> list[Polynomial]:
-    """Degree-1 form as a vector over the chart's log basis (chart order)."""
-    chart = form.chart
-    divisor = set(chart.divisor_vars)
-    out = []
-    for v in chart.variables:
-        key = ((v,), ()) if v in divisor else ((), (v,))
-        out.append(form.coefficient(*key))
-    return out
+def log_differential(f: Polynomial, chart: ChartedPair) -> LogKForm:
+    """df expressed in the log basis: u*df/du against du/u, df/dv against dv."""
+    return _wedge_rows([_log_row(f, chart)], chart)
+
+
+def maximal_minors(
+    rows: list[list[Polynomial]],
+) -> Iterator[tuple[tuple[int, ...], Polynomial]]:
+    """Every nonzero maximal minor of a k x n matrix with its column subset,
+    in ``itertools.combinations`` order."""
+    ncols = len(rows[0]) if rows else 0
+    for cols in combinations(range(ncols), len(rows)):
+        minor = _det([[row[j] for j in cols] for row in rows])
+        if not minor.is_zero():
+            yield cols, minor
 
 
 def _wedge_rows(rows: list[list[Polynomial]], chart: ChartedPair) -> LogKForm:
@@ -98,24 +102,16 @@ def _wedge_rows(rows: list[list[Polynomial]], chart: ChartedPair) -> LogKForm:
     minor; subsets are re-split into (I, J) with divisor block first,
     carrying the sign of the sorting permutation.
     """
-    k = len(rows)
-    n = len(chart.variables)
     divisor = set(chart.divisor_vars)
-    coeffs: dict[tuple[tuple[str, ...], tuple[str, ...]], Polynomial] = {}
-    for cols in combinations(range(n), k):
-        minor = _det([[rows[i][j] for j in cols] for i in range(k)])
-        if minor.is_zero():
-            continue
+    coeffs = {}
+    for cols, minor in maximal_minors(rows):
         names = [chart.variables[j] for j in cols]
         I = tuple(v for v in names if v in divisor)
         J = tuple(v for v in names if v not in divisor)
         # Sign of the shuffle moving the divisor block in front.
-        reordered = list(I) + list(J)
-        sign = _permutation_sign([names.index(v) for v in reordered])
-        key = (I, J)
-        val = minor if sign == 1 else -minor
-        coeffs[key] = coeffs[key] + val if key in coeffs else val
-    return LogKForm(k, chart, coeffs)
+        sign = _permutation_sign([names.index(v) for v in I + J])
+        coeffs[(I, J)] = minor if sign == 1 else -minor
+    return LogKForm(len(rows), chart, coeffs)
 
 
 def _permutation_sign(perm: list[int]) -> int:
@@ -158,87 +154,43 @@ def pullback_basis_form(
     I_target: Sequence[str],
     J_target: Sequence[str],
 ) -> LogKForm:
-    """Pullback of a target log basis k-form along the morphism.
+    """Pullback of the target log basis k-form dx_I/x_I ^ dy_J.
 
-    The numerator 1-forms (differentials of the components, with divisor
-    components contributing their log numerators) are wedged, then each
-    coefficient is divided exactly by the product of the divisorial
-    components.  Inexact division raises NotAMorphismOfPairsError.
+    It is the wedge of the log-Jacobian rows of I_target, then J_target:
+    each coefficient is a maximal minor of those rows, and no division
+    happens.  Raises NotAMorphismOfPairsError when the pair condition fails.
     """
     I_target = tuple(I_target)
     J_target = tuple(J_target)
-    target_div = set(phi.target.divisor_vars)
-    target_free = set(phi.target.free_vars)
-    if not set(I_target) <= target_div:
+    if not set(I_target) <= set(phi.target.divisor_vars):
         raise ValueError("I_target must consist of target divisor variables")
-    if not set(J_target) <= target_free:
+    if not set(J_target) <= set(phi.target.free_vars):
         raise ValueError("J_target must consist of target free variables")
-    k = len(I_target) + len(J_target)
-    if k < 1:
+    if not I_target + J_target:
         raise ValueError("form degree must be at least 1")
+    rows = dict(zip(phi.target.variables, log_jacobian(phi)))
+    return _wedge_rows([rows[x] for x in I_target + J_target], phi.source)
+
+
+def log_jacobian(phi: MorphismOfPairs) -> list[list[Polynomial]]:
+    """One row per target variable (target chart order) over the source log
+    basis (source chart order): the pullback of dx/x or dy.
+
+    Under the pair condition a divisorial component is c*u^a, so dx/x pulls
+    back to sum a_i du_i/u_i and its row is the exponent vector a, as
+    constant polynomials.  A free component's row is its log differential.
+    Raises NotAMorphismOfPairsError when the pair condition fails.
+    """
     ok, diags = validate_pair_condition(phi)
     if not ok:
         raise NotAMorphismOfPairsError("; ".join(diags))
-
     chart = phi.source
     rows = []
-    denominator = Polynomial.constant(1, chart.variables)
-    for x in I_target:
-        rows.append(_coefficient_vector(log_differential(phi.components[x], chart)))
-        denominator = denominator * phi.components[x]
-    for y in J_target:
-        rows.append(_coefficient_vector(log_differential(phi.components[y], chart)))
-
-    wedged = _wedge_rows(rows, chart)
-    coeffs = {}
-    for key, p in wedged.coefficients.items():
-        q = exact_divide(p, denominator)
-        if q is None:
-            raise NotAMorphismOfPairsError(
-                f"coefficient {p} not divisible by {denominator}: "
-                "not a morphism of pairs"
-            )
-        coeffs[key] = q
-    return LogKForm(k, chart, coeffs)
-
-
-class LogJacobian:
-    """N x n polynomial matrix of the morphism over the source log basis."""
-
-    def __init__(self, phi: MorphismOfPairs, entries: list[list[Polynomial]]):
-        self.phi = phi
-        self.entries = entries  # rows indexed by target variables, chart order cols
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return len(self.entries), len(self.phi.source.variables)
-
-    def row(self, i: int) -> list[Polynomial]:
-        return self.entries[i]
-
-
-def log_jacobian(phi: MorphismOfPairs) -> LogJacobian:
-    """Row per target variable: the pullback of dx/x for divisorial targets
-    (exact division by the component), of dy for free targets."""
-    ok, diags = validate_pair_condition(phi)
-    if not ok:
-        raise NotAMorphismOfPairsError("; ".join(diags))
-    chart = phi.source
-    target_div = set(phi.target.divisor_vars)
-    entries = []
     for x in phi.target.variables:
         comp = phi.components[x]
-        row = _coefficient_vector(log_differential(comp, chart))
-        if x in target_div:
-            divided = []
-            for p in row:
-                q = exact_divide(p, comp)
-                if q is None:
-                    raise NotAMorphismOfPairsError(
-                        f"log derivative of {x!r} is not regular: "
-                        "not a morphism of pairs"
-                    )
-                divided.append(q)
-            row = divided
-        entries.append(row)
-    return LogJacobian(phi, entries)
+        if x in phi.target.divisor_vars:
+            (exps,) = comp.terms
+            rows.append([Polynomial.constant(e, chart.variables) for e in exps])
+        else:
+            rows.append(_log_row(comp, chart))
+    return rows

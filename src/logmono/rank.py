@@ -12,22 +12,12 @@ from .logdiff import log_jacobian
 from .poly import Polynomial, exact_divide, grevlex_key
 
 
-class JacobianMatrix:
+def jacobian(phi: MorphismOfPairs) -> list[list[Polynomial]]:
     """Rows per target variable, columns per source variable."""
-
-    def __init__(self, phi: MorphismOfPairs):
-        self.phi = phi
-        self.entries = [
-            [
-                phi.components[x].partial_derivative(v)
-                for v in phi.source.variables
-            ]
-            for x in phi.target.variables
-        ]
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return len(self.entries), len(self.phi.source.variables)
+    return [
+        [phi.components[x].partial_derivative(v) for v in phi.source.variables]
+        for x in phi.target.variables
+    ]
 
 
 def rational_matrix_rank(rows: list[list[Fraction]]) -> int:
@@ -102,22 +92,20 @@ def symbolic_matrix_rank(rows: list[list[Polynomial]]) -> int:
 
 
 def rank_at_point(phi: MorphismOfPairs, a: RationalPoint) -> int:
-    jac = JacobianMatrix(phi)
     pt = a.coordinates
     return rational_matrix_rank(
-        [[e.evaluate(pt) for e in row] for row in jac.entries]
+        [[e.evaluate(pt) for e in row] for row in jacobian(phi)]
     )
 
 
 def geometric_rank(phi: MorphismOfPairs) -> int:
-    return symbolic_matrix_rank(JacobianMatrix(phi).entries)
+    return symbolic_matrix_rank(jacobian(phi))
 
 
 def log_rank_at_point(phi: MorphismOfPairs, a: RationalPoint) -> int:
-    lj = log_jacobian(phi)
     pt = a.coordinates
     return rational_matrix_rank(
-        [[e.evaluate(pt) for e in row] for row in lj.entries]
+        [[e.evaluate(pt) for e in row] for row in log_jacobian(phi)]
     )
 
 

@@ -4,13 +4,13 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 from math import gcd
 
 from logmono.chart import ChartedPair, MorphismOfPairs, RationalPoint
 from logmono.classify import is_quasi_prepared
 from logmono.ideal import IdealPresentation, radical_membership
-from logmono.poly import Polynomial
+from logmono.poly import Polynomial, exact_divide
 
 
 def P(expr: str, ambient) -> Polynomial:
@@ -257,6 +257,76 @@ def radical_preimage_equality(phi: MorphismOfPairs) -> bool:
         radical_membership(product, IdealPresentation([Polynomial.variable(u, amb)], amb))
         for u in phi.source.divisor_vars
     )
+
+
+# ---------------------------------------------------------------------------
+# Pullbacks: the division formulation of the log Jacobian
+
+
+def _log_numerator_rows(phi: MorphismOfPairs, targets) -> list[list[Polynomial]]:
+    """u*df/du for source divisor variables and df/dv for free ones, in
+    source chart order, one row per target component."""
+    src = phi.source
+    rows = []
+    for x in targets:
+        f = phi.components[x]
+        row = []
+        for v in src.variables:
+            d = f.partial_derivative(v)
+            if v in src.divisor_vars:
+                d = d * Polynomial.variable(v, src.variables)
+            row.append(d)
+        rows.append(row)
+    return rows
+
+
+def _leibniz_det(matrix: list[list[Polynomial]]) -> Polynomial:
+    k = len(matrix)
+    amb = matrix[0][0].ambient
+    total = Polynomial.zero(amb)
+    for perm in permutations(range(k)):
+        inversions = sum(perm[i] > perm[j] for i, j in combinations(range(k), 2))
+        term = Polynomial.constant(-1 if inversions % 2 else 1, amb)
+        for i, j in enumerate(perm):
+            term = term * matrix[i][j]
+        total = total + term
+    return total
+
+
+def division_pullback(phi: MorphismOfPairs, I_target, J_target) -> dict:
+    """Coefficients of the pulled-back basis form dx_I/x_I ^ dy_J, keyed
+    like LogKForm.coefficients: wedge the numerator rows of the components
+    (the minor on columns I + J, divisor block first), then divide exactly
+    by the product of the divisorial components."""
+    src = phi.source
+    rows = _log_numerator_rows(phi, tuple(I_target) + tuple(J_target))
+    denominator = Polynomial.constant(1, src.variables)
+    for x in I_target:
+        denominator = denominator * phi.components[x]
+    k = len(rows)
+    out = {}
+    for l in range(k + 1):
+        for I in combinations(src.divisor_vars, l):
+            for J in combinations(src.free_vars, k - l):
+                cols = [src.variables.index(v) for v in I + J]
+                minor = _leibniz_det([[row[c] for c in cols] for row in rows])
+                q = exact_divide(minor, denominator)
+                assert q is not None, f"{minor} is not divisible by {denominator}"
+                if not q.is_zero():
+                    out[(I, J)] = q
+    return out
+
+
+def division_log_jacobian(phi: MorphismOfPairs) -> list[list[Polynomial]]:
+    """Log-Jacobian rows: each divisorial numerator row divided exactly by
+    its component, each free numerator row as it is."""
+    out = []
+    for x, row in zip(phi.target.variables, _log_numerator_rows(phi, phi.target.variables)):
+        if x in phi.target.divisor_vars:
+            row = [exact_divide(p, phi.components[x]) for p in row]
+            assert None not in row, f"log derivative of {x!r} is not regular"
+        out.append(row)
+    return out
 
 
 # ---------------------------------------------------------------------------

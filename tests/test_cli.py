@@ -1,5 +1,6 @@
 import json
 import sys
+import time
 
 import pytest
 
@@ -171,6 +172,15 @@ class TestErrorHandling:
         code, out, err = run(capsys, "classify", str(path))
         assert code == 2 and not out
         assert "line 3" in err and "nested deeper than" in err
+
+    def test_term_budget_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "huge.problem"
+        path.write_text(NOT_QP.replace("map y = v^2", "map y = (u+v+1)^400"))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "classify", str(path))
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and not out
+        assert "line 4" in err and "budget of MAX_TERMS" in err
 
     def test_bad_center(self, capsys, example1):
         code, _, err = run(capsys, "blowup", "--center", "u1", example1)

@@ -4,6 +4,7 @@ import pytest
 
 from logmono.frontend import (
     MAX_NESTING,
+    MAX_TERMS,
     ProblemSyntaxError,
     Report,
     parse_expression,
@@ -51,6 +52,20 @@ class TestExpressionParser:
             parse_expression(deep, amb)
         assert "nested deeper than" in str(e.value)
         assert e.value.column == MAX_NESTING + 1
+
+    def test_term_budget(self):
+        amb = ("u", "v")
+        with pytest.raises(ProblemSyntaxError) as e:
+            parse_expression("(u+v+1)^400", amb)
+        assert f"power may have 80601 terms, over the budget of MAX_TERMS = {MAX_TERMS}" in str(e.value)
+        assert e.value.column == 8
+        # A product is charged t1*t2 terms before it is computed.
+        wide = "(" + "+".join(f"u^{i}" for i in range(MAX_TERMS // 2)) + ")"
+        assert len(parse_expression(wide + "*(v+1)", amb).terms) == 2 * (MAX_TERMS // 2)
+        with pytest.raises(ProblemSyntaxError, match="product may have"):
+            parse_expression(wide + "*(v^2+v+1)", amb)
+        # Powers of a monomial have one term whatever the exponent.
+        assert parse_expression("u^100000", amb).total_degree == 100000
 
     def test_stray_character(self):
         with pytest.raises(ProblemSyntaxError) as e:

@@ -1,6 +1,8 @@
+from itertools import combinations
+
 import pytest
 
-from logmono.chart import ChartedPair, MorphismOfPairs
+from logmono.chart import ChartedPair, MorphismOfPairs, validate_pair_condition
 from logmono.logdiff import (
     LogKForm,
     NotAMorphismOfPairsError,
@@ -10,7 +12,15 @@ from logmono.logdiff import (
 )
 from logmono.poly import Polynomial
 
-from helpers import P
+from helpers import (
+    P,
+    division_log_jacobian,
+    division_pullback,
+    empty_divisor_corpus,
+    monomial_surface_corpus,
+    normal_form_corpus,
+    pair_condition_corpus,
+)
 
 CHART = ChartedPair(("u", "v"), ("u",))
 
@@ -113,9 +123,9 @@ class TestLogJacobian:
         phi = surface_morphism()
         amb = phi.source.variables
         lj = log_jacobian(phi)
-        assert lj.shape == (2, 3)
-        assert lj.row(0) == [P("2", amb), P("2", amb), Polynomial.zero(amb)]
-        assert lj.row(1) == [
+        assert len(lj) == 2 and all(len(row) == 3 for row in lj)
+        assert lj[0] == [P("2", amb), P("2", amb), Polynomial.zero(amb)]
+        assert lj[1] == [
             P("u1*u2 + 3*u1^3*u2^3*v1", amb),
             P("u1*u2 + 3*u1^3*u2^3*v1", amb),
             P("u1^3*u2^3", amb),
@@ -128,3 +138,30 @@ class TestLogJacobian:
         phi = MorphismOfPairs(src, tgt, {"x": P("v", amb), "y": P("u", amb)})
         with pytest.raises(NotAMorphismOfPairsError):
             log_jacobian(phi)
+
+
+def reversed_source(phi: MorphismOfPairs) -> MorphismOfPairs:
+    """The same morphism with the source chart variables listed in reverse,
+    so that free variables come before divisor variables."""
+    amb = tuple(reversed(phi.source.variables))
+    src = ChartedPair(amb, phi.source.divisor_vars)
+    comps = {x: p.extend_ambient(amb) for x, p in phi.components.items()}
+    return MorphismOfPairs(src, phi.target, comps)
+
+
+def test_rows_and_pullbacks_match_division_reference():
+    """Integer divisorial rows and wedged pullbacks agree with the division
+    formulation on every basis form of every degree, in both chart orders."""
+    pair_valid = [phi for phi in pair_condition_corpus() if validate_pair_condition(phi)[0]]
+    assert len(pair_valid) >= 100
+    corpus = pair_valid + [phi for phi, _ in normal_form_corpus()]
+    corpus += empty_divisor_corpus() + monomial_surface_corpus()
+    for phi in corpus + [reversed_source(phi) for phi in corpus]:
+        assert log_jacobian(phi) == division_log_jacobian(phi), phi
+        div, free = phi.target.divisor_vars, phi.target.free_vars
+        for k in range(1, len(phi.target.variables) + 1):
+            for l in range(k + 1):
+                for I in combinations(div, l):
+                    for J in combinations(free, k - l):
+                        form = pullback_basis_form(phi, I, J)
+                        assert form.coefficients == division_pullback(phi, I, J), (phi, I, J)

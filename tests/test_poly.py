@@ -95,6 +95,24 @@ class TestArithmetic:
         assert p ** 3 == p * p * p
         assert p ** 0 == Polynomial.constant(1, AMB)
 
+    def test_power_squares_only_as_far_as_needed(self, monkeypatch):
+        p = P("x + y + 1", AMB)
+        expected = Polynomial.constant(1, AMB)
+        for k in range(10):
+            assert p ** k == expected
+            expected = expected * p
+        work = []
+        mul = Polynomial.__mul__
+
+        def counting_mul(a, b):
+            work.append(len(a.terms) * len(b.terms))
+            return mul(a, b)
+
+        monkeypatch.setattr(Polynomial, "__mul__", counting_mul)
+        result = p ** 16
+        # Squaring the 16th power as well would cost len(result)^2.
+        assert max(work) < len(result.terms) ** 2
+
 
 class TestCalculus:
     def test_partial_derivative_oracle(self):
