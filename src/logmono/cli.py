@@ -1,14 +1,19 @@
 """Command line interface.
 
 Every subcommand reads a problem file and prints a report, as text or as
-JSON with ``--json``.  Exit codes: 0 on success (and for predicates that
-hold), 1 for predicates that fail or computations yielding a negative
-verdict, 2 for malformed input or violated preconditions.
+JSON with ``--json``.  ``main`` owns this contract: it loads the problem,
+lets the subcommand compute its ``Report``, prints it and maps the outcome
+to an exit code.  Exit codes: 0 on success (and for predicates that hold),
+1 for predicates that fail or computations yielding a negative verdict
+(``Report.ok`` false), 2 for malformed input or violated preconditions, 3
+for an internal error.  ``--seed`` seeds the point sampling of
+``lradapted``.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 
@@ -73,11 +78,6 @@ def _point_from(args, problem) -> RationalPoint:
     return problem.point
 
 
-def _emit(report: Report, args) -> None:
-    out = report.render_json() if args.json else report.render_text()
-    sys.stdout.write(out)
-
-
 def _ideal_strings(I) -> list[str]:
     return [str(g) for g in I.generators] or ["0"]
 
@@ -86,63 +86,52 @@ def _ideal_strings(I) -> list[str]:
 # Subcommands
 
 
-def cmd_fitting(args) -> int:
-    problem = _load(args)
+def cmd_fitting(problem, args) -> Report:
     F = log_fitting_ideal(problem.morphism, args.k)
     basis = F.basis()
     report = Report("fitting")
     report.add("k", args.k)
     report.add("generators", _ideal_strings(F))
     report.add("groebner_basis", [str(g) for g in basis] or ["0"])
-    _emit(report, args)
-    return 0
+    return report
 
 
-def cmd_logrank(args) -> int:
-    problem = _load(args)
+def cmd_logrank(problem, args) -> Report:
     a = _point_from(args, problem)
     r = log_rank_at_point(problem.morphism, a)
     report = Report("logrank")
     report.add("point", [str(c) for c in a.coordinates])
     report.add("logrank", r)
-    _emit(report, args)
-    return 0
+    return report
 
 
-def cmd_rank(args) -> int:
-    problem = _load(args)
+def cmd_rank(problem, args) -> Report:
     a = _point_from(args, problem)
     r = rank_at_point(problem.morphism, a)
     report = Report("rank")
     report.add("point", [str(c) for c in a.coordinates])
     report.add("rank", r)
-    _emit(report, args)
-    return 0
+    return report
 
 
-def cmd_grk(args) -> int:
-    problem = _load(args)
+def cmd_grk(problem, args) -> Report:
     r = geometric_rank(problem.morphism)
     report = Report("grk")
     report.add("geometric_rank", r)
-    _emit(report, args)
-    return 0
+    return report
 
 
-def cmd_imagedim(args) -> int:
-    problem = _load(args)
+def cmd_imagedim(problem, args) -> Report:
     try:
         d = image_closure_dimension(problem.morphism)
     except EmptyVarietyError:
         raise InputError("image closure is empty")
     report = Report("imagedim")
     report.add("image_dimension", d)
-    _emit(report, args)
-    return 0
+    return report
 
 
-def cmd_classify(args) -> int:
-    problem = _load(args)
+def cmd_classify(problem, args) -> Report:
     phi = problem.morphism
     report = Report("classify")
     pair_ok, pair_diags = validate_pair_condition(phi)
@@ -165,12 +154,10 @@ def cmd_classify(args) -> int:
     if diagnostics:
         report.add("diagnostics", diagnostics)
     report.ok = qp_ok
-    _emit(report, args)
-    return 0 if qp_ok else 1
+    return report
 
 
-def cmd_quasiprepared(args) -> int:
-    problem = _load(args)
+def cmd_quasiprepared(problem, args) -> Report:
     ok, diags = is_quasi_prepared(problem.morphism)
     report = Report("quasiprepared")
     report.add("quasi_prepared", ok)
@@ -179,12 +166,10 @@ def cmd_quasiprepared(args) -> int:
     if diags:
         report.add("diagnostics", diags)
     report.ok = ok
-    _emit(report, args)
-    return 0 if ok else 1
+    return report
 
 
-def cmd_lradapted(args) -> int:
-    problem = _load(args)
+def cmd_lradapted(problem, args) -> Report:
     if problem.filtration is None:
         raise InputError("lradapted needs a filtration in the problem file")
     if problem.target_ideal is None:
@@ -202,12 +187,10 @@ def cmd_lradapted(args) -> int:
     if diags:
         report.add("diagnostics", diags)
     report.ok = ok
-    _emit(report, args)
-    return 0 if ok else 1
+    return report
 
 
-def cmd_blowup(args) -> int:
-    problem = _load(args)
+def cmd_blowup(problem, args) -> Report:
     center = tuple(args.center.split(","))
     try:
         step = blowup_chart(problem.morphism.source, center)
@@ -220,8 +203,7 @@ def cmd_blowup(args) -> int:
         report.add(f"chart_{bc.distinguished}_divisor", list(bc.chart.divisor_vars))
         for x in phi_c.target.variables:
             report.add(f"chart_{bc.distinguished}_map_{x}", str(phi_c.components[x]))
-    _emit(report, args)
-    return 0
+    return report
 
 
 def _tree_report(tree, name: str) -> Report:
@@ -241,27 +223,20 @@ def _tree_report(tree, name: str) -> Report:
     return report
 
 
-def cmd_principalize(args) -> int:
-    problem = _load(args)
+def cmd_principalize(problem, args) -> Report:
     phi = problem.morphism
     F = top_fitting_ideal(phi)
     ideal = monomial_ideal_from_presentation(F, phi.source)
     tree = goward_principalize(ideal, phi.source, max_depth=args.max_depth)
-    _emit(_tree_report(tree, "principalize"), args)
-    return 0
+    return _tree_report(tree, "principalize")
 
 
-def cmd_monomialize(args) -> int:
-    problem = _load(args)
-    tree = monomialize_monomial_morphism(
-        problem.morphism, max_depth=args.max_depth, seed=args.seed
-    )
-    _emit(_tree_report(tree, "monomialize"), args)
-    return 0
+def cmd_monomialize(problem, args) -> Report:
+    tree = monomialize_monomial_morphism(problem.morphism, max_depth=args.max_depth)
+    return _tree_report(tree, "monomialize")
 
 
-def cmd_verify_monomial(args) -> int:
-    problem = _load(args)
+def cmd_verify_monomial(problem, args) -> Report:
     a = _point_from(args, problem)
     rows = is_monomial_morphism_at(problem.morphism, a)
     report = Report("verify-monomial")
@@ -269,13 +244,15 @@ def cmd_verify_monomial(args) -> int:
     if rows is not None:
         report.add("exponent_matrix", [list(r) for r in rows])
     report.ok = rows is not None
-    _emit(report, args)
-    return 0 if rows is not None else 1
+    return report
 
 
 # ---------------------------------------------------------------------------
 
 
+# Built once per process: callers such as test suites and benchmarks run
+# ``main`` many times in one interpreter.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="logmono",
@@ -286,7 +263,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--max-depth", type=int, default=64, help="blowup tree depth cap"
     )
-    parser.add_argument("--seed", type=int, default=0, help="sampling seed")
+    parser.add_argument(
+        "--seed", type=int, default=0, help="point sampling seed for lradapted"
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, fn, **kwargs):
@@ -339,14 +318,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
-    except InputError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+        report = args.fn(_load(args), args)
+        out = report.render_json() if args.json else report.render_text()
     except (
+        InputError,
         NonMonomialInputError,
         NotAMorphismOfPairsError,
         DepthLimitError,
@@ -355,6 +332,11 @@ def main(argv=None) -> int:
     ) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except Exception as e:
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 3
+    sys.stdout.write(out)
+    return 0 if report.ok else 1
 
 
 if __name__ == "__main__":

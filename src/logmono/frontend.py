@@ -95,21 +95,26 @@ class _ExprParser:
         return p
 
     def sum(self) -> Polynomial:
+        # Accumulate into one dict: adding Polynomials would copy the running
+        # sum on every sign and make parsing quadratic in the term count.
+        terms: dict[tuple[int, ...], Fraction] = {}
         tok = self.peek()
-        negate = False
+        sign = "+"
         if tok and tok[1] in "+-" and tok[0] == "op":
             self.next()
-            negate = tok[1] == "-"
-        p = self.product()
-        if negate:
-            p = -p
+            sign = tok[1]
         while True:
+            for e, c in self.product().terms.items():
+                s = terms.get(e, 0) + (c if sign == "+" else -c)
+                if s:
+                    terms[e] = s
+                else:
+                    del terms[e]
             tok = self.peek()
             if tok is None or tok[0] != "op" or tok[1] not in "+-":
-                return p
+                return Polynomial(terms, self.ambient)
             self.next()
-            q = self.product()
-            p = p + q if tok[1] == "+" else p - q
+            sign = tok[1]
 
     def product(self) -> Polynomial:
         p = self.power()

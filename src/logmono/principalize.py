@@ -4,7 +4,6 @@ surface."""
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -260,33 +259,20 @@ def transformed_morphism_at_leaf(phi: MorphismOfPairs, leaf: BlowupNode) -> Morp
     return MorphismOfPairs(leaf.chart, phi.target, comps)
 
 
-def _sample_leaf_points(
-    chart: ChartedPair, rng: random.Random, count: int = 5
-) -> list[RationalPoint]:
-    pts = [RationalPoint((Fraction(0),) * len(chart.variables))]
-    divisor = list(chart.divisor_vars)
-    for _ in range(count):
-        if divisor:
-            vanish = set(rng.sample(divisor, rng.randint(1, len(divisor))))
-        else:
-            vanish = set()
-        coords = tuple(
-            Fraction(0) if v in vanish else Fraction(rng.randint(1, 5))
-            for v in chart.variables
-        )
-        pts.append(RationalPoint(coords))
-    return pts
-
-
 def monomialize_monomial_morphism(
-    phi: MorphismOfPairs,
-    max_depth: int = 64,
-    seed: int = 0,
-    samples: int = 5,
+    phi: MorphismOfPairs, max_depth: int = 64
 ) -> BlowupTree:
     """Principalize the top log-Fitting ideal of a monomial morphism onto a
     surface by coordinate blowups, certifying every leaf strongly prepared
-    and monomial of full exponent rank."""
+    and monomial of full exponent rank.
+
+    Each leaf is certified once, at the origin of its chart.  The input
+    components are single terms and coordinate blowups map monomials to
+    monomials, so every leaf component and every top-Fitting generator is
+    a single term.  Both unit-at-point tests (the principal re-check and
+    the monomial check) then give the same answer at every point of the
+    chart, and the origin, where every variable vanishes, decides them
+    all."""
     if len(phi.target.variables) != 2:
         raise ValueError("driver requires a surface target")
     for x, p in phi.components.items():
@@ -303,33 +289,21 @@ def monomialize_monomial_morphism(
     ideal = monomial_ideal_from_presentation(fitting, phi.source)
     tree = goward_principalize(ideal, phi.source, max_depth=max_depth)
 
-    rng = random.Random(seed)
     for leaf in tree.leaves():
         leaf_phi = transformed_morphism_at_leaf(phi, leaf)
         leaf_ideal: MonomialIdeal = leaf.payload
         assert leaf_ideal.is_principal()
+        origin = RationalPoint((Fraction(0),) * len(leaf.chart.variables))
         # Independent re-verification of the principal certificate.
-        fitting_leaf = top_fitting_ideal(leaf_phi)
-        pts = _sample_leaf_points(leaf.chart, rng, count=samples)
-        matrices = []
-        for pt in pts:
-            cert = is_principal_monomial_at(
-                fitting_leaf, pt.coordinates, leaf.chart.divisor_vars
-            )
-            if cert is None:
-                raise AssertionError(
-                    f"leaf failed the principal monomial re-check at {pt}"
-                )
-            matrix = is_monomial_morphism_at(leaf_phi, pt)
-            if matrix is None:
-                raise AssertionError(f"leaf not monomial at {pt}")
-            matrices.append(matrix)
-        leaf.certificate = LeafCertificate(
-            is_principal_monomial_at(
-                fitting_leaf,
-                (Fraction(0),) * len(leaf.chart.variables),
-                leaf.chart.divisor_vars,
-            ),
-            matrices[0],
+        cert = is_principal_monomial_at(
+            top_fitting_ideal(leaf_phi), origin.coordinates, leaf.chart.divisor_vars
         )
+        if cert is None:
+            raise AssertionError(
+                f"leaf failed the principal monomial re-check at {origin}"
+            )
+        matrix = is_monomial_morphism_at(leaf_phi, origin)
+        if matrix is None:
+            raise AssertionError(f"leaf not monomial at {origin}")
+        leaf.certificate = LeafCertificate(cert, matrix)
     return tree

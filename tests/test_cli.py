@@ -4,7 +4,8 @@ import time
 
 import pytest
 
-from logmono.cli import main
+import logmono.cli
+from logmono.cli import build_parser, main
 
 EXAMPLE1 = """\
 source vars u1 u2 v1 divisor u1 u2
@@ -42,6 +43,13 @@ def example1(tmp_path):
 def example3(tmp_path):
     path = tmp_path / "example3.problem"
     path.write_text(EXAMPLE3)
+    return str(path)
+
+
+@pytest.fixture
+def not_qp(tmp_path):
+    path = tmp_path / "not_qp.problem"
+    path.write_text(NOT_QP)
     return str(path)
 
 
@@ -215,3 +223,45 @@ def test_reports_are_deterministic(capsys, example1):
     _, first = run_json(capsys, "classify", example1)
     _, second = run_json(capsys, "classify", example1)
     assert first == second
+
+
+@pytest.mark.parametrize(
+    "fixture, argv",
+    [
+        ("example1", "fitting --k 2"),
+        ("example1", "logrank"),
+        ("example1", "rank"),
+        ("example1", "grk"),
+        ("example1", "imagedim"),
+        ("example1", "classify"),
+        ("not_qp", "classify"),
+        ("example1", "quasiprepared"),
+        ("not_qp", "quasiprepared"),
+        ("example1", "blowup --center u1,u2"),
+        ("example1", "principalize"),
+        ("example3", "monomialize"),
+        ("example3", "verify-monomial"),
+        ("example1", "verify-monomial"),
+    ],
+)
+def test_exit_code_follows_json_ok(capsys, request, fixture, argv):
+    code, data = run_json(capsys, *argv.split(), request.getfixturevalue(fixture))
+    assert code in (0, 1)
+    assert (code == 0) == data["ok"]
+
+
+def test_parser_is_built_once(capsys, example1):
+    assert build_parser() is build_parser()
+    first = run(capsys, "classify", example1)
+    second = run(capsys, "classify", example1)
+    assert first == second
+
+
+def test_internal_error_exit_3(capsys, example1, monkeypatch):
+    def broken(phi):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(logmono.cli, "geometric_rank", broken)
+    code, out, err = run(capsys, "grk", example1)
+    assert code == 3 and not out
+    assert err == "internal error: RuntimeError: boom\n"

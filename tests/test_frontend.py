@@ -1,4 +1,6 @@
 import json
+import time
+from fractions import Fraction
 
 import pytest
 
@@ -10,6 +12,7 @@ from logmono.frontend import (
     parse_expression,
     parse_problem,
 )
+from logmono.poly import Polynomial
 
 from helpers import P
 
@@ -66,6 +69,21 @@ class TestExpressionParser:
             parse_expression(wide + "*(v^2+v+1)", amb)
         # Powers of a monomial have one term whatever the exponent.
         assert parse_expression("u^100000", amb).total_degree == 100000
+
+    def test_long_sum_parses_in_linear_time(self):
+        amb = ("u", "v")
+        for sign in "+-":
+            text = f" {sign} ".join(f"u^{i}" for i in range(1, 3001))
+            start = time.perf_counter()
+            p = parse_expression(text, amb)
+            assert time.perf_counter() - start < 1.0
+            expected = Polynomial(
+                {(i, 0): Fraction(1 if sign == "+" or i == 1 else -1) for i in range(1, 3001)},
+                amb,
+            )
+            assert p == expected
+        # Terms that cancel drop out and may come back.
+        assert parse_expression("u - u + v + u - 2*v", amb) == P("u - v", amb)
 
     def test_stray_character(self):
         with pytest.raises(ProblemSyntaxError) as e:
