@@ -4,6 +4,13 @@ A blowup at a coordinate subspace produces one chart per center
 variable: in the chart distinguished by w_c, every other center variable
 w_j is replaced by w_c*w_j, and w_c joins the divisor as the exceptional
 coordinate.  Variable names are stable across charts.
+
+Every chart is a ``BlowupNode`` whose substitution maps each variable of
+a root chart to its expression in the node's chart.  ``blowup_chart``
+returns children rooted at the chart it blows up; ``BlowupTree.expand``
+composes them with their parent's substitution, so a tree node is rooted
+at the tree's root.  ``transform_morphism`` carries a morphism on the
+root chart to any node.
 """
 
 from __future__ import annotations
@@ -20,22 +27,23 @@ class TrivialBlowupError(ValueError):
 
 
 @dataclass
-class BlowupChart:
-    """One standard affine chart of a blowup."""
-
+class BlowupNode:
     chart: ChartedPair
-    distinguished: str
-    substitution: dict[str, Polynomial]  # parent variable -> child expression
+    substitution: dict[str, Polynomial]  # root variable -> expression here
+    payload: object = None
+    certificate: object = None
+    distinguished: Optional[str] = None  # exceptional coordinate of this chart
+    center: Optional[tuple[str, ...]] = None  # set once this chart is blown up
+    children: list["BlowupNode"] = field(default_factory=list)
+
+    @property
+    def is_leaf(self) -> bool:
+        return not self.children
 
 
-@dataclass
-class BlowupStep:
-    parent: ChartedPair
-    center: tuple[str, ...]
-    children: list[BlowupChart]
-
-
-def blowup_chart(chart: ChartedPair, center: Sequence[str]) -> BlowupStep:
+def blowup_chart(chart: ChartedPair, center: Sequence[str]) -> list[BlowupNode]:
+    """One child chart per center variable, in center order, each with its
+    one-step substitution from ``chart``."""
     center = tuple(center)
     if len(center) < 2:
         raise TrivialBlowupError("center must contain at least two variables")
@@ -56,37 +64,17 @@ def blowup_chart(chart: ChartedPair, center: Sequence[str]) -> BlowupStep:
                 sub[v] = Polynomial.variable(v, chart.variables)
         divisor = tuple(dict.fromkeys(chart.divisor_vars + (c,)))
         child = ChartedPair(chart.variables, divisor)
-        children.append(BlowupChart(child, c, sub))
-    return BlowupStep(chart, center, children)
+        children.append(BlowupNode(child, sub, distinguished=c))
+    return children
 
 
-def transform_polynomial(p: Polynomial, child: BlowupChart) -> Polynomial:
-    return p.substitute(child.substitution)
-
-
-def transform_morphism(
-    phi: MorphismOfPairs, step: BlowupStep, child_index: int
-) -> MorphismOfPairs:
-    """Compose the morphism with one blowup chart substitution."""
-    if step.parent.variables != phi.source.variables:
-        raise ValueError("blowup step does not apply to this source chart")
-    child = step.children[child_index]
-    comps = {x: transform_polynomial(p, child) for x, p in phi.components.items()}
-    return MorphismOfPairs(child.chart, phi.target, comps)
-
-
-@dataclass
-class BlowupNode:
-    chart: ChartedPair
-    substitution: dict[str, Polynomial]  # cumulative, from the root chart
-    payload: object = None
-    certificate: object = None
-    center: Optional[tuple[str, ...]] = None
-    children: list["BlowupNode"] = field(default_factory=list)
-
-    @property
-    def is_leaf(self) -> bool:
-        return not self.children
+def transform_morphism(phi: MorphismOfPairs, node: BlowupNode) -> MorphismOfPairs:
+    """Compose a morphism on the node's root chart with the node's
+    substitution."""
+    if node.chart.variables != phi.source.variables:
+        raise ValueError("blowup node does not apply to this source chart")
+    comps = {x: p.substitute(node.substitution) for x, p in phi.components.items()}
+    return MorphismOfPairs(node.chart, phi.target, comps)
 
 
 class BlowupTree:
@@ -116,14 +104,13 @@ class BlowupTree:
         center variable (substitutions composed from the root)."""
         if not node.is_leaf:
             raise ValueError("only leaves can be expanded")
-        step = blowup_chart(node.chart, center)
-        node.center = step.center
-        for bc in step.children:
-            composed = {
-                v: node.substitution[v].substitute(bc.substitution)
+        node.children = blowup_chart(node.chart, center)
+        node.center = tuple(center)
+        for child in node.children:
+            child.substitution = {
+                v: node.substitution[v].substitute(child.substitution)
                 for v in node.chart.variables
             }
-            node.children.append(BlowupNode(bc.chart, composed))
         return node.children
 
     def depth(self) -> int:

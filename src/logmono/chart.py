@@ -87,9 +87,6 @@ class MorphismOfPairs:
         # verdict cannot go stale.
         self._quasi_prepared: Optional[tuple[bool, tuple[str, ...]]] = None
 
-    def component(self, target_var: str) -> Polynomial:
-        return self.components[target_var]
-
     def component_list(self) -> list[Polynomial]:
         return [self.components[v] for v in self.target.variables]
 

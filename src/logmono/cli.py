@@ -65,7 +65,7 @@ def _load(args) -> tuple:
 
 
 def _point_from(args, problem) -> RationalPoint:
-    if getattr(args, "at", None):
+    if args.at:
         try:
             coords = tuple(Fraction(c) for c in args.at.split(","))
         except (ValueError, ZeroDivisionError):
@@ -192,17 +192,14 @@ def cmd_lradapted(problem, args) -> Report:
 
 def cmd_blowup(problem, args) -> Report:
     center = tuple(args.center.split(","))
-    try:
-        step = blowup_chart(problem.morphism.source, center)
-    except ValueError as e:
-        raise InputError(str(e))
     report = Report("blowup")
     report.add("center", list(center))
-    for idx, bc in enumerate(step.children):
-        phi_c = transform_morphism(problem.morphism, step, idx)
-        report.add(f"chart_{bc.distinguished}_divisor", list(bc.chart.divisor_vars))
+    for child in blowup_chart(problem.morphism.source, center):
+        phi_c = transform_morphism(problem.morphism, child)
+        c = child.distinguished
+        report.add(f"chart_{c}_divisor", list(child.chart.divisor_vars))
         for x in phi_c.target.variables:
-            report.add(f"chart_{bc.distinguished}_map_{x}", str(phi_c.components[x]))
+            report.add(f"chart_{c}_map_{x}", str(phi_c.components[x]))
     return report
 
 
@@ -214,12 +211,10 @@ def _tree_report(tree, name: str) -> Report:
     report.add("leaf_count", len(leaves))
     for idx, leaf in enumerate(leaves):
         report.add(f"leaf_{idx}_divisor", list(leaf.chart.divisor_vars))
-        if leaf.certificate is not None:
-            cert = getattr(leaf.certificate, "principal", leaf.certificate)
-            report.add(
-                f"leaf_{idx}_principal_generator",
-                cert.generator_monomial.as_string(leaf.chart.variables),
-            )
+        report.add(
+            f"leaf_{idx}_principal_generator",
+            leaf.certificate.generator_monomial.as_string(leaf.chart.variables),
+        )
     return report
 
 

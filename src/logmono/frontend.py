@@ -9,8 +9,12 @@ File grammar (line oriented, ``#`` comments):
     filtration <level>: <name>*            optional, nested, 1-based
     targetideal <expression>(,<expression>)*   optional
 
-Expressions use integer literals, declared identifiers, ``+ - * ^`` and
-parentheses; ``^`` binds tightest, then ``*``, then ``+``/``-``.
+Expressions use integer literals, rational literals ``<int>/<int>`` (one
+token with no spaces and a nonzero denominator, such as ``3/2``), declared
+identifiers, ``+ - * ^`` and parentheses; ``^`` binds tightest, then ``*``,
+then ``+``/``-``.  A rational literal is one atom, so ``1/2*u`` is half of
+``u`` and ``1/2^2`` is ``1/4``; ``/`` is not an operator, so ``u/2`` is an
+error.  This is how ``ProblemFile.render`` writes coefficients.
 """
 
 from __future__ import annotations
@@ -38,7 +42,8 @@ class ProblemSyntaxError(ValueError):
 # ---------------------------------------------------------------------------
 # Expression parser
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|([a-zA-Z][a-zA-Z0-9_]*)|([-+*^()]))")
+_TOKEN = re.compile(r"\s*(?:(\d+/\d+)|(\d+)|([a-zA-Z][a-zA-Z0-9_]*)|([-+*^()]))")
+_KINDS = ("rational", "int", "name", "op")
 
 # Each parenthesis level costs four stack frames of the recursive-descent
 # parser; the cap keeps deep nesting well inside Python's recursion limit.
@@ -68,12 +73,8 @@ class _ExprParser:
                     f"unexpected character {rest[0]!r}", line, pos + 1
                 )
             pos = m.end()
-            if m.group(1):
-                self.tokens.append(("int", m.group(1), m.start(1) + 1))
-            elif m.group(2):
-                self.tokens.append(("name", m.group(2), m.start(2) + 1))
-            else:
-                self.tokens.append(("op", m.group(3), m.start(3) + 1))
+            g = m.lastindex
+            self.tokens.append((_KINDS[g - 1], m.group(g), m.start(g) + 1))
         self.i = 0
         self.depth = 0
 
@@ -153,8 +154,14 @@ class _ExprParser:
 
     def atom(self) -> Polynomial:
         tok = self.next()
-        if tok[0] == "int":
-            return Polynomial.constant(int(tok[1]), self.ambient)
+        if tok[0] in ("int", "rational"):
+            try:
+                c = Fraction(tok[1])
+            except ZeroDivisionError:
+                raise ProblemSyntaxError(
+                    f"zero denominator in {tok[1]!r}", self.line, tok[2]
+                )
+            return Polynomial.constant(c, self.ambient)
         if tok[0] == "name":
             if tok[1] not in self.ambient:
                 raise ProblemSyntaxError(

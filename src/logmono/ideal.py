@@ -244,29 +244,27 @@ def contains_one(I: IdealPresentation) -> bool:
     return len(basis) == 1 and basis[0].is_constant() and not basis[0].is_zero()
 
 
-def _fresh_variable(ambient: Sequence[str], stem: str = "_t") -> str:
-    name = stem
-    k = 0
-    while name in ambient:
-        k += 1
-        name = f"{stem}{k}"
-    return name
-
-
-def radical_membership(f: Polynomial, I: IdealPresentation) -> bool:
-    """True iff f vanishes on V(I) over the algebraic closure."""
+def _rabinowitsch(I: IdealPresentation, f: Polynomial) -> IdealPresentation:
+    """I + (1 - t*f) over (t,) + the ambient, t a fresh variable.  Its
+    variety is the part of V(I) where f does not vanish, and eliminating t
+    gives (I : f^infinity)."""
     if f.ambient != I.ambient:
         raise AmbientMismatchError(f"{f.ambient} vs {I.ambient}")
-    if f.is_zero():
-        return True
-    if ideal_membership(f, I):
-        return True
-    t = _fresh_variable(I.ambient)
+    t, k = "_t", 0
+    while t in I.ambient:
+        k += 1
+        t = f"_t{k}"
     ext = (t,) + I.ambient
     gens = [g.extend_ambient(ext) for g in I.generators]
     tf = Polynomial.variable(t, ext) * f.extend_ambient(ext)
     gens.append(Polynomial.constant(1, ext) - tf)
-    return contains_one(IdealPresentation(gens, ext))
+    return IdealPresentation(gens, ext)
+
+
+def radical_membership(f: Polynomial, I: IdealPresentation) -> bool:
+    """True iff f vanishes on V(I) over the algebraic closure, that is iff
+    the Rabinowitsch ideal I + (1 - t*f) is the unit ideal."""
+    return contains_one(_rabinowitsch(I, f))
 
 
 def elimination(I: IdealPresentation, keep: Sequence[str]) -> IdealPresentation:
@@ -313,15 +311,7 @@ def saturation(I: IdealPresentation, f: Polynomial) -> IdealPresentation:
     """(I : f^infinity) via the extended-variable method."""
     if f.is_zero():
         raise ValueError("saturation by the zero polynomial")
-    if f.ambient != I.ambient:
-        raise AmbientMismatchError(f"{f.ambient} vs {I.ambient}")
-    t = _fresh_variable(I.ambient)
-    ext = (t,) + I.ambient
-    gens = [g.extend_ambient(ext) for g in I.generators]
-    tf = Polynomial.variable(t, ext) * f.extend_ambient(ext)
-    gens.append(Polynomial.constant(1, ext) - tf)
-    J = IdealPresentation(gens, ext)
-    return elimination(J, I.ambient)
+    return elimination(_rabinowitsch(I, f), I.ambient)
 
 
 def radical_equality(I: IdealPresentation, J: IdealPresentation) -> bool:

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .blowup import BlowupNode, BlowupTree
+from .blowup import BlowupTree, transform_morphism
 from .chart import ChartedPair, MorphismOfPairs, RationalPoint
 from .classify import is_monomial_morphism_at, is_quasi_prepared, top_fitting_ideal
 from .ideal import IdealPresentation, PrincipalMonomialCertificate, is_principal_monomial_at
@@ -185,47 +185,33 @@ def goward_principalize(
                 raise NonMonomialInputError(
                     f"generator exponent on non-divisor variable {v!r}"
                 )
-    tree = BlowupTree(chart)
-    tree.root.payload = ideal
-    _certify_if_principal(tree.root)
+    tree = BlowupTree(chart, ideal)
     worklist = [(tree.root, 0)]
     while worklist:
         node, depth = worklist.pop()
         current: MonomialIdeal = node.payload
         if current.is_principal():
+            gens = current.generators or ((0,) * len(current.variables),)
+            node.certificate = PrincipalMonomialCertificate(
+                Monomial(gens[0]), Polynomial.constant(1, current.variables)
+            )
             continue
         if depth >= max_depth:
             raise DepthLimitError(f"blowup depth exceeded {max_depth}")
         ci, cj = choose_center(current, node.chart.divisor_vars)
         before = termination_measure(current)
-        children = tree.expand(node, (ci, cj))
-        # expand() returns one child per center variable, in center order.
-        for child, distinguished in zip(children, (ci, cj)):
-            absorbed = [v for v in (ci, cj) if v != distinguished]
-            transformed = current.transform(distinguished, absorbed)
-            child.payload = transformed
-            if not transformed.is_principal():
-                after = termination_measure(transformed)
+        for child in tree.expand(node, (ci, cj)):
+            absorbed = [v for v in (ci, cj) if v != child.distinguished]
+            child.payload = current.transform(child.distinguished, absorbed)
+            if not child.payload.is_principal():
+                after = termination_measure(child.payload)
                 if not after < before:
                     raise TerminationMeasureError(
                         f"measure did not decrease: {before} -> {after} "
                         f"(center {ci},{cj})"
                     )
-                worklist.append((child, depth + 1))
-            else:
-                _certify_if_principal(child)
+            worklist.append((child, depth + 1))
     return tree
-
-
-def _certify_if_principal(node: BlowupNode):
-    ideal: MonomialIdeal = node.payload
-    if not ideal.is_principal():
-        return
-    gen = ideal.generators[0] if ideal.generators else (0,) * len(ideal.variables)
-    node.payload = ideal
-    node.certificate = PrincipalMonomialCertificate(
-        Monomial(gen), Polynomial.constant(1, ideal.variables)
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -233,8 +219,10 @@ def _certify_if_principal(node: BlowupNode):
 
 
 @dataclass
-class LeafCertificate:
-    principal: PrincipalMonomialCertificate
+class LeafCertificate(PrincipalMonomialCertificate):
+    """The leaf's re-checked principal certificate, with the exponent
+    matrix of its monomial morphism."""
+
     exponent_matrix: list[tuple[int, ...]]
 
 
@@ -252,11 +240,6 @@ def monomial_ideal_from_presentation(
     if not exps:
         raise ValueError("zero ideal cannot be principalized")
     return MonomialIdeal.from_exponents(chart.variables, exps)
-
-
-def transformed_morphism_at_leaf(phi: MorphismOfPairs, leaf: BlowupNode) -> MorphismOfPairs:
-    comps = {x: p.substitute(leaf.substitution) for x, p in phi.components.items()}
-    return MorphismOfPairs(leaf.chart, phi.target, comps)
 
 
 def monomialize_monomial_morphism(
@@ -290,9 +273,7 @@ def monomialize_monomial_morphism(
     tree = goward_principalize(ideal, phi.source, max_depth=max_depth)
 
     for leaf in tree.leaves():
-        leaf_phi = transformed_morphism_at_leaf(phi, leaf)
-        leaf_ideal: MonomialIdeal = leaf.payload
-        assert leaf_ideal.is_principal()
+        leaf_phi = transform_morphism(phi, leaf)
         origin = RationalPoint((Fraction(0),) * len(leaf.chart.variables))
         # Independent re-verification of the principal certificate.
         cert = is_principal_monomial_at(
@@ -305,5 +286,7 @@ def monomialize_monomial_morphism(
         matrix = is_monomial_morphism_at(leaf_phi, origin)
         if matrix is None:
             raise AssertionError(f"leaf not monomial at {origin}")
-        leaf.certificate = LeafCertificate(cert, matrix)
+        leaf.certificate = LeafCertificate(
+            cert.generator_monomial, cert.residual_witness, matrix
+        )
     return tree

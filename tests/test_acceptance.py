@@ -36,7 +36,6 @@ from logmono.principalize import (
     MonomialIdeal,
     goward_principalize,
     monomialize_monomial_morphism,
-    transformed_morphism_at_leaf,
 )
 from logmono.rank import (
     geometric_rank,
@@ -225,11 +224,10 @@ def test_criterion_5_blowup_preserves_quasi_prepared(prepared_corpus):
             div = phi.source.divisor_vars
             for size in (2, 3):
                 for center in combinations(div, size):
-                    step = blowup_chart(phi.source, center)
-                    for idx in range(len(step.children)):
-                        child = transform_morphism(phi, step, idx)
+                    for node in blowup_chart(phi.source, center):
+                        child = transform_morphism(phi, node)
                         ok, diags = is_quasi_prepared(child)
-                        assert ok, (phi, center, idx, diags)
+                        assert ok, (phi, center, node.distinguished, diags)
                         checked += 1
         assert checked >= 100
     except AssertionError:
@@ -311,7 +309,7 @@ def test_criterion_7_monomialisation_driver():
                 assert cert is not None
                 rows = [[Fraction(x) for x in r] for r in cert.exponent_matrix]
                 assert rational_matrix_rank(rows) == 2
-                leaf_phi = transformed_morphism_at_leaf(phi, leaf)
+                leaf_phi = transform_morphism(phi, leaf)
                 assert is_strongly_prepared_at(leaf_phi, origin(leaf.chart)) is not None
                 assert is_monomial_morphism_at(leaf_phi, origin(leaf.chart)) is not None
         elapsed = time.monotonic() - start

@@ -5,21 +5,26 @@ from logmono.blowup import (
     TrivialBlowupError,
     blowup_chart,
     transform_morphism,
-    transform_polynomial,
 )
-from logmono.chart import ChartedPair
+from logmono.chart import ChartedPair, MorphismOfPairs
 from logmono.classify import is_quasi_prepared
 
 from helpers import P
 from test_fitting import surface_case1
 
 
+def transport(p, chart, node):
+    """The one component p of a morphism on chart, carried to node."""
+    phi = MorphismOfPairs(chart, ChartedPair(("x",), ()), {"x": p})
+    return transform_morphism(phi, node).components["x"]
+
+
 class TestBlowupChart:
     def test_point_blowup_two_charts(self):
         chart = ChartedPair(("u", "v"), ("u",))
-        step = blowup_chart(chart, ("u", "v"))
-        assert len(step.children) == 2
-        a, b = step.children
+        children = blowup_chart(chart, ("u", "v"))
+        assert len(children) == 2
+        a, b = children
         amb = chart.variables
         assert a.distinguished == "u"
         assert a.substitution["u"] == P("u", amb)
@@ -31,16 +36,15 @@ class TestBlowupChart:
 
     def test_divisor_center_absorbed(self):
         chart = ChartedPair(("u1", "u2", "v1"), ("u1", "u2"))
-        step = blowup_chart(chart, ("u1", "u2"))
-        for child in step.children:
+        for child in blowup_chart(chart, ("u1", "u2")):
             assert child.chart.divisor_vars == ("u1", "u2")
 
     def test_three_variable_center(self):
         chart = ChartedPair(("a", "b", "c"), ("a", "b", "c"))
-        step = blowup_chart(chart, ("a", "b", "c"))
-        assert len(step.children) == 3
+        children = blowup_chart(chart, ("a", "b", "c"))
+        assert len(children) == 3
         amb = chart.variables
-        first = step.children[0]
+        first = children[0]
         assert first.substitution["b"] == P("a*b", amb)
         assert first.substitution["c"] == P("a*c", amb)
 
@@ -57,39 +61,56 @@ class TestBlowupChart:
 class TestTransform:
     def test_sum_of_squares(self):
         chart = ChartedPair(("u", "v"), ("u",))
-        step = blowup_chart(chart, ("u", "v"))
+        first, _ = blowup_chart(chart, ("u", "v"))
         amb = chart.variables
         x = P("u^2 + v^2", amb)
-        assert transform_polynomial(x, step.children[0]) == P("u^2 + u^2*v^2", amb)
+        assert transport(x, chart, first) == P("u^2 + u^2*v^2", amb)
 
     def test_monomial_exponent_addition(self):
         chart = ChartedPair(("u", "v"), ("u", "v"))
-        step = blowup_chart(chart, ("u", "v"))
+        first, _ = blowup_chart(chart, ("u", "v"))
         amb = chart.variables
-        assert transform_polynomial(P("u^2*v^3", amb), step.children[0]) == P(
-            "u^5*v^3", amb
-        )
+        assert transport(P("u^2*v^3", amb), chart, first) == P("u^5*v^3", amb)
 
     def test_identity_component_unchanged_in_own_chart(self):
         chart = ChartedPair(("u", "v"), ("u", "v"))
-        step = blowup_chart(chart, ("u", "v"))
+        first, _ = blowup_chart(chart, ("u", "v"))
         amb = chart.variables
-        assert transform_polynomial(P("u", amb), step.children[0]) == P("u", amb)
+        assert transport(P("u", amb), chart, first) == P("u", amb)
 
     def test_transform_morphism_preserves_quasi_prepared(self):
         phi = surface_case1()
-        step = blowup_chart(phi.source, ("u1", "u2"))
-        for idx in range(2):
-            child_phi = transform_morphism(phi, step, idx)
+        for child in blowup_chart(phi.source, ("u1", "u2")):
+            child_phi = transform_morphism(phi, child)
             ok, diags = is_quasi_prepared(child_phi)
             assert ok, diags
 
     def test_transform_morphism_chart_mismatch(self):
         phi = surface_case1()
         other = ChartedPair(("a", "b"), ("a",))
-        step = blowup_chart(other, ("a", "b"))
+        first, _ = blowup_chart(other, ("a", "b"))
         with pytest.raises(ValueError):
-            transform_morphism(phi, step, 0)
+            transform_morphism(phi, first)
+
+    def test_depth_two_node_composes_local_steps(self):
+        """Carrying a morphism to a depth-2 tree node equals two one-step
+        transports through the local charts."""
+        phi = surface_case1()
+        tree = BlowupTree(phi.source)
+        checked = 0
+        for i, child in enumerate(tree.expand(tree.root, ("u1", "u2"))):
+            local = blowup_chart(phi.source, ("u1", "u2"))[i]
+            assert local.chart == child.chart
+            phi_1 = transform_morphism(phi, local)
+            for j, grand in enumerate(tree.expand(child, ("u2", "v1"))):
+                step_2 = blowup_chart(child.chart, ("u2", "v1"))[j]
+                assert step_2.chart == grand.chart
+                two_steps = transform_morphism(phi_1, step_2)
+                direct = transform_morphism(phi, grand)
+                assert direct.source == two_steps.source == grand.chart
+                assert direct.components == two_steps.components
+                checked += 1
+        assert checked == 4
 
 
 class TestBlowupTree:

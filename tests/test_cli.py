@@ -1,11 +1,13 @@
 import json
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
 import logmono.cli
 from logmono.cli import build_parser, main
+from logmono.frontend import parse_problem
 
 EXAMPLE1 = """\
 source vars u1 u2 v1 divisor u1 u2
@@ -190,6 +192,22 @@ class TestErrorHandling:
         assert code == 2 and not out
         assert "line 4" in err and "budget of MAX_TERMS" in err
 
+    @pytest.mark.parametrize("expr", ["1/0", "u1/2"])
+    def test_bad_rational_literal_exit_2(self, capsys, tmp_path, expr):
+        path = tmp_path / "rational.problem"
+        path.write_text(EXAMPLE1.replace("(u1*u2)^2", expr))
+        code, out, err = run(capsys, "classify", str(path))
+        assert code == 2 and not out
+        assert err.startswith("error: line 3, column ")
+
+    def test_rational_coefficients_round_trip(self, capsys, tmp_path):
+        path = tmp_path / "rational.problem"
+        path.write_text(EXAMPLE1.replace("u1*u2 + ", "1/2*u1*u2 + 3/2*"))
+        code, data = run_json(capsys, "fitting", "--k", "1", str(path))
+        assert code == 0
+        path.write_text(parse_problem(path.read_text()).render())
+        assert run_json(capsys, "fitting", "--k", "1", str(path)) == (code, data)
+
     def test_bad_center(self, capsys, example1):
         code, _, err = run(capsys, "blowup", "--center", "u1", example1)
         assert code == 2
@@ -265,3 +283,198 @@ def test_internal_error_exit_3(capsys, example1, monkeypatch):
     code, out, err = run(capsys, "grk", example1)
     assert code == 3 and not out
     assert err == "internal error: RuntimeError: boom\n"
+
+
+# Full reports pinned byte for byte: refactors below the CLI must not move
+# a single character of what a user sees.
+PINNED_TEXT = {
+    ("example1", "blowup --center u1,u2"): """\
+command: blowup
+center: u1, u2
+chart_u1_divisor: u1, u2
+chart_u1_map_x1: u1^4*u2^2
+chart_u1_map_y1: u1^6*u2^3*v1 + u1^2*u2
+chart_u2_divisor: u1, u2
+chart_u2_map_x1: u1^2*u2^4
+chart_u2_map_y1: u1^3*u2^6*v1 + u1*u2^2
+""",
+    ("example1", "principalize"): """\
+command: principalize
+blowup_steps: 0
+depth: 0
+leaf_count: 1
+leaf_0_divisor: u1, u2
+leaf_0_principal_generator: u1^3*u2^3
+""",
+    ("example1", "fitting --k 2"): """\
+command: fitting
+k: 2
+generators: 2*u1^3*u2^3, 2*u1^3*u2^3
+groebner_basis: u1^3*u2^3
+""",
+    ("example1", "classify"): """\
+command: classify
+pair_condition: True
+quasi_prepared: True
+strongly_prepared_at_point: True
+principal_monomial: u1^3*u2^3
+normal_form_case: 1
+monomial_at_point: False
+""",
+    ("example3", "monomialize"): """\
+command: monomialize
+blowup_steps: 0
+depth: 0
+leaf_count: 1
+leaf_0_divisor: u1, u2, u3
+leaf_0_principal_generator: 1
+""",
+    ("example3", "blowup --center u1,u2,u3"): """\
+command: blowup
+center: u1, u2, u3
+chart_u1_divisor: u1, u2, u3
+chart_u1_map_x1: u1^3*u2^2
+chart_u1_map_x2: u1^7*u2^3*u3^4
+chart_u2_divisor: u1, u2, u3
+chart_u2_map_x1: u1*u2^3
+chart_u2_map_x2: u2^7*u3^4
+chart_u3_divisor: u1, u2, u3
+chart_u3_map_x1: u1*u2^2*u3^3
+chart_u3_map_x2: u2^3*u3^7
+""",
+}
+
+PINNED_JSON = {
+    ("example1", "blowup --center u1,u2"): """\
+{
+  "center": [
+    "u1",
+    "u2"
+  ],
+  "chart_u1_divisor": [
+    "u1",
+    "u2"
+  ],
+  "chart_u1_map_x1": "u1^4*u2^2",
+  "chart_u1_map_y1": "u1^6*u2^3*v1 + u1^2*u2",
+  "chart_u2_divisor": [
+    "u1",
+    "u2"
+  ],
+  "chart_u2_map_x1": "u1^2*u2^4",
+  "chart_u2_map_y1": "u1^3*u2^6*v1 + u1*u2^2",
+  "command": "blowup",
+  "ok": true
+}
+""",
+    ("example1", "principalize"): """\
+{
+  "blowup_steps": 0,
+  "command": "principalize",
+  "depth": 0,
+  "leaf_0_divisor": [
+    "u1",
+    "u2"
+  ],
+  "leaf_0_principal_generator": "u1^3*u2^3",
+  "leaf_count": 1,
+  "ok": true
+}
+""",
+    ("example1", "fitting --k 2"): """\
+{
+  "command": "fitting",
+  "generators": [
+    "2*u1^3*u2^3",
+    "2*u1^3*u2^3"
+  ],
+  "groebner_basis": [
+    "u1^3*u2^3"
+  ],
+  "k": 2,
+  "ok": true
+}
+""",
+    ("example1", "classify"): """\
+{
+  "command": "classify",
+  "monomial_at_point": false,
+  "normal_form_case": 1,
+  "ok": true,
+  "pair_condition": true,
+  "principal_monomial": "u1^3*u2^3",
+  "quasi_prepared": true,
+  "strongly_prepared_at_point": true
+}
+""",
+    ("example3", "monomialize"): """\
+{
+  "blowup_steps": 0,
+  "command": "monomialize",
+  "depth": 0,
+  "leaf_0_divisor": [
+    "u1",
+    "u2",
+    "u3"
+  ],
+  "leaf_0_principal_generator": "1",
+  "leaf_count": 1,
+  "ok": true
+}
+""",
+    ("example3", "blowup --center u1,u2,u3"): """\
+{
+  "center": [
+    "u1",
+    "u2",
+    "u3"
+  ],
+  "chart_u1_divisor": [
+    "u1",
+    "u2",
+    "u3"
+  ],
+  "chart_u1_map_x1": "u1^3*u2^2",
+  "chart_u1_map_x2": "u1^7*u2^3*u3^4",
+  "chart_u2_divisor": [
+    "u1",
+    "u2",
+    "u3"
+  ],
+  "chart_u2_map_x1": "u1*u2^3",
+  "chart_u2_map_x2": "u2^7*u3^4",
+  "chart_u3_divisor": [
+    "u1",
+    "u2",
+    "u3"
+  ],
+  "chart_u3_map_x1": "u1*u2^2*u3^3",
+  "chart_u3_map_x2": "u2^3*u3^7",
+  "command": "blowup",
+  "ok": true
+}
+""",
+}
+
+
+@pytest.mark.parametrize("fixture, argv", sorted(PINNED_TEXT))
+def test_pinned_reports(capsys, request, fixture, argv):
+    path = request.getfixturevalue(fixture)
+    assert run(capsys, *argv.split(), path) == (0, PINNED_TEXT[fixture, argv], "")
+    assert run(capsys, "--json", *argv.split(), path) == (0, PINNED_JSON[fixture, argv], "")
+
+
+def test_readme_outputs(capsys, tmp_path, monkeypatch):
+    """The README's problem file and its two printed sessions, byte for byte."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = readme.split("```\n")[1::2]
+    (problem,) = [b for b in blocks if b.startswith("# surface.problem\n")]
+    (session,) = [b for b in blocks if b.startswith("$ logmono ")]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "surface.problem").write_text(problem)
+    commands = session.split("\n\n")
+    assert len(commands) == 2
+    for block in commands:
+        prompt, _, expected = block.partition("\n")
+        argv = prompt.removeprefix("$ logmono ").split()
+        assert run(capsys, *argv) == (0, expected.rstrip("\n") + "\n", "")

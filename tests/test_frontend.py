@@ -3,15 +3,20 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from logmono.chart import ChartedPair, MorphismOfPairs, RationalPoint
+from logmono.classify import DivisorFiltration
 from logmono.frontend import (
     MAX_NESTING,
     MAX_TERMS,
+    ProblemFile,
     ProblemSyntaxError,
     Report,
     parse_expression,
     parse_problem,
 )
+from logmono.ideal import IdealPresentation
 from logmono.poly import Polynomial
 
 from helpers import P
@@ -84,6 +89,31 @@ class TestExpressionParser:
             assert p == expected
         # Terms that cancel drop out and may come back.
         assert parse_expression("u - u + v + u - 2*v", amb) == P("u - v", amb)
+
+    def test_rational_literals(self):
+        amb = ("u", "v")
+        p = parse_expression("1/2*u*v + 3/2 - 2/4*v", amb)
+        assert p == Polynomial(
+            {(1, 1): Fraction(1, 2), (0, 0): Fraction(3, 2), (0, 1): Fraction(-1, 2)},
+            amb,
+        )
+        # A literal is one atom: ^ applies to the whole fraction.
+        assert parse_expression("1/2^2", amb) == Polynomial.constant(Fraction(1, 4), amb)
+        assert parse_expression("-3/2", amb) == Polynomial.constant(Fraction(-3, 2), amb)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("1/0", "zero denominator in '1/0'"),
+            ("u/2", "unexpected character '/'"),
+            ("2/u", "unexpected character '/'"),
+            ("1/2/3", "unexpected character '/'"),
+            ("u^1/2", "exponent must be an integer"),
+        ],
+    )
+    def test_bad_rational_literals(self, text, message):
+        with pytest.raises(ProblemSyntaxError, match=message):
+            parse_expression(text, ("u", "v"))
 
     def test_stray_character(self):
         with pytest.raises(ProblemSyntaxError) as e:
@@ -174,6 +204,55 @@ class TestProblemParser:
         text = EXAMPLE + "filtration 1: v1\n"
         with pytest.raises(ProblemSyntaxError):
             parse_problem(text)
+
+
+NAMES = st.from_regex(r"[a-zA-Z][a-zA-Z0-9_]{0,3}", fullmatch=True).filter(
+    lambda name: name not in ("vars", "divisor")
+)
+RATIONALS = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+
+
+def polynomials(ambient):
+    exps = st.tuples(*(st.integers(0, 3) for _ in ambient))
+    terms = st.dictionaries(exps, RATIONALS.filter(bool), max_size=6)
+    return terms.map(lambda t: Polynomial(t, ambient))
+
+
+@st.composite
+def problem_files(draw):
+    """Random problems: non-keyword names, rational-coefficient maps well
+    within MAX_TERMS, an optional point, filtration and target ideal."""
+
+    def chart(max_size):
+        names = tuple(draw(st.lists(NAMES, min_size=1, max_size=max_size, unique=True)))
+        return ChartedPair(names, tuple(v for v in names if draw(st.booleans())))
+
+    src, tgt = chart(3), chart(2)
+    phi = MorphismOfPairs(
+        src, tgt, {x: draw(polynomials(src.variables)) for x in tgt.variables}
+    )
+    point = draw(st.none() | st.tuples(*(RATIONALS for _ in src.variables)).map(RationalPoint))
+    filtration = None
+    if src.divisor_vars and draw(st.booleans()):
+        order = draw(st.permutations(src.divisor_vars))
+        sizes = draw(st.lists(st.integers(1, len(order)), min_size=1, max_size=3, unique=True))
+        filtration = DivisorFiltration([tuple(order[:k]) for k in sorted(sizes, reverse=True)])
+    target_ideal = draw(
+        st.none()
+        | st.lists(polynomials(tgt.variables), max_size=3).map(
+            lambda gens: IdealPresentation(gens, tgt.variables)
+        )
+    )
+    return ProblemFile(phi, point, filtration, target_ideal)
+
+
+@settings(max_examples=150, deadline=None)
+@given(problem_files())
+def test_render_parse_round_trip(pf):
+    text = pf.render()
+    again = parse_problem(text)
+    assert again.render() == text
+    assert again.morphism.components == pf.morphism.components
 
 
 class TestReport:

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from logmono.blowup import transform_morphism
 from logmono.chart import ChartedPair, MorphismOfPairs
 from logmono.classify import top_fitting_ideal
 from logmono.ideal import is_principal_monomial_at
@@ -13,7 +14,6 @@ from logmono.principalize import (
     monomial_ideal_from_presentation,
     monomialize_monomial_morphism,
     termination_measure,
-    transformed_morphism_at_leaf,
 )
 
 from helpers import P, origin
@@ -171,7 +171,7 @@ class TestMonomializeDriver:
         )
         tree = monomialize_monomial_morphism(phi)
         for leaf in tree.leaves():
-            leaf_phi = transformed_morphism_at_leaf(phi, leaf)
+            leaf_phi = transform_morphism(phi, leaf)
             F = top_fitting_ideal(leaf_phi)
             cert = is_principal_monomial_at(
                 F, origin(leaf.chart).coordinates, leaf.chart.divisor_vars
