@@ -69,8 +69,9 @@ class _ExprParser:
                 rest = text[pos:].lstrip()
                 if not rest:
                     break
+                column = len(text) - len(rest) + 1
                 raise ProblemSyntaxError(
-                    f"unexpected character {rest[0]!r}", line, pos + 1
+                    f"unexpected character {rest[0]!r}", line, column
                 )
             pos = m.end()
             g = m.lastindex

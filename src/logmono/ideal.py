@@ -8,9 +8,11 @@ leading-term ideal, saturation, and the locally-principal-monomial test.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from operator import add, ge, le, sub
 from typing import Sequence
 
 from .poly import AmbientMismatchError, Monomial, Polynomial, grevlex_key
@@ -105,38 +107,45 @@ def normal_form(f: Polynomial, basis: Sequence[Polynomial], order: MonomialOrder
     """Full remainder of f on division by ``basis`` under ``order``."""
     if f.is_zero() or not basis:
         return f
-    lts = [(max(g.terms, key=order.key), g) for g in basis]
+    # Per divisor: leading exponent, leading coefficient, and the tail
+    # terms that a reduction step subtracts.
+    divisors = []
+    for g in basis:
+        lt = max(g.terms, key=order.key)
+        tail = [(te, tc) for te, tc in g.terms.items() if te != lt]
+        divisors.append((lt, g.terms[lt], tail))
     rem_terms: dict[tuple[int, ...], Fraction] = {}
     work = dict(f.terms)
-    amb = f.ambient
     while work:
         e = max(work, key=order.key)
         c = work.pop(e)
-        for ge, g in lts:
-            if all(a >= b for a, b in zip(e, ge)):
-                factor = c / g.terms[ge]
-                shift = tuple(a - b for a, b in zip(e, ge))
-                for te, tc in g.terms.items():
-                    if te == ge:
-                        continue
-                    ne = tuple(a + b for a, b in zip(te, shift))
-                    s = work.get(ne, Fraction(0)) - factor * tc
-                    if s == 0:
-                        work.pop(ne, None)
+        for lt, lc, tail in divisors:
+            if all(map(ge, e, lt)):
+                factor = c / lc
+                shift = tuple(map(sub, e, lt))
+                for te, tc in tail:
+                    ne = tuple(map(add, te, shift))
+                    s = work.get(ne)
+                    if s is None:
+                        work[ne] = -factor * tc
                     else:
-                        work[ne] = s
+                        s -= factor * tc
+                        if s:
+                            work[ne] = s
+                        else:
+                            del work[ne]
                 break
         else:
             rem_terms[e] = c
-    return Polynomial(rem_terms, amb)
+    return Polynomial._trusted(rem_terms, f.ambient)
 
 
 def _s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
-    fe = _lt(f, order)
-    ge = _lt(g, order)
-    l = tuple(max(a, b) for a, b in zip(fe, ge))
-    mf = Polynomial({tuple(a - b for a, b in zip(l, fe)): 1 / f.terms[fe]}, f.ambient)
-    mg = Polynomial({tuple(a - b for a, b in zip(l, ge)): 1 / g.terms[ge]}, g.ambient)
+    ef = _lt(f, order)
+    eg = _lt(g, order)
+    l = tuple(map(max, ef, eg))
+    mf = Polynomial._trusted({tuple(map(sub, l, ef)): 1 / f.terms[ef]}, f.ambient)
+    mg = Polynomial._trusted({tuple(map(sub, l, eg)): 1 / g.terms[eg]}, g.ambient)
     return mf * f - mg * g
 
 
@@ -152,32 +161,28 @@ def reduced_groebner_basis(
     lts = [_lt(g, order) for g in basis]
 
     def pair_sugar(i, j):
-        l = tuple(max(a, b) for a, b in zip(lts[i], lts[j]))
-        return max(
-            sugars[i] + sum(l) - sum(lts[i]),
-            sugars[j] + sum(l) - sum(lts[j]),
-        )
+        l = sum(map(max, lts[i], lts[j]))
+        return max(sugars[i] + l - sum(lts[i]), sugars[j] + l - sum(lts[j]))
 
-    pairs = {
-        (i, j): pair_sugar(i, j) for i in range(len(basis)) for j in range(i)
-    }
+    # Pairs leave the heap in (sugar, (i, j)) order, smallest first.
+    pairs = [(pair_sugar(i, j), (i, j)) for i in range(len(basis)) for j in range(i)]
+    heapq.heapify(pairs)
     done: set[tuple[int, int]] = set()
     while pairs:
-        i, j = min(pairs, key=lambda p: (pairs[p], p))
-        del pairs[(i, j)]
+        _, (i, j) = heapq.heappop(pairs)
         done.add((i, j))
-        fe, ge = lts[i], lts[j]
+        ei, ej = lts[i], lts[j]
         # Buchberger's first criterion: coprime leading terms reduce to 0.
-        if all(min(a, b) == 0 for a, b in zip(fe, ge)):
+        if not any(map(min, ei, ej)):
             continue
         # Chain criterion: skip if some third element divides the lcm and
         # both pairs with it were already handled.
-        l = tuple(max(a, b) for a, b in zip(fe, ge))
+        l = tuple(map(max, ei, ej))
         skip = False
         for k in range(len(basis)):
             if k == i or k == j:
                 continue
-            if all(a <= b for a, b in zip(lts[k], l)):
+            if all(map(le, lts[k], l)):
                 pik = (max(i, k), min(i, k))
                 pjk = (max(j, k), min(j, k))
                 if pik in done and pjk in done:
@@ -194,7 +199,8 @@ def reduced_groebner_basis(
         basis.append(r)
         sugars.append(pair_sugar(i, j))
         lts.append(_lt(r, order))
-        pairs.update({(k, m): pair_sugar(k, m) for m in range(k)})
+        for m in range(k):
+            heapq.heappush(pairs, (pair_sugar(k, m), (k, m)))
 
     # Minimalize: drop elements whose leading term is divisible by another's.
     lts = [_lt(g, order) for g in basis]
@@ -213,7 +219,7 @@ def _minimalize(basis: list[Polynomial], lts) -> list[Polynomial]:
     kept: list[int] = []
     for i in order_pairs:
         e = lts[i]
-        if any(all(a >= b for a, b in zip(e, lts[j])) for j in kept):
+        if any(all(map(ge, e, lts[j])) for j in kept):
             continue
         kept.append(i)
     return [basis[i] for i in kept]

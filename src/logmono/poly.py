@@ -3,11 +3,21 @@
 A polynomial is a mapping from exponent tuples to nonzero Fractions,
 together with an ordered tuple of variable names (the ambient).  All
 operations are pure; values are treated as immutable after construction.
+
+``Polynomial(terms, ambient)`` validates: it coerces every coefficient to
+``Fraction`` and every exponent to ``int``, drops zero coefficients and
+checks exponent lengths.  The arithmetic's own results skip that work
+through ``Polynomial._trusted``, which stores its arguments as given.  It
+is called only where the result is already canonical: ``terms`` is a dict
+whose keys are tuples of ints of the ambient's length and whose values
+are nonzero ``Fraction``s, and ``ambient`` is a tuple.  The dict passed in
+is owned by the result and must not be mutated afterwards.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add, ge, sub
 from typing import Iterable, Mapping, Sequence
 
 
@@ -94,6 +104,17 @@ class Polynomial:
         self.terms = clean
         self.ambient = amb
 
+    @classmethod
+    def _trusted(
+        cls, terms: dict[tuple[int, ...], Fraction], ambient: tuple[str, ...]
+    ) -> "Polynomial":
+        """Wrap an already canonical term dict without copying or checking
+        it (see the module docstring for the invariant)."""
+        p = object.__new__(cls)
+        p.terms = terms
+        p.ambient = ambient
+        return p
+
     # -- constructors ---------------------------------------------------
 
     @classmethod
@@ -149,36 +170,47 @@ class Polynomial:
     def __add__(self, other: "Polynomial") -> "Polynomial":
         self._check_ambient(other)
         terms = dict(self.terms)
-        for exps, c in other.terms.items():
-            s = terms.get(exps, Fraction(0)) + c
-            if s == 0:
-                terms.pop(exps, None)
+        for e, c in other.terms.items():
+            s = terms.get(e)
+            if s is None:
+                terms[e] = c
             else:
-                terms[exps] = s
-        return Polynomial(terms, self.ambient)
+                s += c
+                if s:
+                    terms[e] = s
+                else:
+                    del terms[e]
+        return Polynomial._trusted(terms, self.ambient)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial({e: -c for e, c in self.terms.items()}, self.ambient)
+        return Polynomial._trusted({e: -c for e, c in self.terms.items()}, self.ambient)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
 
     def __mul__(self, other) -> "Polynomial":
         if isinstance(other, (int, Fraction)):
-            return Polynomial(
+            if not other:
+                return Polynomial._trusted({}, self.ambient)
+            return Polynomial._trusted(
                 {e: c * other for e, c in self.terms.items()}, self.ambient
             )
         self._check_ambient(other)
         out: dict[tuple[int, ...], Fraction] = {}
+        right = other.terms.items()
         for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, Fraction(0)) + c1 * c2
-                if s == 0:
-                    out.pop(e, None)
+            for e2, c2 in right:
+                e = tuple(map(add, e1, e2))
+                s = out.get(e)
+                if s is None:
+                    out[e] = c1 * c2
                 else:
-                    out[e] = s
-        return Polynomial(out, self.ambient)
+                    s += c1 * c2
+                    if s:
+                        out[e] = s
+                    else:
+                        del out[e]
+        return Polynomial._trusted(out, self.ambient)
 
     __rmul__ = __mul__
 
@@ -201,20 +233,14 @@ class Polynomial:
         if var not in self.ambient:
             raise ValueError(f"unknown variable {var!r}")
         i = self.ambient.index(var)
+        # Lowering exponent i is injective on the terms where it is
+        # positive, so no two terms land on one key.
         out: dict[tuple[int, ...], Fraction] = {}
         for exps, c in self.terms.items():
-            if exps[i] == 0:
-                continue
-            e = list(exps)
-            coeff = c * e[i]
-            e[i] -= 1
-            e = tuple(e)
-            s = out.get(e, Fraction(0)) + coeff
-            if s == 0:
-                out.pop(e, None)
-            else:
-                out[e] = s
-        return Polynomial(out, self.ambient)
+            k = exps[i]
+            if k:
+                out[exps[:i] + (k - 1,) + exps[i + 1 :]] = c * k
+        return Polynomial._trusted(out, self.ambient)
 
     def evaluate(self, point: Sequence[Fraction]) -> Fraction:
         if len(point) != len(self.ambient):
@@ -239,14 +265,29 @@ class Polynomial:
         """
         images = [values[v] for v in self.ambient]
         target = images[0].ambient if images else ()
-        out = Polynomial.zero(target)
+        one = (0,) * len(target)
+        # One dict for the whole sum: adding term by term would copy the
+        # running sum for every term.
+        out: dict[tuple[int, ...], Fraction] = {}
         for exps, c in self.terms.items():
-            term = Polynomial.constant(c, target)
+            term = None
             for img, e in zip(images, exps):
                 if e:
-                    term = term * img**e
-            out = out + term
-        return out
+                    f = img**e
+                    term = f if term is None else term * f
+            items = ((one, Fraction(1)),) if term is None else term.terms.items()
+            for te, tc in items:
+                tc *= c
+                s = out.get(te)
+                if s is None:
+                    out[te] = tc
+                else:
+                    s += tc
+                    if s:
+                        out[te] = s
+                    else:
+                        del out[te]
+        return Polynomial._trusted(out, target)
 
     # -- monomial structure ---------------------------------------------
 
@@ -260,12 +301,13 @@ class Polynomial:
         return Monomial(exps)
 
     def divide_by_monomial(self, m: Monomial) -> "Polynomial":
+        me = m.exponents
         out = {}
         for exps, c in self.terms.items():
-            if not all(a >= b for a, b in zip(exps, m.exponents)):
+            if not all(map(ge, exps, me)):
                 raise ValueError(f"{m} does not divide all terms")
-            out[tuple(a - b for a, b in zip(exps, m.exponents))] = c
-        return Polynomial(out, self.ambient)
+            out[tuple(map(sub, exps, me))] = c
+        return Polynomial._trusted(out, self.ambient)
 
     def leading_term(self, key=grevlex_key) -> tuple[tuple[int, ...], Fraction]:
         if not self.terms:
@@ -291,7 +333,7 @@ class Polynomial:
             for p, x in zip(pos, exps):
                 e[p] = x
             out[tuple(e)] = c
-        return Polynomial(out, new)
+        return Polynomial._trusted(out, new)
 
     def restrict_ambient(self, new_ambient: Sequence[str]) -> "Polynomial":
         """Drop variables not in ``new_ambient``; they must not occur."""
@@ -305,7 +347,7 @@ class Polynomial:
                     f"variable {self.ambient[dropped[0]]!r} occurs; cannot restrict"
                 )
             out[tuple(exps[i] for i in keep)] = c
-        return Polynomial(out, new)
+        return Polynomial._trusted(out, new)
 
     def support_variables(self) -> set[str]:
         out = set()
@@ -363,11 +405,9 @@ def exact_divide(p: Polynomial, q: Polynomial) -> Polynomial | None:
     rem = p
     while not rem.is_zero():
         re, rc = rem.leading_term()
-        if not all(a >= b for a, b in zip(re, qe)):
+        if not all(map(ge, re, qe)):
             return None
-        t = Polynomial(
-            {tuple(a - b for a, b in zip(re, qe)): rc / qc}, p.ambient
-        )
+        t = Polynomial._trusted({tuple(map(sub, re, qe)): rc / qc}, p.ambient)
         quotient = quotient + t
         rem = rem - t * q
     return quotient

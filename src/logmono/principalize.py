@@ -174,7 +174,8 @@ def goward_principalize(
     the ideal is principal in every chart.
 
     The termination measure must strictly decrease on every non-principal
-    child; a violation raises TerminationMeasureError.
+    child; a violation raises TerminationMeasureError.  The zero ideal has
+    no generator to certify and raises ValueError.
     """
     if ideal.variables != chart.variables:
         raise ValueError("ideal variables must match the chart")
@@ -185,15 +186,17 @@ def goward_principalize(
                 raise NonMonomialInputError(
                     f"generator exponent on non-divisor variable {v!r}"
                 )
+    if not ideal.generators:
+        raise ValueError("zero ideal cannot be principalized")
     tree = BlowupTree(chart, ideal)
     worklist = [(tree.root, 0)]
     while worklist:
         node, depth = worklist.pop()
         current: MonomialIdeal = node.payload
         if current.is_principal():
-            gens = current.generators or ((0,) * len(current.variables),)
             node.certificate = PrincipalMonomialCertificate(
-                Monomial(gens[0]), Polynomial.constant(1, current.variables)
+                Monomial(current.generators[0]),
+                Polynomial.constant(1, current.variables),
             )
             continue
         if depth >= max_depth:

@@ -120,6 +120,13 @@ class TestExpressionParser:
             parse_expression("x % y", ("x", "y"))
         assert "'%'" in str(e.value)
 
+    def test_stray_character_column_skips_blanks(self):
+        # The column is that of the character, not of the blanks before it.
+        with pytest.raises(ProblemSyntaxError) as e:
+            parse_expression("1 / 2", ("x", "y"))
+        assert e.value.column == 3
+        assert "column 3: unexpected character '/'" in str(e.value)
+
 
 class TestProblemParser:
     def test_full_example(self):

@@ -1,10 +1,12 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from logmono.ideal import (
     EmptyVarietyError,
     IdealPresentation,
+    _rabinowitsch,
     block_order,
     contains_one,
     dimension,
@@ -184,3 +186,69 @@ def test_groebner_basis_wrapper_returns_presentation():
     J = groebner_basis(I(["x^2 - y", "y^2 - x"], amb))
     assert isinstance(J, IdealPresentation)
     assert J.ambient == amb
+
+
+def _assert_sympy_basis(gens, amb, order, sympy_order):
+    """Our reduced basis equals sympy's, converted to logmono polynomials."""
+    sympy = pytest.importorskip("sympy")
+    syms = sympy.symbols(amb)
+    polys = [
+        sympy.Poly.from_dict(
+            {e: sympy.Rational(c.numerator, c.denominator) for e, c in g.terms.items()},
+            *syms,
+            domain="QQ",
+        )
+        for g in gens
+    ]
+    G = sympy.groebner(polys, *syms, order=sympy_order, domain="QQ")
+    theirs = [
+        Polynomial(
+            {e: Fraction(int(c.p), int(c.q)) for e, c in zip(p.monoms(), p.coeffs())},
+            amb,
+        )
+        for p in G.polys
+    ]
+    ours = reduced_groebner_basis(gens, order)
+    assert len(ours) == len(theirs) and set(ours) == set(theirs)
+
+
+class TestGroebnerOracle:
+    """Reduced bases agree with sympy's, which shares no code with ours, so
+    the S-pair queue and the reduction kernels change no basis."""
+
+    def test_grevlex_bases_match_sympy(self):
+        rng = random.Random(11)
+        for amb in (("x", "y"), ("x", "y", "z")):
+            for _ in range(20):
+                gens = [
+                    random_sparse_poly(amb, rng, max_terms=3)
+                    for _ in range(rng.randint(1, 3))
+                ]
+                _assert_sympy_basis(gens, amb, grevlex_order(), "grevlex")
+
+    def test_rabinowitsch_bases_match_sympy(self):
+        # The extensions I + (1 - t*f) that radical_membership decides.
+        rng = random.Random(12)
+        amb = ("u", "v", "w")
+        units = 0
+        for _ in range(20):
+            J = IdealPresentation(
+                [random_sparse_poly(amb, rng, max_terms=2) for _ in range(2)], amb
+            )
+            ext = _rabinowitsch(J, random_sparse_poly(amb, rng, max_terms=2))
+            _assert_sympy_basis(ext.generators, ext.ambient, grevlex_order(), "grevlex")
+            units += contains_one(ext)
+        assert 0 < units < 20  # both verdicts of radical_membership occur
+
+    def test_block_order_bases_match_sympy(self):
+        # The eliminations behind elimination() and saturation().
+        orderings = pytest.importorskip("sympy.polys.orderings")
+        grevlex = orderings.grevlex
+        product = orderings.ProductOrder(
+            (grevlex, lambda m: m[:1]), (grevlex, lambda m: m[1:])
+        )
+        rng = random.Random(13)
+        amb = ("a", "x", "y")
+        for _ in range(15):
+            gens = [random_sparse_poly(amb, rng, max_terms=3) for _ in range(2)]
+            _assert_sympy_basis(gens, amb, block_order(1), product)

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from logmono.ideal import grevlex_order, normal_form
 from logmono.poly import (
     AmbientMismatchError,
     Monomial,
@@ -180,3 +181,54 @@ class TestExactDivision:
             q = Polynomial(terms_q, AMB)
             got = exact_divide(p * q, q)
             assert got == p
+
+
+def assert_canonical(p: Polynomial):
+    """The invariant every arithmetic result must satisfy, and that the
+    validating constructor would restore."""
+    assert type(p.ambient) is tuple
+    for e, c in p.terms.items():
+        assert type(e) is tuple and len(e) == len(p.ambient)
+        assert all(type(x) is int and x >= 0 for x in e)
+        assert type(c) is Fraction and c != 0
+    assert p == Polynomial(p.terms, p.ambient)
+
+
+TARGET = ("s", "t")
+small_images = st.dictionaries(
+    st.tuples(st.integers(0, 1), st.integers(0, 1)), coeffs, max_size=2
+).map(lambda terms: Polynomial(terms, TARGET))
+scalars = st.one_of(
+    st.integers(-3, 3), st.fractions(min_value=-3, max_value=3, max_denominator=4)
+)
+
+
+class TestTrustedResults:
+    """Results built without validation are canonical, so re-validating
+    them changes nothing."""
+
+    @given(polys, polys, scalars, st.integers(0, 3))
+    @settings(max_examples=80, deadline=None)
+    def test_ring_operations(self, p, q, k, n):
+        for r in (p + q, p - q, p - p, -p, p * q, p ** n, p * k, k * p):
+            assert_canonical(r)
+        for zero in (0, Fraction(0)):
+            assert_canonical(p * zero)
+            assert (p * zero).is_zero()
+
+    @given(polys, polys, small_images, small_images, small_images)
+    @settings(max_examples=60, deadline=None)
+    def test_calculus_division_and_surgery(self, p, q, a, b, c):
+        for v in AMB:
+            assert_canonical(p.partial_derivative(v))
+        assert_canonical(p.substitute({"x": a, "y": b, "z": c}))
+        assert_canonical(p.substitute({"x": a, "y": a, "z": -a}))
+        if not p.is_zero():
+            m = p.monomial_content()
+            assert_canonical(p.divide_by_monomial(m))
+        big = p.extend_ambient(("w",) + AMB)
+        assert_canonical(big)
+        assert_canonical(big.restrict_ambient(AMB))
+        basis = [g for g in (q, q * q + p) if not g.is_zero()]
+        assert_canonical(normal_form(p, basis, grevlex_order()))
+        assert_canonical(normal_form(p * q, basis, grevlex_order()))

@@ -108,6 +108,11 @@ class TestPrincipalize:
                 MonomialIdeal.from_exponents(("u", "v"), [(2, 0), (0, 3)]), chart
             )
 
+    def test_zero_ideal_rejected(self):
+        # The zero ideal is not the unit ideal: no generator certifies it.
+        with pytest.raises(ValueError, match="zero ideal cannot be principalized"):
+            goward_principalize(MonomialIdeal.from_exponents(("u", "v"), []), UV)
+
     def test_leaf_certificates_reverify(self):
         rng = random.Random(2)
         chart = ChartedPair(("u", "v", "w"), ("u", "v", "w"))
