@@ -22,6 +22,7 @@ from .ideal import (
     PrincipalMonomialCertificate,
     ideal_membership,
     is_principal_monomial_at,
+    local_monomial,
     radical_membership,
 )
 from .logdiff import maximal_minors
@@ -274,18 +275,18 @@ def match_spm_template(
 def is_monomial_morphism_at(
     phi: MorphismOfPairs, a: RationalPoint
 ) -> Optional[list[tuple[int, ...]]]:
-    """Exponent matrix if every component is unit-times-monomial at the
-    point and the matrix has full target rank; None otherwise."""
+    """Exponent matrix if every component is a unit at the point times its
+    local monomial (``ideal.local_monomial``: the source variables that
+    vanish there) and the matrix has full target rank; None otherwise."""
     rows = []
     for x in phi.target.variables:
         p = phi.components[x]
         if p.is_zero():
             return None
-        content = p.monomial_content()
-        residual = p.divide_by_monomial(content)
-        if residual.evaluate(a.coordinates) == 0:
+        m = local_monomial([p], a.coordinates)
+        if p.divide_by_monomial(m).evaluate(a.coordinates) == 0:
             return None
-        rows.append(content.exponents)
+        rows.append(m.exponents)
     N = len(phi.target.variables)
     if rational_matrix_rank(rows) != N:
         return None

@@ -1,9 +1,14 @@
 """Ideal-theoretic engine: Groebner bases and derived decision procedures.
 
-Buchberger's algorithm (sugar selection, coprime-leading-term criterion)
-over the rationals, with membership, radical membership via the
-Rabinowitsch trick, elimination by block orders, Krull dimension from the
-leading-term ideal, saturation, and the locally-principal-monomial test.
+Buchberger's algorithm over the rationals with sugar selection and
+Gebauer-Moeller pair installation (Gebauer & Moeller, "On an installation
+of Buchberger's algorithm", JSC 1988): the B, M and F criteria and the
+coprime-leading-term criterion are applied once per new basis element.
+Reduction keys each term once and pops terms from a heap, largest first.
+On top of it: membership, radical membership via the Rabinowitsch trick,
+elimination by block orders, Krull dimension from the leading-term ideal,
+saturation, and the locally-principal-monomial test with the one "unit at
+the point" rule (``local_monomial``).
 """
 
 from __future__ import annotations
@@ -11,7 +16,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from operator import add, ge, le, sub
 from typing import Sequence
 
@@ -23,18 +28,29 @@ from .poly import AmbientMismatchError, Monomial, Polynomial, grevlex_key
 
 
 class MonomialOrder:
-    """A total order on exponent tuples, exposed as a sort key."""
+    """A total order on exponent tuples.
 
-    def __init__(self, tag: str, key):
+    ``key`` sorts ascending: a larger key is a larger monomial.
+    ``heap_key`` runs the other way: ascending heap keys list exponents in
+    descending order, so a ``heapq`` of them pops the largest first.
+    """
+
+    def __init__(self, tag: str, key, heap_key):
         self.tag = tag
         self.key = key
+        self.heap_key = heap_key
 
     def __repr__(self):
         return f"MonomialOrder({self.tag})"
 
 
+def _grevlex_heap_key(exps):
+    # Higher total degree first, then the smaller last exponent.
+    return (-sum(exps), exps[::-1])
+
+
 def grevlex_order() -> MonomialOrder:
-    return MonomialOrder("grevlex", grevlex_key)
+    return MonomialOrder("grevlex", grevlex_key, _grevlex_heap_key)
 
 
 def block_order(n_eliminated: int) -> MonomialOrder:
@@ -43,7 +59,13 @@ def block_order(n_eliminated: int) -> MonomialOrder:
     def key(exps):
         return (grevlex_key(exps[:n_eliminated]), grevlex_key(exps[n_eliminated:]))
 
-    return MonomialOrder(f"block{n_eliminated}", key)
+    def heap_key(exps):
+        return (
+            _grevlex_heap_key(exps[:n_eliminated]),
+            _grevlex_heap_key(exps[n_eliminated:]),
+        )
+
+    return MonomialOrder(f"block{n_eliminated}", key, heap_key)
 
 
 # ---------------------------------------------------------------------------
@@ -97,132 +119,163 @@ class IdealPresentation:
 
 # ---------------------------------------------------------------------------
 # Core Buchberger machinery
+#
+# A divisor record (lt, tail) stands for the monic polynomial x^lt + tail;
+# tail is a list of (exponent, coefficient) pairs below lt.
 
 
-def _lt(p: Polynomial, order: MonomialOrder):
-    return max(p.terms, key=order.key)
+def _record(g: Polynomial, heap_key) -> tuple[tuple[int, ...], list]:
+    lt = min(g.terms, key=heap_key)
+    inv = 1 / g.terms[lt]
+    return lt, [(e, c * inv) for e, c in g.terms.items() if e != lt]
 
 
-def normal_form(f: Polynomial, basis: Sequence[Polynomial], order: MonomialOrder) -> Polynomial:
-    """Full remainder of f on division by ``basis`` under ``order``."""
-    if f.is_zero() or not basis:
-        return f
-    # Per divisor: leading exponent, leading coefficient, and the tail
-    # terms that a reduction step subtracts.
-    divisors = []
-    for g in basis:
-        lt = max(g.terms, key=order.key)
-        tail = [(te, tc) for te, tc in g.terms.items() if te != lt]
-        divisors.append((lt, g.terms[lt], tail))
-    rem_terms: dict[tuple[int, ...], Fraction] = {}
-    work = dict(f.terms)
-    while work:
-        e = max(work, key=order.key)
+def _reduce(work: dict, divisors: Sequence, heap_key) -> dict:
+    """Fully reduce the term dict ``work`` (consumed) by the divisor
+    records; return the remainder's terms, largest first.
+
+    Each term of ``work`` is keyed once, when it first enters, and queued
+    on a heap that pops the largest first.  A reduction step writes only
+    terms below the one it removes, so a popped exponent never comes back.
+    A term that cancels stays in ``work`` at zero and is skipped when its
+    entry surfaces."""
+    heap = [(heap_key(e), e) for e in work]
+    heapq.heapify(heap)
+    rem: dict[tuple[int, ...], Fraction] = {}
+    while heap:
+        e = heapq.heappop(heap)[1]
         c = work.pop(e)
-        for lt, lc, tail in divisors:
+        if not c:
+            continue
+        for lt, tail in divisors:
             if all(map(ge, e, lt)):
-                factor = c / lc
                 shift = tuple(map(sub, e, lt))
                 for te, tc in tail:
                     ne = tuple(map(add, te, shift))
                     s = work.get(ne)
                     if s is None:
-                        work[ne] = -factor * tc
+                        work[ne] = -c * tc
+                        heapq.heappush(heap, (heap_key(ne), ne))
                     else:
-                        s -= factor * tc
-                        if s:
-                            work[ne] = s
-                        else:
-                            del work[ne]
+                        work[ne] = s - c * tc
                 break
         else:
-            rem_terms[e] = c
-    return Polynomial._trusted(rem_terms, f.ambient)
+            rem[e] = c
+    return rem
 
 
-def _s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
-    ef = _lt(f, order)
-    eg = _lt(g, order)
-    l = tuple(map(max, ef, eg))
-    mf = Polynomial._trusted({tuple(map(sub, l, ef)): 1 / f.terms[ef]}, f.ambient)
-    mg = Polynomial._trusted({tuple(map(sub, l, eg)): 1 / g.terms[eg]}, g.ambient)
-    return mf * f - mg * g
+def normal_form(f: Polynomial, basis: Sequence[Polynomial], order: MonomialOrder) -> Polynomial:
+    """Full remainder of f on division by ``basis`` under ``order``; each
+    term is reduced by the first basis element whose leading term divides
+    it."""
+    if f.is_zero() or not basis:
+        return f
+    divisors = [_record(g, order.heap_key) for g in basis]
+    return Polynomial._trusted(
+        _reduce(dict(f.terms), divisors, order.heap_key), f.ambient
+    )
 
 
 def reduced_groebner_basis(
     generators: Sequence[Polynomial], order: MonomialOrder
 ) -> list[Polynomial]:
-    """Reduced Groebner basis; empty list for the zero ideal."""
-    basis = [g for g in generators if not g.is_zero()]
-    if not basis:
+    """Reduced Groebner basis; empty list for the zero ideal.
+
+    Buchberger's algorithm with sugar selection and the Gebauer-Moeller
+    installation: each new element prunes the pending pairs (criterion B)
+    and its own new pairs (criteria M and F, and coprime leading terms)
+    once, when it enters the basis."""
+    gens = [g for g in generators if not g.is_zero()]
+    if not gens:
         return []
-    basis = [g.monic(order.key) for g in basis]
-    sugars = [g.total_degree for g in basis]
-    lts = [_lt(g, order) for g in basis]
+    ambient = gens[0].ambient
+    heap_key = order.heap_key
+    # Per element: leading exponent, divisor record and sugar.  Every
+    # record reduces, oldest first.  New pairs are formed only with the
+    # active elements, those whose leading term no later element's leading
+    # term divides.
+    lts: list[tuple[int, ...]] = []
+    records: list = []
+    sugars: list[int] = []
+    active: list[int] = []
+    # Pending pairs (i, j), i > j, mapped to the lcm of their leading terms.
+    # The heap pops them in (sugar, (i, j)) order; a pair deleted from
+    # ``live`` is skipped when it surfaces.
+    live: dict[tuple[int, int], tuple[int, ...]] = {}
+    pairs: list = []
 
-    def pair_sugar(i, j):
-        l = sum(map(max, lts[i], lts[j]))
-        return max(sugars[i] + l - sum(lts[i]), sugars[j] + l - sum(lts[j]))
+    def install(lt, tail, sugar):
+        k = len(lts)
+        lts.append(lt)
+        records.append((lt, tail))
+        sugars.append(sugar)
+        # B: drop a pending pair whose lcm lt divides, unless lt shares
+        # that lcm with one of the pair's elements.
+        for (i, j), l in list(live.items()):
+            if (
+                all(map(le, lt, l))
+                and tuple(map(max, lts[i], lt)) != l
+                and tuple(map(max, lts[j], lt)) != l
+            ):
+                del live[i, j]
+        # M and F: of the new pairs, keep one per minimal lcm, preferring a
+        # coprime pair; then drop the coprime ones, whose S-polynomials
+        # reduce to zero.
+        new = [(tuple(map(max, lts[m], lt)), m) for m in active]
+        kept = []
+        while new:
+            l, m = new.pop()
+            if not any(map(min, lts[m], lt)) or not any(
+                all(map(le, l2, l)) for l2, _ in chain(new, kept)
+            ):
+                kept.append((l, m))
+        for l, m in kept:
+            if any(map(min, lts[m], lt)):
+                d = sum(l)
+                live[k, m] = l
+                heapq.heappush(
+                    pairs,
+                    (max(sugar + d - sum(lt), sugars[m] + d - sum(lts[m])), (k, m)),
+                )
+        active[:] = [m for m in active if not all(map(ge, lts[m], lt))] + [k]
 
-    # Pairs leave the heap in (sugar, (i, j)) order, smallest first.
-    pairs = [(pair_sugar(i, j), (i, j)) for i in range(len(basis)) for j in range(i)]
-    heapq.heapify(pairs)
-    done: set[tuple[int, int]] = set()
+    for g in gens:
+        install(*_record(g, heap_key), g.total_degree)
+
     while pairs:
-        _, (i, j) = heapq.heappop(pairs)
-        done.add((i, j))
-        ei, ej = lts[i], lts[j]
-        # Buchberger's first criterion: coprime leading terms reduce to 0.
-        if not any(map(min, ei, ej)):
+        sugar, (i, j) = heapq.heappop(pairs)
+        l = live.pop((i, j), None)
+        if l is None:
             continue
-        # Chain criterion: skip if some third element divides the lcm and
-        # both pairs with it were already handled.
-        l = tuple(map(max, ei, ej))
-        skip = False
-        for k in range(len(basis)):
-            if k == i or k == j:
-                continue
-            if all(map(le, lts[k], l)):
-                pik = (max(i, k), min(i, k))
-                pjk = (max(j, k), min(j, k))
-                if pik in done and pjk in done:
-                    skip = True
-                    break
-        if skip:
-            continue
-        s = _s_polynomial(basis[i], basis[j], order)
-        r = normal_form(s, basis, order)
-        if r.is_zero():
-            continue
-        r = r.monic(order.key)
-        k = len(basis)
-        basis.append(r)
-        sugars.append(pair_sugar(i, j))
-        lts.append(_lt(r, order))
-        for m in range(k):
-            heapq.heappush(pairs, (pair_sugar(k, m), (k, m)))
+        # Both elements are monic, so their S-polynomial is the difference
+        # of the two tails, each shifted up to the lcm.
+        si = tuple(map(sub, l, lts[i]))
+        work = {tuple(map(add, te, si)): tc for te, tc in records[i][1]}
+        sj = tuple(map(sub, l, lts[j]))
+        for te, tc in records[j][1]:
+            ne = tuple(map(add, te, sj))
+            work[ne] = work.get(ne, 0) - tc
+        rem = _reduce(work, records, heap_key)
+        if rem:
+            lt = next(iter(rem))
+            inv = 1 / rem.pop(lt)
+            install(lt, [(e, c * inv) for e, c in rem.items()], sugar)
 
-    # Minimalize: drop elements whose leading term is divisible by another's.
-    lts = [_lt(g, order) for g in basis]
-    minimal = _minimalize(basis, lts)
-    # Fully reduce each element against the others.
+    # Minimalize: active leading terms are distinct, so drop each that
+    # another divides.  Then reduce each tail by the others.
+    minimal = [
+        k
+        for k in active
+        if not any(m != k and all(map(ge, lts[k], lts[m])) for m in active)
+    ]
+    minimal.sort(key=lambda k: order.key(lts[k]))
     reduced = []
-    for i, g in enumerate(minimal):
-        others = minimal[:i] + minimal[i + 1 :]
-        reduced.append(normal_form(g, others, order).monic(order.key))
-    reduced.sort(key=lambda p: order.key(_lt(p, order)))
+    for k in minimal:
+        others = [records[m] for m in minimal if m != k]
+        terms = {lts[k]: Fraction(1)}
+        terms.update(_reduce(dict(records[k][1]), others, heap_key))
+        reduced.append(Polynomial._trusted(terms, ambient))
     return reduced
-
-
-def _minimalize(basis: list[Polynomial], lts) -> list[Polynomial]:
-    order_pairs = sorted(range(len(basis)), key=lambda i: sum(lts[i]))
-    kept: list[int] = []
-    for i in order_pairs:
-        e = lts[i]
-        if any(all(map(ge, e, lts[j])) for j in kept):
-            continue
-        kept.append(i)
-    return [basis[i] for i in kept]
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +355,7 @@ def dimension(I: IdealPresentation) -> int:
         raise EmptyVarietyError("empty variety")
     lt_supports = []
     for g in basis:
-        e = _lt(g, order)
+        e, _ = g.leading_term(order.key)
         lt_supports.append({I.ambient[i] for i, x in enumerate(e) if x})
     # Largest variable subset meeting no leading-term support.
     for size in range(n, -1, -1):
@@ -327,6 +380,22 @@ def radical_equality(I: IdealPresentation, J: IdealPresentation) -> bool:
     )
 
 
+def local_monomial(polys: Sequence[Polynomial], point: Sequence[Fraction]) -> Monomial:
+    """The one "unit at the point" rule of the local predicates: each
+    variable that vanishes at the point, to the largest power dividing
+    every polynomial.
+
+    Every other factor, a variable that does not vanish at the point
+    included, stays in the residual ``p.divide_by_monomial(m)``, and p is
+    a unit times m near the point exactly when that residual does not
+    vanish there."""
+    content = None
+    for p in polys:
+        c = p.monomial_content()
+        content = c if content is None else content.gcd(c)
+    return Monomial(e if x == 0 else 0 for e, x in zip(content.exponents, point))
+
+
 def is_principal_monomial_at(
     I: IdealPresentation,
     point: Sequence[Fraction],
@@ -335,25 +404,23 @@ def is_principal_monomial_at(
     """Certificate that I is generated, locally at the point, by one
     monomial in the divisor variables.
 
-    Procedure: extract the common monomial content m of the generators,
-    reject if m involves a non-divisor variable, strip m, and accept iff
-    some stripped generator is a unit at the point.
+    Procedure: take the local monomial m of the generators (the variables
+    vanishing at the point, see ``local_monomial``), reject if m involves
+    a non-divisor variable, and accept iff some generator divided by m is
+    a unit at the point.
     """
     if I.is_zero_ideal():
         raise ValueError("zero ideal has no principal monomial generator")
     if len(point) != len(I.ambient):
         raise ValueError("point length does not match ambient")
     divisor = set(divisor_vars)
-    content = None
-    for g in I.generators:
-        c = g.monomial_content()
-        content = c if content is None else content.gcd(c)
-    for v, e in zip(I.ambient, content.exponents):
+    m = local_monomial(I.generators, point)
+    for v, e in zip(I.ambient, m.exponents):
         if e and v not in divisor:
             return None
     # m divides every generator, so (I : m) is generated by the quotients.
-    stripped = [g.divide_by_monomial(content) for g in I.generators]
-    for g in stripped:
-        if g.evaluate(point) != 0:
-            return PrincipalMonomialCertificate(content, g)
+    for g in I.generators:
+        residual = g.divide_by_monomial(m)
+        if residual.evaluate(point) != 0:
+            return PrincipalMonomialCertificate(m, residual)
     return None

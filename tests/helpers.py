@@ -417,3 +417,37 @@ def linear_membership_oracle(f, gens, bound):
     if not keep:
         return all(b == 0 for b in rhs)
     return _solve_consistent(rows, rhs)
+
+
+def max_scan_normal_form(f, basis, order):
+    """Reference division: at each step take the largest remaining term by
+    a fresh ``max`` over ``order.key`` and reduce it by the first basis
+    element whose leading term divides it.  This is the textbook loop that
+    ``ideal.normal_form`` replaced with a heap; it is kept only as an
+    oracle."""
+    if f.is_zero() or not basis:
+        return f
+    divisors = []
+    for g in basis:
+        lt = max(g.terms, key=order.key)
+        divisors.append((lt, g.terms[lt], [(e, c) for e, c in g.terms.items() if e != lt]))
+    rem = {}
+    work = dict(f.terms)
+    while work:
+        e = max(work, key=order.key)
+        c = work.pop(e)
+        for lt, lc, tail in divisors:
+            if all(a >= b for a, b in zip(e, lt)):
+                factor = c / lc
+                shift = tuple(a - b for a, b in zip(e, lt))
+                for te, tc in tail:
+                    ne = tuple(a + b for a, b in zip(te, shift))
+                    s = work.get(ne, Fraction(0)) - factor * tc
+                    if s:
+                        work[ne] = s
+                    else:
+                        work.pop(ne, None)
+                break
+        else:
+            rem[e] = c
+    return Polynomial(rem, f.ambient)

@@ -139,6 +139,14 @@ class TestMonomialMorphism:
         assert is_monomial_morphism_at(phi, RationalPoint((0, 0))) is not None
         assert is_monomial_morphism_at(phi, RationalPoint((0, -1))) is None
 
+    def test_row_counts_only_vanishing_variables(self):
+        # v is a unit at (0, 1), so x1 = u*v has the local row (1, 0).
+        src = ChartedPair(("u", "v"), ("u", "v"))
+        tgt = ChartedPair(("x1",), ("x1",))
+        phi = MorphismOfPairs(src, tgt, {"x1": P("u*v", src.variables)})
+        assert is_monomial_morphism_at(phi, RationalPoint((0, 1))) == [(1, 0)]
+        assert is_monomial_morphism_at(phi, RationalPoint((0, 0))) == [(1, 1)]
+
 
 class TestLogRankAdapted:
     def chart_phi(self):

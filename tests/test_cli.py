@@ -1,9 +1,13 @@
+import contextlib
+import io
 import json
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import logmono.cli
 from logmono.cli import build_parser, main
@@ -478,3 +482,47 @@ def test_readme_outputs(capsys, tmp_path, monkeypatch):
         prompt, _, expected = block.partition("\n")
         argv = prompt.removeprefix("$ logmono ").split()
         assert run(capsys, *argv) == (0, expected.rstrip("\n") + "\n", "")
+
+
+# Fuzzing: valid problem files with a few random splices.  Most results no
+# longer parse; the rest are valid problems of about the same size.
+FUZZ_SEEDS = [EXAMPLE1, EXAMPLE3, NOT_QP, EXAMPLE1 + "filtration 1: u1\ntargetideal x1\n"]
+FUZZ_TOKENS = [
+    "map ", "source ", "target ", "vars ", "divisor ", "point ", "filtration ",
+    "targetideal ", "x1", "u1", "1/0", "1/2", "-1", "^0", "((", "))",
+]
+FUZZ_COMMANDS = [
+    "classify", "quasiprepared", "grk", "imagedim", "principalize", "monomialize",
+    "fitting --k 1", "lradapted", "verify-monomial", "logrank", "rank",
+    "blowup --center u1,u2",
+]
+
+
+@st.composite
+def spliced_problems(draw):
+    text = draw(st.sampled_from(FUZZ_SEEDS))
+    for _ in range(draw(st.integers(1, 6))):
+        i = draw(st.integers(0, len(text)))
+        j = draw(st.integers(i, min(len(text), i + 12)))
+        piece = draw(
+            st.one_of(st.text("uvxy0123^*+-/(),=:#. \n", max_size=4), st.sampled_from(FUZZ_TOKENS))
+        )
+        text = text[:i] + piece + text[j:]
+    return text
+
+
+@settings(max_examples=200, deadline=None)
+@given(spliced_problems(), st.sampled_from(FUZZ_COMMANDS))
+def test_fuzzed_problem_files_exit_0_1_or_2(text, command):
+    """Malformed input is a verdict or an input error (exit 0, 1 or 2),
+    never an internal error (exit 3), and it fails fast."""
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "fuzz.problem"
+        path.write_text(text)
+        out, err = io.StringIO(), io.StringIO()
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([*command.split(), str(path)])
+        elapsed = time.perf_counter() - start
+    assert code in (0, 1, 2), err.getvalue()
+    assert elapsed < 2.0, f"{command} took {elapsed:.2f} s on {text!r}"

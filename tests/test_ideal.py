@@ -2,7 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from logmono.classify import singular_locus_ideal
 from logmono.ideal import (
     EmptyVarietyError,
     IdealPresentation,
@@ -15,6 +17,7 @@ from logmono.ideal import (
     groebner_basis,
     ideal_membership,
     is_principal_monomial_at,
+    local_monomial,
     normal_form,
     radical_equality,
     radical_membership,
@@ -23,7 +26,13 @@ from logmono.ideal import (
 )
 from logmono.poly import Polynomial
 
-from helpers import P, linear_membership_oracle, random_sparse_poly
+from helpers import (
+    P,
+    linear_membership_oracle,
+    max_scan_normal_form,
+    pair_condition_corpus,
+    random_sparse_poly,
+)
 
 
 def I(exprs, amb):
@@ -180,6 +189,24 @@ class TestPrincipalMonomialAt:
         with pytest.raises(ValueError):
             is_principal_monomial_at(I([], amb), (0,), ("u",))
 
+    def test_unit_at_point_goes_to_residual(self):
+        # v is a unit at (0, 1): (v*u^2) is generated there by u^2.
+        amb = ("u", "v")
+        cert = is_principal_monomial_at(I(["v*u^2"], amb), (0, 1), ("u",))
+        assert cert is not None
+        assert cert.generator_monomial.exponents == (2, 0)
+        assert cert.residual_witness == P("v", amb)
+        # u is a unit at u = 1, so (u^2) is the unit ideal there.
+        cert = is_principal_monomial_at(I(["u^2"], ("u",)), (1,), ("u",))
+        assert cert is not None and cert.generator_monomial.exponents == (0,)
+
+    def test_local_monomial_keeps_vanishing_variables(self):
+        amb = ("u", "v", "w")
+        gens = [P("u^2*v^3*w", amb), P("u*v^4*w^2 + u^3*v^3*w", amb)]
+        assert local_monomial(gens, (0, 0, 0)).exponents == (1, 3, 1)
+        assert local_monomial(gens, (0, 2, 0)).exponents == (1, 0, 1)
+        assert local_monomial(gens, (1, 1, 1)).exponents == (0, 0, 0)
+
 
 def test_groebner_basis_wrapper_returns_presentation():
     amb = ("x", "y")
@@ -189,7 +216,8 @@ def test_groebner_basis_wrapper_returns_presentation():
 
 
 def _assert_sympy_basis(gens, amb, order, sympy_order):
-    """Our reduced basis equals sympy's, converted to logmono polynomials."""
+    """Our reduced basis equals sympy's, converted to logmono polynomials;
+    returns ours."""
     sympy = pytest.importorskip("sympy")
     syms = sympy.symbols(amb)
     polys = [
@@ -210,6 +238,7 @@ def _assert_sympy_basis(gens, amb, order, sympy_order):
     ]
     ours = reduced_groebner_basis(gens, order)
     assert len(ours) == len(theirs) and set(ours) == set(theirs)
+    return ours
 
 
 class TestGroebnerOracle:
@@ -252,3 +281,93 @@ class TestGroebnerOracle:
         for _ in range(15):
             gens = [random_sparse_poly(amb, rng, max_terms=3) for _ in range(2)]
             _assert_sympy_basis(gens, amb, block_order(1), product)
+
+    def test_larger_bases_match_sympy(self):
+        # 4-5 generators of up to 4 terms in 3-4 variables, where the pair
+        # criteria have many pairs to prune.  Every other ideal has no
+        # constant terms, so it is proper and its basis is not just [1].
+        orderings = pytest.importorskip("sympy.polys.orderings")
+        grevlex = orderings.grevlex
+        product = orderings.ProductOrder(
+            (grevlex, lambda m: m[:2]), (grevlex, lambda m: m[2:])
+        )
+        rng = random.Random(14)
+        sizes = []
+        for amb in (("x", "y", "z"), ("w", "x", "y", "z")):
+            for k in range(20):
+                gens = [
+                    random_sparse_poly(amb, rng, max_terms=4, min_deg=k % 2)
+                    for _ in range(rng.randint(4, 5))
+                ]
+                sizes.append(len(_assert_sympy_basis(gens, amb, grevlex_order(), "grevlex")))
+                if k < 5:
+                    _assert_sympy_basis(gens, amb, block_order(2), product)
+        assert max(sizes) >= 10
+
+    def test_quasi_prepared_extensions_match_sympy(self):
+        # singular_locus_ideal(phi) + (1 - t*prod u): the basis behind
+        # is_quasi_prepared's radical-membership test.
+        corpus = pair_condition_corpus()
+        units = 0
+        for phi in corpus:
+            ext = _rabinowitsch(singular_locus_ideal(phi), phi.source.divisor_product())
+            _assert_sympy_basis(ext.generators, ext.ambient, grevlex_order(), "grevlex")
+            units += contains_one(ext)
+        assert 0 < units < len(corpus)  # both verdicts occur
+
+
+# Division problems over three variables for the reduction oracle.
+AMB3 = ("x", "y", "z")
+ORDERS = [grevlex_order(), block_order(1), block_order(2)]
+exps3 = st.tuples(*(st.integers(0, 3) for _ in AMB3))
+small_coeffs = st.integers(-3, 3).filter(bool).map(Fraction)
+terms3 = st.dictionaries(exps3, small_coeffs, min_size=1, max_size=4)
+
+
+@st.composite
+def division_problems(draw):
+    """(order, f, basis).  Some basis elements share a leading term, and f
+    is mostly a combination of shifted basis elements, so reduction steps
+    often cancel terms that are already queued."""
+    order = draw(st.sampled_from(ORDERS))
+    basis = [Polynomial(t, AMB3) for t in draw(st.lists(terms3, min_size=1, max_size=3))]
+    for g in draw(st.lists(st.sampled_from(basis), max_size=2)):
+        # Same leading term, another coefficient and tail.
+        lt = max(g.terms, key=order.key)
+        tail = draw(terms3)
+        terms = {e: c for e, c in tail.items() if order.key(e) < order.key(lt)}
+        terms[lt] = draw(small_coeffs)
+        basis.append(Polynomial(terms, AMB3))
+    f = Polynomial(draw(st.dictionaries(exps3, small_coeffs, max_size=2)), AMB3)
+    for g in basis:
+        shift = Polynomial({draw(exps3): draw(small_coeffs)}, AMB3)
+        f = f + shift * g
+    return order, f, draw(st.permutations(basis))
+
+
+class TestReduction:
+    """The heap reducer against the max-scan reference division."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(division_problems())
+    def test_normal_form_matches_max_scan(self, problem):
+        order, f, basis = problem
+        assert normal_form(f, basis, order) == max_scan_normal_form(f, basis, order)
+
+    def test_cancelled_term_that_returns(self):
+        # Reducing -2*x^2 by x^2 - y cancels the queued 2*y; reducing 2*x
+        # by -x + 2*y brings y back while its entry is still queued.
+        amb = ("x", "y")
+        f = P("-2*x^2 + 2*x + 2*y", amb)
+        basis = [P("x^2 - y", amb), P("-x + 2*y", amb)]
+        order = grevlex_order()
+        assert normal_form(f, basis, order) == P("4*y", amb)
+        assert max_scan_normal_form(f, basis, order) == P("4*y", amb)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(ORDERS), st.lists(exps3, max_size=12))
+    def test_heap_key_reverses_key(self, order, exponents):
+        # Ascending heap keys list exponents in descending order.
+        assert sorted(exponents, key=order.heap_key) == sorted(
+            exponents, key=order.key, reverse=True
+        )
