@@ -6,6 +6,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional
 
+from .ideal import IdealPresentation
 from .poly import Polynomial
 
 
@@ -82,10 +83,13 @@ class MorphismOfPairs:
         self.source = source
         self.target = target
         self.components = {v: components[v] for v in target.variables}
-        # classify.is_quasi_prepared caches its verdict here.  Nothing
-        # reassigns the three fields above after construction, so the cached
-        # verdict cannot go stale.
+        # Two caches: classify.is_quasi_prepared keeps its verdict in
+        # _quasi_prepared, and fitting.log_fitting_ideal keeps each form
+        # degree's ideal (with its Groebner basis cache) in _log_fitting.
+        # Nothing reassigns the three fields above after construction, so
+        # neither cache can go stale.
         self._quasi_prepared: Optional[tuple[bool, tuple[str, ...]]] = None
+        self._log_fitting: dict[int, IdealPresentation] = {}
 
     def component_list(self) -> list[Polynomial]:
         return [self.components[v] for v in self.target.variables]

@@ -12,15 +12,20 @@ from __future__ import annotations
 from itertools import combinations
 
 from .chart import MorphismOfPairs
-from .ideal import IdealPresentation, contains_one, radical_membership
+from .ideal import IdealPresentation, radical_membership
 from .logdiff import pullback_basis_form
 
 
 def log_fitting_ideal(phi: MorphismOfPairs, k: int) -> IdealPresentation:
+    """The degree-k log-Fitting ideal, computed once per morphism and form
+    degree and cached on the morphism together with its Groebner bases."""
     n = len(phi.source.variables)
     N = len(phi.target.variables)
     if not 1 <= k <= min(n, N):
         raise ValueError(f"form degree {k} out of range 1..{min(n, N)}")
+    cached = phi._log_fitting.get(k)
+    if cached is not None:
+        return cached
     gens = []
     div = phi.target.divisor_vars
     free = phi.target.free_vars
@@ -29,13 +34,23 @@ def log_fitting_ideal(phi: MorphismOfPairs, k: int) -> IdealPresentation:
             for J in combinations(free, k - l):
                 form = pullback_basis_form(phi, I, J)
                 gens.extend(form.coefficients.values())
-    return IdealPresentation(gens, phi.source.variables)
+    F = phi._log_fitting[k] = IdealPresentation(gens, phi.source.variables)
+    return F
 
 
 def fitting_vanishing_in_divisor(phi: MorphismOfPairs, k: int) -> bool:
     """Whether the vanishing locus of the degree-k log-Fitting ideal is
-    contained in the source divisor."""
+    contained in the source divisor D.
+
+    A generator c*u^a on divisor variables alone (a nonzero constant
+    included) vanishes only on D, so V(F) lies in D with no Groebner basis.
+    Otherwise the answer is whether the divisor product lies in the radical
+    of F."""
     F = log_fitting_ideal(phi, k)
-    if not F.is_zero_ideal() and contains_one(F):
-        return True
+    divisor = set(phi.source.divisor_vars)
+    for g in F.generators:
+        if len(g.terms) == 1:
+            (exps,) = g.terms
+            if all(v in divisor for v, e in zip(g.ambient, exps) if e):
+                return True
     return radical_membership(phi.source.divisor_product(), F)

@@ -5,9 +5,12 @@ File grammar (line oriented, ``#`` comments):
     source vars <name>+ divisor <name>*
     target vars <name>+ divisor <name>*
     map <target-var> = <expression>        one per target variable
-    point <rational>(,<rational>)*         optional
+    point <rational>(,<rational>)*         optional, at most once
     filtration <level>: <name>*            optional, nested, 1-based
-    targetideal <expression>(,<expression>)*   optional
+    targetideal <expression>(,<expression>)*   optional, at most once
+
+Each ``source``/``target`` line appears once and names each variable once,
+in ``vars`` and in ``divisor``.
 
 Expressions use integer literals, rational literals ``<int>/<int>`` (one
 token with no spaces and a nonzero denominator, such as ``3/2``), declared
@@ -247,9 +250,13 @@ def _parse_chart_line(rest: str, line: int) -> ChartedPair:
         raise ProblemSyntaxError("chart needs at least one variable", line)
     if len(set(names)) != len(names):
         raise ProblemSyntaxError("duplicate variable declaration", line)
+    seen = set()
     for d in divisor:
         if d not in names:
             raise ProblemSyntaxError(f"divisor variable {d!r} not declared", line)
+        if d in seen:
+            raise ProblemSyntaxError(f"duplicate divisor variable {d!r}", line)
+        seen.add(d)
     return ChartedPair(tuple(names), tuple(divisor))
 
 
@@ -283,6 +290,8 @@ def parse_problem(text: str) -> ProblemFile:
                 raise ProblemSyntaxError(f"duplicate map for {name!r}", lineno)
             maps[name] = (expr.strip(), lineno)
         elif keyword == "point":
+            if point_line is not None:
+                raise ProblemSyntaxError("duplicate point declaration", lineno)
             point_line = (rest, lineno)
         elif keyword == "filtration":
             level_txt, colon, names = rest.partition(":")
@@ -294,6 +303,8 @@ def parse_problem(text: str) -> ProblemFile:
                 raise ProblemSyntaxError("filtration level must be an integer", lineno)
             filtration_lines.append((level, names.strip(), lineno))
         elif keyword == "targetideal":
+            if target_ideal_line is not None:
+                raise ProblemSyntaxError("duplicate targetideal declaration", lineno)
             target_ideal_line = (rest, lineno)
         else:
             raise ProblemSyntaxError(f"unknown keyword {keyword!r}", lineno)

@@ -2,7 +2,13 @@ from fractions import Fraction
 
 import pytest
 
-from logmono.chart import ChartedPair, MorphismOfPairs, RationalPoint
+import logmono.fitting
+from logmono.chart import (
+    ChartedPair,
+    MorphismOfPairs,
+    RationalPoint,
+    validate_pair_condition,
+)
 from logmono.classify import (
     DivisorFiltration,
     is_log_rank_adapted_at,
@@ -13,9 +19,21 @@ from logmono.classify import (
     singular_locus_ideal,
     top_fitting_ideal,
 )
-from logmono.ideal import IdealPresentation, is_principal_monomial_at
+from logmono.fitting import fitting_vanishing_in_divisor
+from logmono.ideal import (
+    IdealPresentation,
+    is_principal_monomial_at,
+    radical_membership,
+)
 
-from helpers import P, origin
+from helpers import (
+    P,
+    empty_divisor_corpus,
+    monomial_surface_corpus,
+    normal_form_corpus,
+    origin,
+    pair_condition_corpus,
+)
 from test_fitting import surface_case1, surface_case2, surface_case3
 
 
@@ -74,6 +92,43 @@ class TestQuasiPrepared:
         diags.clear()
         diags.append("mutated")
         assert is_quasi_prepared(phi) == (ok, expected)
+
+    def test_fitting_decision_matches_jacobian_minors(self):
+        # Under the pair condition Sing in D is decided from the top
+        # log-Fitting ideal; the reference is the radical-membership test
+        # over the ideal of plain Jacobian minors.
+        phis = [phi for phi, _ in normal_form_corpus()]
+        phis += pair_condition_corpus() + monomial_surface_corpus()
+        phis += empty_divisor_corpus()
+        seen = set()
+        for phi in phis:
+            u_prod = phi.source.divisor_product()
+            reference = radical_membership(u_prod, singular_locus_ideal(phi))
+            _, diags = is_quasi_prepared(phi)
+            decided = "singular locus not contained in the divisor" not in diags
+            assert decided == reference, phi
+            pair_ok, _ = validate_pair_condition(phi)
+            if pair_ok:
+                assert fitting_vanishing_in_divisor(phi, 2) == reference, phi
+            seen.add((pair_ok, reference))
+        assert seen == {(p, r) for p in (False, True) for r in (False, True)}
+
+    def test_top_fitting_ideal_computed_once(self, monkeypatch):
+        # Surface case 1 has one top log basis form, dx1/x1 ^ dy1, so the
+        # quasi-prepared and strongly-prepared checks share one pullback.
+        forms = []
+        original = logmono.fitting.pullback_basis_form
+
+        def counting(phi, I, J):
+            forms.append((I, J))
+            return original(phi, I, J)
+
+        monkeypatch.setattr(logmono.fitting, "pullback_basis_form", counting)
+        phi = surface_case1()
+        assert is_quasi_prepared(phi)[0]
+        assert is_strongly_prepared_at(phi, origin(phi.source)) is not None
+        assert top_fitting_ideal(phi) is top_fitting_ideal(phi)
+        assert forms == [(("x1",), ("y1",))]
 
 
 class TestStronglyPrepared:

@@ -212,6 +212,34 @@ class TestErrorHandling:
         path.write_text(parse_problem(path.read_text()).render())
         assert run_json(capsys, "fitting", "--k", "1", str(path)) == (code, data)
 
+    @pytest.mark.parametrize("command", ["classify", "quasiprepared"])
+    def test_curve_to_surface_exit_2(self, capsys, tmp_path, command):
+        # The dimension check runs before any Fitting ideal is formed, whose
+        # own error ("form degree 2 out of range 1..1") would hide it.
+        path = tmp_path / "curve.problem"
+        path.write_text(
+            "source vars u divisor u\ntarget vars x y divisor\n"
+            "map x = u\nmap y = u^2\npoint 0\n"
+        )
+        code, out, err = run(capsys, command, str(path))
+        assert code == 2 and not out
+        assert err == "error: source dimension below target dimension\n"
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("point 0,0,0\n", "point 0,0,0\npoint 1,1,1\n"),
+            ("divisor u1 u2\n", "divisor u1 u2 u2\n"),
+            ("divisor x1\n", "divisor x1 x1\n"),
+        ],
+    )
+    def test_repeated_line_or_divisor_name_exit_2(self, capsys, tmp_path, old, new):
+        path = tmp_path / "repeated.problem"
+        path.write_text(EXAMPLE1.replace(old, new))
+        code, out, err = run(capsys, "classify", str(path))
+        assert code == 2 and not out
+        assert err.startswith("error: line ") and "duplicate" in err
+
     def test_bad_center(self, capsys, example1):
         code, _, err = run(capsys, "blowup", "--center", "u1", example1)
         assert code == 2
@@ -237,8 +265,10 @@ def test_classify_decides_quasi_prepared_once(capsys, example1, monkeypatch):
             monkeypatch.setattr(module, "radical_membership", counting)
     code, _, _ = run(capsys, "classify", example1)
     assert code == 0
-    # The singular-locus check; the pair and preimage checks use no ideal.
-    assert len(calls) == 1
+    # A generator of the top log-Fitting ideal is a monomial on the divisor,
+    # so the singular-locus check needs no radical membership; the pair and
+    # preimage checks use no ideal.
+    assert len(calls) == 0
 
 
 def test_reports_are_deterministic(capsys, example1):

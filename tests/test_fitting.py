@@ -80,3 +80,8 @@ class TestVanishingLocus:
         F = log_fitting_ideal(phi, 2)
         assert F.basis() == [P("v", amb)]
         assert not fitting_vanishing_in_divisor(phi, 2)
+        # A single-term generator is no shortcut when it involves a free
+        # variable: V(u*v) leaves the divisor {u}.
+        phi = MorphismOfPairs(src, tgt, {"x": P("u", amb), "y": P("u*v^2", amb)})
+        assert log_fitting_ideal(phi, 2).generators == [P("2*u*v", amb)]
+        assert not fitting_vanishing_in_divisor(phi, 2)

@@ -184,6 +184,34 @@ class TestProblemParser:
             parse_problem(text)
         assert "duplicate source" in str(e.value)
 
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            ("point 1,1,1\n", "line 7, column 1: duplicate point declaration"),
+            (
+                "targetideal x1\ntargetideal y1\n",
+                "line 8, column 1: duplicate targetideal declaration",
+            ),
+        ],
+    )
+    def test_repeated_optional_line_rejected(self, extra, message):
+        with pytest.raises(ProblemSyntaxError) as e:
+            parse_problem(EXAMPLE + extra)
+        assert str(e.value) == message
+
+    @pytest.mark.parametrize(
+        "line, repeated",
+        [
+            ("source vars u1 u2 v1 divisor u1 u2", "u2"),
+            ("target vars x1 y1 divisor x1", "x1"),
+        ],
+    )
+    def test_repeated_divisor_name_rejected(self, line, repeated):
+        text = EXAMPLE.replace(line, f"{line} {repeated}")
+        with pytest.raises(ProblemSyntaxError) as e:
+            parse_problem(text)
+        assert f"duplicate divisor variable {repeated!r}" in str(e.value)
+
     def test_point_length_mismatch(self):
         text = EXAMPLE.replace("point 0,0,0", "point 0,0")
         with pytest.raises(ProblemSyntaxError):
