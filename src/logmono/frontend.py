@@ -10,7 +10,9 @@ File grammar (line oriented, ``#`` comments):
     targetideal <expression>(,<expression>)*   optional, at most once
 
 Each ``source``/``target`` line appears once and names each variable once,
-in ``vars`` and in ``divisor``.
+in ``vars`` and in ``divisor``.  A name is an identifier (``IDENTIFIER``: a
+letter, then letters, digits and ``_``), the same pattern expressions use,
+so every declared variable can be referenced.
 
 Expressions use integer literals, rational literals ``<int>/<int>`` (one
 token with no spaces and a nonzero denominator, such as ``3/2``), declared
@@ -18,6 +20,14 @@ identifiers, ``+ - * ^`` and parentheses; ``^`` binds tightest, then ``*``,
 then ``+``/``-``.  A rational literal is one atom, so ``1/2*u`` is half of
 ``u`` and ``1/2^2`` is ``1/4``; ``/`` is not an operator, so ``u/2`` is an
 error.  This is how ``ProblemFile.render`` writes coefficients.
+
+An expression is tokenized in one scan and parsed by recursive descent
+straight to terms: a single term is an exponent tuple and a coefficient,
+so a product or power of single terms is one exponent addition or scaling.
+Only parentheses produce several terms, and those are multiplied with
+``Polynomial`` arithmetic.  The finished term dict becomes one
+``Polynomial._trusted``.  Nesting depth and the ``MAX_TERMS`` budget are
+checked before anything is computed.
 """
 
 from __future__ import annotations
@@ -26,7 +36,9 @@ import json
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
+from operator import add
 from typing import Optional
 
 from .chart import ChartedPair, MorphismOfPairs, RationalPoint
@@ -45,8 +57,19 @@ class ProblemSyntaxError(ValueError):
 # ---------------------------------------------------------------------------
 # Expression parser
 
-_TOKEN = re.compile(r"\s*(?:(\d+/\d+)|(\d+)|([a-zA-Z][a-zA-Z0-9_]*)|([-+*^()]))")
-_KINDS = ("rational", "int", "name", "op")
+# A variable name: what a chart line may declare and an expression may use.
+IDENTIFIER = re.compile(r"[a-zA-Z][a-zA-Z0-9_]*")
+
+# One scan of the whole expression.  The groups are, in order: rational
+# literal, integer literal, name, operator, and a catch-all for any other
+# non-blank character, which is an error at its own column.
+_TOKEN = re.compile(
+    rf"\s*(?:(\d+/\d+)|(\d+)|({IDENTIFIER.pattern})|([-+*^()])|(\S))"
+)
+_KINDS = ("rational", "int", "name")
+_OP, _STRAY = 4, 5
+# Past the last token; its kind matches no operator.
+_END = (None, "", 1)
 
 # Each parenthesis level costs four stack frames of the recursive-descent
 # parser; the cap keeps deep nesting well inside Python's recursion limit.
@@ -59,93 +82,133 @@ MAX_NESTING = 100
 MAX_TERMS = 500
 
 
+@lru_cache(maxsize=64)
+def _unit_exponents(ambient: tuple[str, ...]):
+    """The exponent tuple of each ambient variable, and of the constant 1."""
+    n = len(ambient)
+    units = {v: (0,) * i + (1,) + (0,) * (n - i - 1) for i, v in enumerate(ambient)}
+    return units, (0,) * n
+
+
+def _count(value) -> int:
+    return 1 if type(value) is tuple else len(value.terms)
+
+
 class _ExprParser:
+    """Recursive descent straight to terms.
+
+    A parsed value is either one nonzero term ``(exponents, coefficient)``,
+    whose coefficient is an ``int`` or a ``Fraction``, or a ``Polynomial``
+    for zero and for several terms.  Products and powers of single terms
+    add and scale exponent tuples; only parentheses make several terms,
+    and those go through ``Polynomial.__mul__`` and ``__pow__``.  Each sum
+    collects its terms in one dict, and the expression ends in one
+    ``Polynomial._trusted``.
+    """
+
     def __init__(self, text: str, ambient: tuple[str, ...], line: int):
-        self.text = text
-        self.ambient = ambient
+        self.ambient = ambient = tuple(ambient)
         self.line = line
-        self.tokens: list[tuple[str, str, int]] = []
-        pos = 0
-        while pos < len(text):
-            m = _TOKEN.match(text, pos)
-            if not m or m.end() == pos:
-                rest = text[pos:].lstrip()
-                if not rest:
-                    break
-                column = len(text) - len(rest) + 1
-                raise ProblemSyntaxError(
-                    f"unexpected character {rest[0]!r}", line, column
-                )
-            pos = m.end()
+        self.units, self.one = _unit_exponents(ambient)
+        tokens = []
+        for m in _TOKEN.finditer(text):
             g = m.lastindex
-            self.tokens.append((_KINDS[g - 1], m.group(g), m.start(g) + 1))
+            tok = m.group(g)
+            if g == _STRAY:
+                raise ProblemSyntaxError(
+                    f"unexpected character {tok!r}", line, m.start(g) + 1
+                )
+            # An operator's kind is the operator itself.
+            tokens.append((tok if g == _OP else _KINDS[g - 1], tok, m.start(g) + 1))
+        tokens.append(_END)
+        self.tokens = tokens
         self.i = 0
         self.depth = 0
 
-    def peek(self) -> Optional[tuple[str, str, int]]:
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
-
     def next(self) -> tuple[str, str, int]:
-        tok = self.peek()
-        if tok is None:
+        tok = self.tokens[self.i]
+        if tok is _END:
             raise ProblemSyntaxError("unexpected end of expression", self.line)
         self.i += 1
         return tok
 
     def parse(self) -> Polynomial:
-        p = self.sum()
-        tok = self.peek()
-        if tok is not None:
+        terms = self.sum()
+        tok = self.tokens[self.i]
+        if tok is not _END:
             raise ProblemSyntaxError(f"unexpected token {tok[1]!r}", self.line, tok[2])
-        return p
+        return self.wrap(terms)
 
-    def sum(self) -> Polynomial:
+    def wrap(self, terms: dict) -> Polynomial:
+        return Polynomial._trusted(
+            {e: c if type(c) is Fraction else Fraction(c) for e, c in terms.items()},
+            self.ambient,
+        )
+
+    def as_polynomial(self, value) -> Polynomial:
+        return self.wrap(dict((value,))) if type(value) is tuple else value
+
+    def sum(self) -> dict:
         # Accumulate into one dict: adding Polynomials would copy the running
         # sum on every sign and make parsing quadratic in the term count.
-        terms: dict[tuple[int, ...], Fraction] = {}
-        tok = self.peek()
-        sign = "+"
-        if tok and tok[1] in "+-" and tok[0] == "op":
-            self.next()
-            sign = tok[1]
+        terms: dict = {}
+        kind = self.tokens[self.i][0]
+        negate = kind == "-"
+        if negate or kind == "+":
+            self.i += 1
         while True:
-            for e, c in self.product().terms.items():
-                s = terms.get(e, 0) + (c if sign == "+" else -c)
-                if s:
-                    terms[e] = s
+            value = self.product()
+            for e, c in (value,) if type(value) is tuple else value.terms.items():
+                if negate:
+                    c = -c
+                s = terms.get(e)
+                if s is None:
+                    terms[e] = c
                 else:
-                    del terms[e]
-            tok = self.peek()
-            if tok is None or tok[0] != "op" or tok[1] not in "+-":
-                return Polynomial(terms, self.ambient)
-            self.next()
-            sign = tok[1]
+                    s += c
+                    if s:
+                        terms[e] = s
+                    else:
+                        del terms[e]
+            kind = self.tokens[self.i][0]
+            if kind != "+" and kind != "-":
+                return terms
+            self.i += 1
+            negate = kind == "-"
 
-    def product(self) -> Polynomial:
+    def product(self):
         p = self.power()
         while True:
-            tok = self.peek()
-            if tok is None or tok[0] != "op" or tok[1] != "*":
+            tok = self.tokens[self.i]
+            if tok[0] != "*":
                 return p
-            self.next()
+            self.i += 1
             q = self.power()
-            self.check_terms("product", len(p.terms) * len(q.terms), tok)
-            p = p * q
+            if type(p) is tuple and type(q) is tuple:
+                # One term times one term: within any budget.
+                p = (tuple(map(add, p[0], q[0])), p[1] * q[1])
+            else:
+                self.check_terms("product", _count(p) * _count(q), tok)
+                p = self.as_polynomial(p) * self.as_polynomial(q)
 
-    def power(self) -> Polynomial:
+    def power(self):
         p = self.atom()
-        tok = self.peek()
-        if tok and tok[0] == "op" and tok[1] == "^":
-            self.next()
-            etok = self.next()
-            if etok[0] != "int":
-                raise ProblemSyntaxError("exponent must be an integer", self.line, etok[2])
-            t, k = len(p.terms), int(etok[1])
-            if k:
-                # The count is at least t; skip computing it for huge bases.
-                self.check_terms("power", comb(t + k - 1, k) if t <= MAX_TERMS else t, tok)
-            return p ** k
-        return p
+        tok = self.tokens[self.i]
+        if tok[0] != "^":
+            return p
+        self.i += 1
+        etok = self.next()
+        if etok[0] != "int":
+            raise ProblemSyntaxError("exponent must be an integer", self.line, etok[2])
+        k = int(etok[1])
+        if type(p) is tuple:
+            # A power of one term is one term: within any budget.
+            return (tuple([e * k for e in p[0]]), p[1] ** k)
+        t = len(p.terms)
+        if k:
+            # The count is at least t; skip computing it for huge bases.
+            self.check_terms("power", comb(t + k - 1, k) if t <= MAX_TERMS else t, tok)
+        return p**k
 
     def check_terms(self, what: str, bound: int, tok: tuple[str, str, int]) -> None:
         if bound > MAX_TERMS:
@@ -156,34 +219,38 @@ class _ExprParser:
                 tok[2],
             )
 
-    def atom(self) -> Polynomial:
+    def atom(self):
         tok = self.next()
-        if tok[0] in ("int", "rational"):
+        kind = tok[0]
+        if kind == "name":
+            e = self.units.get(tok[1])
+            if e is None:
+                raise ProblemSyntaxError(
+                    f"undeclared variable {tok[1]!r}", self.line, tok[2]
+                )
+            return (e, 1)
+        if kind == "int" or kind == "rational":
             try:
-                c = Fraction(tok[1])
+                c = int(tok[1]) if kind == "int" else Fraction(tok[1])
             except ZeroDivisionError:
                 raise ProblemSyntaxError(
                     f"zero denominator in {tok[1]!r}", self.line, tok[2]
                 )
-            return Polynomial.constant(c, self.ambient)
-        if tok[0] == "name":
-            if tok[1] not in self.ambient:
-                raise ProblemSyntaxError(
-                    f"undeclared variable {tok[1]!r}", self.line, tok[2]
-                )
-            return Polynomial.variable(tok[1], self.ambient)
-        if tok[1] == "(":
+            return (self.one, c) if c else self.wrap({})
+        if kind == "(":
             if self.depth == MAX_NESTING:
                 raise ProblemSyntaxError(
                     f"parentheses nested deeper than {MAX_NESTING}", self.line, tok[2]
                 )
             self.depth += 1
-            p = self.sum()
+            terms = self.sum()
             self.depth -= 1
             close = self.next()
             if close[1] != ")":
                 raise ProblemSyntaxError("expected ')'", self.line, close[2])
-            return p
+            if len(terms) == 1:
+                return next(iter(terms.items()))
+            return self.wrap(terms)
         raise ProblemSyntaxError(f"unexpected token {tok[1]!r}", self.line, tok[2])
 
 
@@ -248,6 +315,9 @@ def _parse_chart_line(rest: str, line: int) -> ChartedPair:
     divisor = words[div_at + 1 :]
     if not names:
         raise ProblemSyntaxError("chart needs at least one variable", line)
+    for name in names:
+        if not IDENTIFIER.fullmatch(name):
+            raise ProblemSyntaxError(f"variable name {name!r} is not an identifier", line)
     if len(set(names)) != len(names):
         raise ProblemSyntaxError("duplicate variable declaration", line)
     seen = set()

@@ -7,11 +7,13 @@ operations are pure; values are treated as immutable after construction.
 ``Polynomial(terms, ambient)`` validates: it coerces every coefficient to
 ``Fraction`` and every exponent to ``int``, drops zero coefficients and
 checks exponent lengths.  The arithmetic's own results skip that work
-through ``Polynomial._trusted``, which stores its arguments as given.  It
-is called only where the result is already canonical: ``terms`` is a dict
-whose keys are tuples of ints of the ambient's length and whose values
-are nonzero ``Fraction``s, and ``ambient`` is a tuple.  The dict passed in
-is owned by the result and must not be mutated afterwards.
+through ``Polynomial._trusted``, which stores its arguments as given; so
+does the expression parser in ``frontend``, which builds each parsed
+expression's term dict itself.  It is called only where the result is
+already canonical: ``terms`` is a dict whose keys are tuples of ints of
+the ambient's length and whose values are nonzero ``Fraction``s, and
+``ambient`` is a tuple.  The dict passed in is owned by the result and
+must not be mutated afterwards.
 """
 
 from __future__ import annotations
@@ -247,9 +249,13 @@ class Polynomial:
             raise ValueError(
                 f"point of length {len(point)} for ambient of length {len(self.ambient)}"
             )
-        pt = [Fraction(x) for x in point]
+        pt = [x if type(x) is Fraction else Fraction(x) for x in point]
+        # A term with a positive exponent on a zero coordinate vanishes.
+        zeros = [i for i, x in enumerate(pt) if not x]
         total = Fraction(0)
         for exps, c in self.terms.items():
+            if any(exps[i] for i in zeros):
+                continue
             v = c
             for x, e in zip(pt, exps):
                 if e:

@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 from itertools import combinations, permutations
-from math import gcd
+from math import comb, gcd
+from typing import Optional
 
 from logmono.chart import ChartedPair, MorphismOfPairs, RationalPoint
 from logmono.classify import is_quasi_prepared
+from logmono.frontend import MAX_NESTING, MAX_TERMS, ProblemSyntaxError
 from logmono.ideal import IdealPresentation, radical_membership
 from logmono.poly import Polynomial, exact_divide
 
@@ -17,6 +20,17 @@ def P(expr: str, ambient) -> Polynomial:
     from logmono.frontend import parse_expression
 
     return parse_expression(expr, tuple(ambient))
+
+
+def assert_canonical(p: Polynomial):
+    """The invariant every arithmetic result must satisfy, and that the
+    validating constructor would restore."""
+    assert type(p.ambient) is tuple
+    for e, c in p.terms.items():
+        assert type(e) is tuple and len(e) == len(p.ambient)
+        assert all(type(x) is int and x >= 0 for x in e)
+        assert type(c) is Fraction and c != 0
+    assert p == Polynomial(p.terms, p.ambient)
 
 
 def random_sparse_poly(amb, rng, max_terms=2, max_deg=3, min_deg=0):
@@ -451,3 +465,159 @@ def max_scan_normal_form(f, basis, order):
         else:
             rem[e] = c
     return Polynomial(rem, f.ambient)
+
+
+# ---------------------------------------------------------------------------
+# Reference expression parser
+
+
+_REFERENCE_TOKEN = re.compile(r"\s*(?:(\d+/\d+)|(\d+)|([a-zA-Z][a-zA-Z0-9_]*)|([-+*^()]))")
+_REFERENCE_KINDS = ("rational", "int", "name", "op")
+
+
+class _ReferenceExprParser:
+    """The expression parser that ``frontend._ExprParser`` replaced: every
+    literal and name becomes a validated ``Polynomial`` and products, powers
+    and sums use general polynomial arithmetic.  Kept only as the
+    differential oracle for results, error messages and columns."""
+
+    def __init__(self, text: str, ambient: tuple[str, ...], line: int):
+        self.text = text
+        self.ambient = ambient
+        self.line = line
+        self.tokens: list[tuple[str, str, int]] = []
+        pos = 0
+        while pos < len(text):
+            m = _REFERENCE_TOKEN.match(text, pos)
+            if not m or m.end() == pos:
+                rest = text[pos:].lstrip()
+                if not rest:
+                    break
+                column = len(text) - len(rest) + 1
+                raise ProblemSyntaxError(
+                    f"unexpected character {rest[0]!r}", line, column
+                )
+            pos = m.end()
+            g = m.lastindex
+            self.tokens.append((_REFERENCE_KINDS[g - 1], m.group(g), m.start(g) + 1))
+        self.i = 0
+        self.depth = 0
+
+    def peek(self) -> Optional[tuple[str, str, int]]:
+        return self.tokens[self.i] if self.i < len(self.tokens) else None
+
+    def next(self) -> tuple[str, str, int]:
+        tok = self.peek()
+        if tok is None:
+            raise ProblemSyntaxError("unexpected end of expression", self.line)
+        self.i += 1
+        return tok
+
+    def parse(self) -> Polynomial:
+        p = self.sum()
+        tok = self.peek()
+        if tok is not None:
+            raise ProblemSyntaxError(f"unexpected token {tok[1]!r}", self.line, tok[2])
+        return p
+
+    def sum(self) -> Polynomial:
+        # Accumulate into one dict: adding Polynomials would copy the running
+        # sum on every sign and make parsing quadratic in the term count.
+        terms: dict[tuple[int, ...], Fraction] = {}
+        tok = self.peek()
+        sign = "+"
+        if tok and tok[1] in "+-" and tok[0] == "op":
+            self.next()
+            sign = tok[1]
+        while True:
+            for e, c in self.product().terms.items():
+                s = terms.get(e, 0) + (c if sign == "+" else -c)
+                if s:
+                    terms[e] = s
+                else:
+                    del terms[e]
+            tok = self.peek()
+            if tok is None or tok[0] != "op" or tok[1] not in "+-":
+                return Polynomial(terms, self.ambient)
+            self.next()
+            sign = tok[1]
+
+    def product(self) -> Polynomial:
+        p = self.power()
+        while True:
+            tok = self.peek()
+            if tok is None or tok[0] != "op" or tok[1] != "*":
+                return p
+            self.next()
+            q = self.power()
+            self.check_terms("product", len(p.terms) * len(q.terms), tok)
+            p = p * q
+
+    def power(self) -> Polynomial:
+        p = self.atom()
+        tok = self.peek()
+        if tok and tok[0] == "op" and tok[1] == "^":
+            self.next()
+            etok = self.next()
+            if etok[0] != "int":
+                raise ProblemSyntaxError("exponent must be an integer", self.line, etok[2])
+            t, k = len(p.terms), int(etok[1])
+            if k:
+                # The count is at least t; skip computing it for huge bases.
+                self.check_terms("power", comb(t + k - 1, k) if t <= MAX_TERMS else t, tok)
+            return p ** k
+        return p
+
+    def check_terms(self, what: str, bound: int, tok: tuple[str, str, int]) -> None:
+        if bound > MAX_TERMS:
+            raise ProblemSyntaxError(
+                f"{what} may have {bound} terms, over the budget of "
+                f"MAX_TERMS = {MAX_TERMS}",
+                self.line,
+                tok[2],
+            )
+
+    def atom(self) -> Polynomial:
+        tok = self.next()
+        if tok[0] in ("int", "rational"):
+            try:
+                c = Fraction(tok[1])
+            except ZeroDivisionError:
+                raise ProblemSyntaxError(
+                    f"zero denominator in {tok[1]!r}", self.line, tok[2]
+                )
+            return Polynomial.constant(c, self.ambient)
+        if tok[0] == "name":
+            if tok[1] not in self.ambient:
+                raise ProblemSyntaxError(
+                    f"undeclared variable {tok[1]!r}", self.line, tok[2]
+                )
+            return Polynomial.variable(tok[1], self.ambient)
+        if tok[1] == "(":
+            if self.depth == MAX_NESTING:
+                raise ProblemSyntaxError(
+                    f"parentheses nested deeper than {MAX_NESTING}", self.line, tok[2]
+                )
+            self.depth += 1
+            p = self.sum()
+            self.depth -= 1
+            close = self.next()
+            if close[1] != ")":
+                raise ProblemSyntaxError("expected ')'", self.line, close[2])
+            return p
+        raise ProblemSyntaxError(f"unexpected token {tok[1]!r}", self.line, tok[2])
+
+
+def reference_parse_expression(text: str, ambient: tuple[str, ...], line: int = 1) -> Polynomial:
+    return _ReferenceExprParser(text, ambient, line).parse()
+
+
+def naive_evaluate(p: Polynomial, point) -> Fraction:
+    """Sum of c * prod(x**e) over every term, every coordinate coerced."""
+    total = Fraction(0)
+    for exps, c in p.terms.items():
+        v = Fraction(c)
+        for x, e in zip(point, exps):
+            v *= Fraction(x) ** e
+        total += v
+    return total

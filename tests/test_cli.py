@@ -240,6 +240,15 @@ class TestErrorHandling:
         assert code == 2 and not out
         assert err.startswith("error: line ") and "duplicate" in err
 
+    @pytest.mark.parametrize("name", ["u-1", "2u"])
+    def test_chart_name_not_an_identifier_exit_2(self, capsys, tmp_path, name):
+        # No expression can reference such a name: u-1 reads as u minus 1.
+        path = tmp_path / "name.problem"
+        path.write_text(f"source vars {name} v divisor v\ntarget vars x divisor\nmap x = v\n")
+        code, out, err = run(capsys, "grk", str(path))
+        assert code == 2 and not out
+        assert err == f"error: line 1, column 1: variable name {name!r} is not an identifier\n"
+
     def test_bad_center(self, capsys, example1):
         code, _, err = run(capsys, "blowup", "--center", "u1", example1)
         assert code == 2

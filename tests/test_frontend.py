@@ -19,7 +19,7 @@ from logmono.frontend import (
 from logmono.ideal import IdealPresentation
 from logmono.poly import Polynomial
 
-from helpers import P
+from helpers import P, assert_canonical, reference_parse_expression
 
 EXAMPLE = """\
 # surface example
@@ -128,6 +128,86 @@ class TestExpressionParser:
         assert "column 3: unexpected character '/'" in str(e.value)
 
 
+EXPR_AMBIENT = ("u", "v", "w_1")
+LITERALS = st.one_of(
+    st.integers(0, 12).map(str),
+    st.builds("{}/{}".format, st.integers(0, 9), st.integers(1, 6)),
+)
+SPACES = st.sampled_from(["", " ", "  "])
+
+
+def sums(atoms):
+    """Sums of products of powers of ``atoms``, with an optional leading
+    sign, written with varying blanks."""
+    factor = st.builds(
+        lambda a, k: a if k is None else f"{a}^{k}", atoms, st.none() | st.integers(0, 3)
+    )
+    product = st.lists(factor, min_size=1, max_size=3).map("*".join)
+    rest = st.lists(st.tuples(SPACES, st.sampled_from("+-"), SPACES, product), max_size=3)
+    return st.builds(
+        lambda sign, first, rest: sign + first + "".join("".join(r) for r in rest),
+        st.sampled_from(["", "-", "+", "- "]),
+        product,
+        rest,
+    )
+
+
+LEAVES = st.one_of(LITERALS, st.sampled_from(EXPR_AMBIENT))
+EXPRESSIONS = st.recursive(
+    sums(LEAVES),
+    lambda inner: sums(st.one_of(LEAVES, inner.map("({})".format))),
+    max_leaves=8,
+)
+CANCELLING = st.one_of(
+    st.sampled_from(["u - u", "(u+1)^2 - (u+1)^2", "2*u*v - v*u*2 + 0"]),
+    EXPRESSIONS.map(lambda s: f"({s}) - ({s})"),
+    st.builds(lambda s, k: f"({s})^{k} - ({s})^{k}", EXPRESSIONS, st.integers(0, 2)),
+)
+GARBAGE = st.one_of(
+    st.text("uvwx_019/^*+-() \t%.,=", min_size=1, max_size=4),
+    st.sampled_from(["1/0", "^u", "((", ")", "--", "2u", "u^", "é", "\u0663"]),
+)
+
+
+def parse_outcome(parse, text):
+    try:
+        return parse(text, EXPR_AMBIENT, 3)
+    except ProblemSyntaxError as e:
+        return ("error", str(e), e.column)
+
+
+class TestParserAgainstReference:
+    """The term-building parser against the Polynomial-arithmetic parser it
+    replaced (``helpers.reference_parse_expression``)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(EXPRESSIONS, CANCELLING))
+    def test_same_polynomial_in_canonical_form(self, text):
+        # A large power may exceed MAX_TERMS; both must then say so alike.
+        got = parse_outcome(parse_expression, text)
+        assert got == parse_outcome(reference_parse_expression, text)
+        if isinstance(got, Polynomial):
+            assert got.ambient == EXPR_AMBIENT
+            assert_canonical(got)
+
+    @settings(max_examples=200, deadline=None)
+    @given(EXPRESSIONS, GARBAGE, st.data())
+    def test_same_error_on_spliced_garbage(self, text, garbage, data):
+        at = data.draw(st.integers(0, len(text)))
+        spliced = text[:at] + garbage + text[at:]
+        got = parse_outcome(parse_expression, spliced)
+        assert got == parse_outcome(reference_parse_expression, spliced)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["", "u +", "u^", "(u", "u)", "* u", "u ^ v", "u^2^3", "--u", "2u", "x", "1/0", "u @ v"],
+    )
+    def test_same_error_on_known_bad_input(self, text):
+        got = parse_outcome(parse_expression, text)
+        assert got[0] == "error"
+        assert got == parse_outcome(reference_parse_expression, text)
+
+
 class TestProblemParser:
     def test_full_example(self):
         prob = parse_problem(EXAMPLE)
@@ -211,6 +291,21 @@ class TestProblemParser:
         with pytest.raises(ProblemSyntaxError) as e:
             parse_problem(text)
         assert f"duplicate divisor variable {repeated!r}" in str(e.value)
+
+    @pytest.mark.parametrize(
+        "line, lineno, bad",
+        [
+            ("source vars u1 u2 v1 divisor u1 u2", 2, "u-1"),
+            ("source vars u1 u2 v1 divisor u1 u2", 2, "2u"),
+            ("target vars x1 y1 divisor x1", 3, "x.1"),
+        ],
+    )
+    def test_chart_name_must_be_an_identifier(self, line, lineno, bad):
+        # No expression could refer to such a name: u-1 reads as u minus 1.
+        text = EXAMPLE.replace(line, line.replace(" divisor", f" {bad} divisor"))
+        with pytest.raises(ProblemSyntaxError) as e:
+            parse_problem(text)
+        assert str(e.value) == f"line {lineno}, column 1: variable name {bad!r} is not an identifier"
 
     def test_point_length_mismatch(self):
         text = EXAMPLE.replace("point 0,0,0", "point 0,0")

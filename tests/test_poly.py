@@ -12,7 +12,7 @@ from logmono.poly import (
     exact_divide,
 )
 
-from helpers import P
+from helpers import P, assert_canonical, naive_evaluate
 
 AMB = ("x", "y", "z")
 
@@ -133,6 +133,24 @@ class TestCalculus:
         assert p.substitute(images) == P("s^2*t^2 + s + 1", target)
 
 
+points = st.tuples(
+    *(
+        st.one_of(st.just(0), st.just(Fraction(0)), st.integers(-3, 3), coeffs)
+        for _ in AMB
+    )
+)
+
+
+@given(polys, points)
+@settings(max_examples=150, deadline=None)
+def test_evaluate_matches_naive_evaluation(p, point):
+    """Skipping terms that vanish at zero coordinates, and leaving Fraction
+    coordinates as they are, changes no value."""
+    value = p.evaluate(point)
+    assert type(value) is Fraction
+    assert value == naive_evaluate(p, point)
+
+
 class TestMonomialStructure:
     def test_content_and_division(self):
         p = P("x^2*y + x*y^2", AMB)
@@ -181,17 +199,6 @@ class TestExactDivision:
             q = Polynomial(terms_q, AMB)
             got = exact_divide(p * q, q)
             assert got == p
-
-
-def assert_canonical(p: Polynomial):
-    """The invariant every arithmetic result must satisfy, and that the
-    validating constructor would restore."""
-    assert type(p.ambient) is tuple
-    for e, c in p.terms.items():
-        assert type(e) is tuple and len(e) == len(p.ambient)
-        assert all(type(x) is int and x >= 0 for x in e)
-        assert type(c) is Fraction and c != 0
-    assert p == Polynomial(p.terms, p.ambient)
 
 
 TARGET = ("s", "t")
