@@ -56,7 +56,9 @@ class RationalPoint:
 
     def __post_init__(self):
         object.__setattr__(
-            self, "coordinates", tuple(Fraction(c) for c in self.coordinates)
+            self,
+            "coordinates",
+            tuple(c if type(c) is Fraction else Fraction(c) for c in self.coordinates),
         )
 
     def __len__(self):

@@ -44,7 +44,7 @@ from typing import Optional
 from .chart import ChartedPair, MorphismOfPairs, RationalPoint
 from .classify import DivisorFiltration
 from .ideal import IdealPresentation
-from .poly import Polynomial
+from .poly import Polynomial, canonicalise_terms
 
 
 class ProblemSyntaxError(ValueError):
@@ -99,7 +99,8 @@ class _ExprParser:
 
     A parsed value is either one nonzero term ``(exponents, coefficient)``,
     whose coefficient is an ``int`` or a ``Fraction``, or a ``Polynomial``
-    for zero and for several terms.  Products and powers of single terms
+    for zero and for several terms; a coefficient is canonical once the
+    value is wrapped (see ``poly``).  Products and powers of single terms
     add and scale exponent tuples; only parentheses make several terms,
     and those go through ``Polynomial.__mul__`` and ``__pow__``.  Each sum
     collects its terms in one dict, and the expression ends in one
@@ -140,10 +141,9 @@ class _ExprParser:
         return self.wrap(terms)
 
     def wrap(self, terms: dict) -> Polynomial:
-        return Polynomial._trusted(
-            {e: c if type(c) is Fraction else Fraction(c) for e, c in terms.items()},
-            self.ambient,
-        )
+        # ``terms`` is a dict this parser built; integral products and sums
+        # of Fractions become ints in place.
+        return Polynomial._trusted(canonicalise_terms(terms), self.ambient)
 
     def as_polynomial(self, value) -> Polynomial:
         return self.wrap(dict((value,))) if type(value) is tuple else value
@@ -295,10 +295,12 @@ class ProblemFile:
 
 
 def _parse_rational(text: str, line: int) -> Fraction:
+    text = text.strip()
     try:
-        return Fraction(text.strip())
+        # A plain integer skips the regex parse of ``Fraction(str)``.
+        return Fraction(int(text)) if text.isdecimal() else Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise ProblemSyntaxError(f"bad rational {text.strip()!r}", line)
+        raise ProblemSyntaxError(f"bad rational {text!r}", line)
 
 
 def _parse_chart_line(rest: str, line: int) -> ChartedPair:

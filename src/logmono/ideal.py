@@ -20,7 +20,13 @@ from itertools import chain, combinations
 from operator import add, ge, le, sub
 from typing import Sequence
 
-from .poly import AmbientMismatchError, Monomial, Polynomial, grevlex_key
+from .poly import (
+    AmbientMismatchError,
+    Monomial,
+    Polynomial,
+    canonical_coefficient,
+    grevlex_key,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -121,32 +127,40 @@ class IdealPresentation:
 # Core Buchberger machinery
 #
 # A divisor record (lt, tail) stands for the monic polynomial x^lt + tail;
-# tail is a list of (exponent, coefficient) pairs below lt.
+# tail is a list of (exponent, coefficient) pairs below lt, with canonical
+# coefficients (see ``poly``).
+
+
+def _monic_tail(lt, terms: dict) -> list:
+    """The tail of ``terms`` divided by the coefficient at ``lt``."""
+    inv = canonical_coefficient(Fraction(1, terms[lt]))
+    return [(e, canonical_coefficient(c * inv)) for e, c in terms.items() if e != lt]
 
 
 def _record(g: Polynomial, heap_key) -> tuple[tuple[int, ...], list]:
     lt = min(g.terms, key=heap_key)
-    inv = 1 / g.terms[lt]
-    return lt, [(e, c * inv) for e, c in g.terms.items() if e != lt]
+    return lt, _monic_tail(lt, g.terms)
 
 
 def _reduce(work: dict, divisors: Sequence, heap_key) -> dict:
     """Fully reduce the term dict ``work`` (consumed) by the divisor
-    records; return the remainder's terms, largest first.
+    records; return the remainder's canonical terms, largest first.
 
     Each term of ``work`` is keyed once, when it first enters, and queued
     on a heap that pops the largest first.  A reduction step writes only
     terms below the one it removes, so a popped exponent never comes back.
     A term that cancels stays in ``work`` at zero and is skipped when its
-    entry surfaces."""
+    entry surfaces.  A popped coefficient is made canonical before it
+    scales a tail or enters the remainder."""
     heap = [(heap_key(e), e) for e in work]
     heapq.heapify(heap)
-    rem: dict[tuple[int, ...], Fraction] = {}
+    rem: dict[tuple[int, ...], int | Fraction] = {}
     while heap:
         e = heapq.heappop(heap)[1]
         c = work.pop(e)
         if not c:
             continue
+        c = canonical_coefficient(c)
         for lt, tail in divisors:
             if all(map(ge, e, lt)):
                 shift = tuple(map(sub, e, lt))
@@ -258,8 +272,7 @@ def reduced_groebner_basis(
         rem = _reduce(work, records, heap_key)
         if rem:
             lt = next(iter(rem))
-            inv = 1 / rem.pop(lt)
-            install(lt, [(e, c * inv) for e, c in rem.items()], sugar)
+            install(lt, _monic_tail(lt, rem), sugar)
 
     # Minimalize: active leading terms are distinct, so drop each that
     # another divides.  Then reduce each tail by the others.
@@ -272,7 +285,7 @@ def reduced_groebner_basis(
     reduced = []
     for k in minimal:
         others = [records[m] for m in minimal if m != k]
-        terms = {lts[k]: Fraction(1)}
+        terms = {lts[k]: 1}
         terms.update(_reduce(dict(records[k][1]), others, heap_key))
         reduced.append(Polynomial._trusted(terms, ambient))
     return reduced

@@ -1,19 +1,26 @@
 """Exact sparse multivariate polynomial arithmetic over the rationals.
 
-A polynomial is a mapping from exponent tuples to nonzero Fractions,
+A polynomial is a mapping from exponent tuples to nonzero coefficients,
 together with an ordered tuple of variable names (the ambient).  All
 operations are pure; values are treated as immutable after construction.
 
-``Polynomial(terms, ambient)`` validates: it coerces every coefficient to
-``Fraction`` and every exponent to ``int``, drops zero coefficients and
-checks exponent lengths.  The arithmetic's own results skip that work
-through ``Polynomial._trusted``, which stores its arguments as given; so
-does the expression parser in ``frontend``, which builds each parsed
-expression's term dict itself.  It is called only where the result is
-already canonical: ``terms`` is a dict whose keys are tuples of ints of
-the ambient's length and whose values are nonzero ``Fraction``s, and
-``ambient`` is a tuple.  The dict passed in is owned by the result and
-must not be mutated afterwards.
+A coefficient is canonical when it is an ``int`` for an integral value and
+a ``Fraction`` with denominator greater than 1 otherwise.  Integer inputs
+then stay in ``int`` arithmetic, and only results with a ``Fraction``
+operand are checked for an integral value (``canonical_coefficient``,
+``canonicalise_terms``).  ``str``, ``==`` and ``hash`` agree on ``n`` and
+``Fraction(n)``, so printing and comparison do not see the difference.
+
+``Polynomial(terms, ambient)`` validates: it coerces every coefficient
+through ``Fraction`` to its canonical form and every exponent to ``int``,
+drops zero coefficients and checks exponent lengths.  The arithmetic's own
+results skip that work through ``Polynomial._trusted``, which stores its
+arguments as given; so does the expression parser in ``frontend``, which
+builds each parsed expression's term dict itself.  It is called only where
+the result is already canonical: ``terms`` is a dict whose keys are tuples
+of ints of the ambient's length and whose values are nonzero canonical
+coefficients, and ``ambient`` is a tuple.  The dict passed in is owned by
+the result and must not be mutated afterwards.
 """
 
 from __future__ import annotations
@@ -25,6 +32,23 @@ from typing import Iterable, Mapping, Sequence
 
 class AmbientMismatchError(ValueError):
     """Two polynomials live over different variable lists."""
+
+
+def canonical_coefficient(c):
+    """An ``int`` or ``Fraction`` as its canonical coefficient: the
+    ``int`` when the value is integral, else ``c`` itself."""
+    return c.numerator if c.denominator == 1 else c
+
+
+def canonicalise_terms(terms: dict) -> dict:
+    """Turn the integral ``Fraction`` values of ``terms`` into ``int``s, in
+    place.  Values that are already ``int`` are not looked at one by one:
+    a term dict without a ``Fraction`` is left after one scan."""
+    if Fraction in map(type, terms.values()):
+        for e, c in terms.items():
+            if type(c) is Fraction and c.denominator == 1:
+                terms[e] = c.numerator
+    return terms
 
 
 class Monomial:
@@ -84,17 +108,18 @@ def grevlex_key(exps: tuple[int, ...]):
 
 
 class Polynomial:
-    """Sparse polynomial with Fraction coefficients, canonical form.
+    """Sparse polynomial with rational coefficients, canonical form.
 
-    ``terms`` maps exponent tuples to nonzero coefficients; the zero
-    polynomial has an empty term mapping.
+    ``terms`` maps exponent tuples to nonzero coefficients, each an ``int``
+    when integral and a ``Fraction`` with denominator > 1 otherwise; the
+    zero polynomial has an empty term mapping.
     """
 
     __slots__ = ("terms", "ambient")
 
     def __init__(self, terms: Mapping[tuple[int, ...], Fraction], ambient: Sequence[str]):
         amb = tuple(ambient)
-        clean: dict[tuple[int, ...], Fraction] = {}
+        clean: dict[tuple[int, ...], int | Fraction] = {}
         for exps, c in terms.items():
             c = Fraction(c)
             if c == 0:
@@ -102,13 +127,13 @@ class Polynomial:
             exps = tuple(int(e) for e in exps)
             if len(exps) != len(amb):
                 raise ValueError(f"exponent tuple {exps} does not match ambient {amb}")
-            clean[exps] = c
+            clean[exps] = c.numerator if c.denominator == 1 else c
         self.terms = clean
         self.ambient = amb
 
     @classmethod
     def _trusted(
-        cls, terms: dict[tuple[int, ...], Fraction], ambient: tuple[str, ...]
+        cls, terms: dict[tuple[int, ...], int | Fraction], ambient: tuple[str, ...]
     ) -> "Polynomial":
         """Wrap an already canonical term dict without copying or checking
         it (see the module docstring for the invariant)."""
@@ -126,7 +151,7 @@ class Polynomial:
     @classmethod
     def constant(cls, c, ambient: Sequence[str]) -> "Polynomial":
         amb = tuple(ambient)
-        return cls({(0,) * len(amb): Fraction(c)}, amb)
+        return cls({(0,) * len(amb): c}, amb)
 
     @classmethod
     def variable(cls, name: str, ambient: Sequence[str]) -> "Polynomial":
@@ -135,7 +160,7 @@ class Polynomial:
             raise ValueError(f"unknown variable {name!r} in ambient {amb}")
         i = amb.index(name)
         exps = tuple(1 if j == i else 0 for j in range(len(amb)))
-        return cls({exps: Fraction(1)}, amb)
+        return cls({exps: 1}, amb)
 
     # -- basic queries --------------------------------------------------
 
@@ -182,7 +207,7 @@ class Polynomial:
                     terms[e] = s
                 else:
                     del terms[e]
-        return Polynomial._trusted(terms, self.ambient)
+        return Polynomial._trusted(canonicalise_terms(terms), self.ambient)
 
     def __neg__(self) -> "Polynomial":
         return Polynomial._trusted({e: -c for e, c in self.terms.items()}, self.ambient)
@@ -195,10 +220,11 @@ class Polynomial:
             if not other:
                 return Polynomial._trusted({}, self.ambient)
             return Polynomial._trusted(
-                {e: c * other for e, c in self.terms.items()}, self.ambient
+                canonicalise_terms({e: c * other for e, c in self.terms.items()}),
+                self.ambient,
             )
         self._check_ambient(other)
-        out: dict[tuple[int, ...], Fraction] = {}
+        out: dict[tuple[int, ...], int | Fraction] = {}
         right = other.terms.items()
         for e1, c1 in self.terms.items():
             for e2, c2 in right:
@@ -212,7 +238,7 @@ class Polynomial:
                         out[e] = s
                     else:
                         del out[e]
-        return Polynomial._trusted(out, self.ambient)
+        return Polynomial._trusted(canonicalise_terms(out), self.ambient)
 
     __rmul__ = __mul__
 
@@ -237,12 +263,12 @@ class Polynomial:
         i = self.ambient.index(var)
         # Lowering exponent i is injective on the terms where it is
         # positive, so no two terms land on one key.
-        out: dict[tuple[int, ...], Fraction] = {}
+        out: dict[tuple[int, ...], int | Fraction] = {}
         for exps, c in self.terms.items():
             k = exps[i]
             if k:
                 out[exps[:i] + (k - 1,) + exps[i + 1 :]] = c * k
-        return Polynomial._trusted(out, self.ambient)
+        return Polynomial._trusted(canonicalise_terms(out), self.ambient)
 
     def evaluate(self, point: Sequence[Fraction]) -> Fraction:
         if len(point) != len(self.ambient):
@@ -274,14 +300,14 @@ class Polynomial:
         one = (0,) * len(target)
         # One dict for the whole sum: adding term by term would copy the
         # running sum for every term.
-        out: dict[tuple[int, ...], Fraction] = {}
+        out: dict[tuple[int, ...], int | Fraction] = {}
         for exps, c in self.terms.items():
             term = None
             for img, e in zip(images, exps):
                 if e:
                     f = img**e
                     term = f if term is None else term * f
-            items = ((one, Fraction(1)),) if term is None else term.terms.items()
+            items = ((one, 1),) if term is None else term.terms.items()
             for te, tc in items:
                 tc *= c
                 s = out.get(te)
@@ -293,7 +319,7 @@ class Polynomial:
                         out[te] = s
                     else:
                         del out[te]
-        return Polynomial._trusted(out, target)
+        return Polynomial._trusted(canonicalise_terms(out), target)
 
     # -- monomial structure ---------------------------------------------
 
@@ -315,7 +341,7 @@ class Polynomial:
             out[tuple(map(sub, exps, me))] = c
         return Polynomial._trusted(out, self.ambient)
 
-    def leading_term(self, key=grevlex_key) -> tuple[tuple[int, ...], Fraction]:
+    def leading_term(self, key=grevlex_key) -> tuple[tuple[int, ...], int | Fraction]:
         if not self.terms:
             raise ValueError("leading term of zero polynomial")
         e = max(self.terms, key=key)
@@ -325,7 +351,7 @@ class Polynomial:
         if not self.terms:
             return self
         _, c = self.leading_term(key)
-        return self * (1 / c)
+        return self * Fraction(1, c)
 
     # -- ambient surgery ------------------------------------------------
 
@@ -413,7 +439,10 @@ def exact_divide(p: Polynomial, q: Polynomial) -> Polynomial | None:
         re, rc = rem.leading_term()
         if not all(map(ge, re, qe)):
             return None
-        t = Polynomial._trusted({tuple(map(sub, re, qe)): rc / qc}, p.ambient)
+        t = Polynomial._trusted(
+            {tuple(map(sub, re, qe)): canonical_coefficient(Fraction(rc, qc))},
+            p.ambient,
+        )
         quotient = quotient + t
         rem = rem - t * q
     return quotient

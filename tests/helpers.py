@@ -24,12 +24,15 @@ def P(expr: str, ambient) -> Polynomial:
 
 def assert_canonical(p: Polynomial):
     """The invariant every arithmetic result must satisfy, and that the
-    validating constructor would restore."""
+    validating constructor would restore: each coefficient is a nonzero
+    ``int``, or a ``Fraction`` whose denominator is greater than 1."""
     assert type(p.ambient) is tuple
     for e, c in p.terms.items():
         assert type(e) is tuple and len(e) == len(p.ambient)
         assert all(type(x) is int and x >= 0 for x in e)
-        assert type(c) is Fraction and c != 0
+        assert (type(c) is int and c != 0) or (
+            type(c) is Fraction and c.denominator > 1
+        ), f"coefficient {c!r} is not canonical"
     assert p == Polynomial(p.terms, p.ambient)
 
 
@@ -395,7 +398,7 @@ def _solve_consistent(rows, rhs):
         pv = m[row][col]
         for r in range(len(m)):
             if r != row and m[r][col] != 0:
-                f = m[r][col] / pv
+                f = Fraction(m[r][col]) / pv
                 for c in range(col, ncols + 1):
                     m[r][c] -= f * m[row][c]
         row += 1
@@ -452,7 +455,7 @@ def max_scan_normal_form(f, basis, order):
         c = work.pop(e)
         for lt, lc, tail in divisors:
             if all(a >= b for a, b in zip(e, lt)):
-                factor = c / lc
+                factor = Fraction(c) / lc
                 shift = tuple(a - b for a, b in zip(e, lt))
                 for te, tc in tail:
                     ne = tuple(a + b for a, b in zip(te, shift))

@@ -318,6 +318,17 @@ class TestProblemParser:
         from fractions import Fraction
 
         assert prob.point.coordinates == (Fraction(1, 2), Fraction(-3), 0)
+        text = EXAMPLE.replace("point 0,0,0", "point 7 , 0,3/1")
+        coords = parse_problem(text).point.coordinates
+        assert coords == (7, 0, 3)
+        assert all(type(c) is Fraction for c in coords)
+
+    @pytest.mark.parametrize("bad", ["1/0", "x", "1.5.2", "٣x", "²"])
+    def test_bad_rational_point_coordinate(self, bad):
+        text = EXAMPLE.replace("point 0,0,0", f"point 0, {bad} ,0")
+        with pytest.raises(ProblemSyntaxError) as e:
+            parse_problem(text)
+        assert str(e.value).endswith(f"column 1: bad rational {bad!r}")
 
     def test_filtration_and_target_ideal(self):
         text = EXAMPLE + "filtration 1: u1 u2\nfiltration 2: u1\ntargetideal x1, x1*y1\n"

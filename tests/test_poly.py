@@ -4,7 +4,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from logmono.ideal import grevlex_order, normal_form
+from logmono.ideal import (
+    block_order,
+    grevlex_order,
+    normal_form,
+    reduced_groebner_basis,
+)
 from logmono.poly import (
     AmbientMismatchError,
     Monomial,
@@ -205,6 +210,9 @@ TARGET = ("s", "t")
 small_images = st.dictionaries(
     st.tuples(st.integers(0, 1), st.integers(0, 1)), coeffs, max_size=2
 ).map(lambda terms: Polynomial(terms, TARGET))
+small_polys = st.dictionaries(
+    st.tuples(*(st.integers(0, 2) for _ in AMB)), coeffs, max_size=3
+).map(rand_poly)
 scalars = st.one_of(
     st.integers(-3, 3), st.fractions(min_value=-3, max_value=3, max_denominator=4)
 )
@@ -239,3 +247,50 @@ class TestTrustedResults:
         basis = [g for g in (q, q * q + p) if not g.is_zero()]
         assert_canonical(normal_form(p, basis, grevlex_order()))
         assert_canonical(normal_form(p * q, basis, grevlex_order()))
+
+    @given(polys, polys, scalars)
+    @settings(max_examples=60, deadline=None)
+    def test_monic_exact_divide_and_integral_scalars(self, p, q, k):
+        assert_canonical(p.monic())
+        assert_canonical(p.monic(block_order(1).key))
+        if not p.is_zero():
+            assert p.monic().leading_term()[1] == 1
+        if not q.is_zero():
+            assert_canonical(exact_divide(p * q, q))
+            assert_canonical(exact_divide(q, q))
+        # Scalars whose product with a coefficient is integral.
+        for r in (p * Fraction(1, 2) * 2, Fraction(1, 2) * (2 * p)):
+            assert_canonical(r)
+            assert r == p
+        assert_canonical(p * Fraction(4, 2))
+        assert p * Fraction(4, 2) == p + p
+        if k:
+            assert_canonical(p * k * Fraction(1, k))
+            assert p * k * Fraction(1, k) == p
+
+    @given(small_polys, small_polys, small_polys)
+    @settings(max_examples=40, deadline=None)
+    def test_reduced_bases(self, p, q, r):
+        for order in (grevlex_order(), block_order(1)):
+            for g in reduced_groebner_basis([p, q, r], order):
+                assert_canonical(g)
+                lc = g.leading_term(order.key)[1]
+                assert type(lc) is int and lc == 1
+
+    def test_integral_values_are_ints(self):
+        half = Polynomial({(1, 0, 0): Fraction(1, 2), (0, 0, 0): Fraction(4, 2)}, AMB)
+        assert half.terms == {(1, 0, 0): Fraction(1, 2), (0, 0, 0): 2}
+        assert type(half.terms[(0, 0, 0)]) is int
+        for r in (
+            half * 2,
+            half + half,
+            half.partial_derivative("x") * 2,
+            P("2*x + 4", AMB).monic(),
+            P("4/2*x + 2/3*3/2 + 1/2*y + 1/2*y", AMB),
+            exact_divide(P("2*x^2 + 2*x", AMB), P("2*x", AMB)),
+            P("1/2*x + 3/2*z", AMB).substitute(
+                {"x": P("2*s", TARGET), "y": P("s", TARGET), "z": P("2*t", TARGET)}
+            ),
+        ):
+            assert_canonical(r)
+            assert all(type(c) is int for c in r.terms.values()), r

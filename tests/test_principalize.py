@@ -128,6 +128,25 @@ class TestPrincipalize:
                 assert leaf.payload.is_principal()
                 assert leaf.certificate is not None
 
+    def test_substitutions_have_int_coefficients(self):
+        # Coordinate blowups are monomial maps, so every coefficient of every
+        # node's substitution is an int, not a Fraction.
+        rng = random.Random(3)
+        chart = ChartedPair(("u", "v", "w"), ("u", "v", "w"))
+        for _ in range(10):
+            gens = [tuple(rng.randint(0, 4) for _ in range(3)) for _ in range(3)]
+            if all(sum(g) == 0 for g in gens):
+                continue
+            tree = goward_principalize(
+                MonomialIdeal.from_exponents(chart.variables, gens), chart
+            )
+            stack = [tree.root]
+            while stack:
+                node = stack.pop()
+                stack.extend(node.children)
+                for p in node.substitution.values():
+                    assert all(type(c) is int for c in p.terms.values()), p
+
 
 class TestMonomializeDriver:
     def test_unit_fitting_gives_empty_tree(self):
