@@ -16,6 +16,7 @@ root chart to any node.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import add
 from typing import Optional, Sequence
 
 from .chart import ChartedPair, MorphismOfPairs
@@ -52,16 +53,20 @@ def blowup_chart(chart: ChartedPair, center: Sequence[str]) -> list[BlowupNode]:
     for w in center:
         if w not in chart.variables:
             raise ValueError(f"center variable {w!r} not in chart")
+    amb = tuple(chart.variables)
+    n = len(amb)
+    unit = {v: (0,) * i + (1,) + (0,) * (n - i - 1) for i, v in enumerate(amb)}
     children = []
     for c in center:
+        # Each image is the monomial w_v, or w_c*w_v for another center
+        # variable, with coefficient 1: canonical as built.
+        ec = unit[c]
         sub = {}
-        for v in chart.variables:
+        for v in amb:
+            e = unit[v]
             if v in center and v != c:
-                sub[v] = Polynomial.variable(c, chart.variables) * Polynomial.variable(
-                    v, chart.variables
-                )
-            else:
-                sub[v] = Polynomial.variable(v, chart.variables)
+                e = tuple(map(add, ec, e))
+            sub[v] = Polynomial._trusted({e: 1}, amb)
         divisor = tuple(dict.fromkeys(chart.divisor_vars + (c,)))
         child = ChartedPair(chart.variables, divisor)
         children.append(BlowupNode(child, sub, distinguished=c))

@@ -210,7 +210,8 @@ def _split_series_part(
             series[j] = series.get(j, Fraction(0)) + c
         else:
             rem_terms[exps] = c
-    return series, Polynomial(rem_terms, ambient)
+    # A subset of z's canonical terms is canonical.
+    return series, Polynomial._trusted(rem_terms, z.ambient)
 
 
 def match_spm_template(

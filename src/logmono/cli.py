@@ -30,7 +30,6 @@ from .classify import (
 )
 from .fitting import log_fitting_ideal
 from .frontend import ProblemSyntaxError, Report, parse_problem
-from .ideal import EmptyVarietyError
 from .logdiff import NotAMorphismOfPairsError
 from .principalize import (
     DepthLimitError,
@@ -122,10 +121,7 @@ def cmd_grk(problem, args) -> Report:
 
 
 def cmd_imagedim(problem, args) -> Report:
-    try:
-        d = image_closure_dimension(problem.morphism)
-    except EmptyVarietyError:
-        raise InputError("image closure is empty")
+    d = image_closure_dimension(problem.morphism)
     report = Report("imagedim")
     report.add("image_dimension", d)
     return report

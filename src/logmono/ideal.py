@@ -335,8 +335,16 @@ def _rabinowitsch(I: IdealPresentation, f: Polynomial) -> IdealPresentation:
 
 def radical_membership(f: Polynomial, I: IdealPresentation) -> bool:
     """True iff f vanishes on V(I) over the algebraic closure, that is iff
-    the Rabinowitsch ideal I + (1 - t*f) is the unit ideal."""
-    return contains_one(_rabinowitsch(I, f))
+    the Rabinowitsch ideal I + (1 - t*f) is the unit ideal.
+
+    The answer depends only on V(I), and V(m*g) = V(rad(m)*g) for a
+    monomial m, so each generator first drops its monomial content's
+    exponents above 1: a generator like u^3000*v costs no more than u*v."""
+    gens = []
+    for g in I.generators:
+        excess = [e - 1 if e > 1 else 0 for e in g.monomial_content().exponents]
+        gens.append(g.divide_by_monomial(Monomial(excess)) if any(excess) else g)
+    return contains_one(_rabinowitsch(IdealPresentation(gens, I.ambient), f))
 
 
 def elimination(I: IdealPresentation, keep: Sequence[str]) -> IdealPresentation:

@@ -13,12 +13,14 @@ operand are checked for an integral value (``canonical_coefficient``,
 
 ``Polynomial(terms, ambient)`` validates: it coerces every coefficient
 through ``Fraction`` to its canonical form and every exponent to ``int``,
-drops zero coefficients and checks exponent lengths.  The arithmetic's own
-results skip that work through ``Polynomial._trusted``, which stores its
-arguments as given; so does the expression parser in ``frontend``, which
-builds each parsed expression's term dict itself.  It is called only where
-the result is already canonical: ``terms`` is a dict whose keys are tuples
-of ints of the ambient's length and whose values are nonzero canonical
+drops zero coefficients and checks exponent lengths.  It is for input from
+outside logmono, such as tests and callers' term dicts.  Every polynomial
+logmono builds itself goes through ``Polynomial._trusted``, which stores
+its arguments as given: the arithmetic's results, ``variable``,
+``constant`` and ``zero`` (after their own checks), the expression parser
+in ``frontend`` and the blowup substitutions.  It is called only where the
+result is already canonical: ``terms`` is a dict whose keys are tuples of
+ints of the ambient's length and whose values are nonzero canonical
 coefficients, and ``ambient`` is a tuple.  The dict passed in is owned by
 the result and must not be mutated afterwards.
 """
@@ -146,12 +148,14 @@ class Polynomial:
 
     @classmethod
     def zero(cls, ambient: Sequence[str]) -> "Polynomial":
-        return cls({}, ambient)
+        return cls._trusted({}, tuple(ambient))
 
     @classmethod
     def constant(cls, c, ambient: Sequence[str]) -> "Polynomial":
         amb = tuple(ambient)
-        return cls({(0,) * len(amb): c}, amb)
+        if type(c) is not int:
+            c = canonical_coefficient(Fraction(c))
+        return cls._trusted({(0,) * len(amb): c} if c else {}, amb)
 
     @classmethod
     def variable(cls, name: str, ambient: Sequence[str]) -> "Polynomial":
@@ -159,8 +163,8 @@ class Polynomial:
         if name not in amb:
             raise ValueError(f"unknown variable {name!r} in ambient {amb}")
         i = amb.index(name)
-        exps = tuple(1 if j == i else 0 for j in range(len(amb)))
-        return cls({exps: 1}, amb)
+        exps = (0,) * i + (1,) + (0,) * (len(amb) - i - 1)
+        return cls._trusted({exps: 1}, amb)
 
     # -- basic queries --------------------------------------------------
 

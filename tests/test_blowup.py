@@ -8,8 +8,9 @@ from logmono.blowup import (
 )
 from logmono.chart import ChartedPair, MorphismOfPairs
 from logmono.classify import is_quasi_prepared
+from logmono.poly import Polynomial
 
-from helpers import P
+from helpers import P, assert_canonical
 from test_fitting import surface_case1
 
 
@@ -47,6 +48,19 @@ class TestBlowupChart:
         first = children[0]
         assert first.substitution["b"] == P("a*b", amb)
         assert first.substitution["c"] == P("a*c", amb)
+
+    def test_substitutions_are_variable_products(self):
+        chart = ChartedPair(("a", "b", "c", "d"), ("a",))
+        amb = chart.variables
+        for center in (("a", "b"), ("b", "c", "d"), ("d", "a", "c")):
+            for child in blowup_chart(chart, center):
+                c = child.distinguished
+                for v in amb:
+                    want = Polynomial.variable(v, amb)
+                    if v in center and v != c:
+                        want = Polynomial.variable(c, amb) * want
+                    assert_canonical(child.substitution[v])
+                    assert child.substitution[v] == want
 
     def test_trivial_center_rejected(self):
         chart = ChartedPair(("u", "v"), ("u",))

@@ -131,6 +131,27 @@ class TestClassify:
         assert code == 1
         assert data["quasi_prepared"] is False
 
+    def test_large_exponent_is_fast(self, capsys, tmp_path):
+        # The pair condition fails, so quasi-preparedness is a radical
+        # membership over the Jacobian minors 3000*u^2999*v and u^3000.
+        path = tmp_path / "power.problem"
+        path.write_text(
+            "source vars u v divisor u\n"
+            "target vars x divisor x\n"
+            "map x = u^3000*v\n"
+            "point 0,0\n"
+        )
+        start = time.perf_counter()
+        code, data = run_json(capsys, "classify", str(path))
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        assert data["pair_condition"] is False
+        assert data["quasi_prepared"] is False
+        assert data["diagnostics"] == [
+            "pullback of 'x' vanishes outside the source divisor: u^3000*v",
+            "divisor preimage does not equal the source divisor",
+        ]
+
     def test_verify_monomial(self, capsys, example3):
         code, data = run_json(capsys, "verify-monomial", example3)
         assert code == 0

@@ -28,8 +28,11 @@ from logmono.poly import Polynomial
 
 from helpers import (
     P,
+    empty_divisor_corpus,
     linear_membership_oracle,
     max_scan_normal_form,
+    monomial_surface_corpus,
+    normal_form_corpus,
     pair_condition_corpus,
     random_sparse_poly,
 )
@@ -117,6 +120,59 @@ class TestMembership:
         amb = ("x", "y")
         assert radical_equality(I(["x^2*y"], amb), I(["x*y^3"], amb))
         assert not radical_equality(I(["x"], amb), I(["x*y"], amb))
+
+
+def plain_radical_membership(f, J):
+    """The Rabinowitsch test on J's generators as given."""
+    return contains_one(_rabinowitsch(J, f))
+
+
+def has_square_content(J):
+    return any(e > 1 for g in J.generators for e in g.monomial_content().exponents)
+
+
+class TestRadicalRewrite:
+    """radical_membership lowers each generator's monomial content to its
+    radical first; that must never change the answer."""
+
+    def test_corpora_agree_with_plain_rabinowitsch(self):
+        phis = [phi for phi, _ in normal_form_corpus()]
+        phis += empty_divisor_corpus() + monomial_surface_corpus() + pair_condition_corpus()
+        verdicts, rewritten = set(), 0
+        for phi in phis:
+            amb = phi.source.variables
+            u = phi.source.divisor_product()
+            cases = [(u, singular_locus_ideal(phi))]
+            cases += [(u, IdealPresentation([p], amb)) for p in phi.components.values()]
+            for f, J in cases:
+                got = radical_membership(f, J)
+                assert got == plain_radical_membership(f, J), (phi, f, J)
+                verdicts.add(got)
+                rewritten += has_square_content(J)
+        assert verdicts == {True, False}
+        assert rewritten >= 100
+
+    def test_random_ideals_agree_with_plain_rabinowitsch(self):
+        rng = random.Random(19)
+        amb = ("x", "y", "z")
+        verdicts, rewritten = [], 0
+        for _ in range(80):
+            gens = [
+                random_sparse_poly(amb, rng, max_terms=1, max_deg=6)
+                * random_sparse_poly(amb, rng, max_terms=2, max_deg=2)
+                for _ in range(rng.randint(1, 3))
+            ]
+            J = IdealPresentation(gens, amb)
+            if rng.random() < 0.5:
+                f = P(rng.choice(["x*y*z", "x*y", "y*z", "x"]), amb)
+            else:
+                f = random_sparse_poly(amb, rng, max_terms=2, max_deg=2)
+            got = radical_membership(f, J)
+            assert got == plain_radical_membership(f, J), (f, J)
+            verdicts.append(got)
+            rewritten += has_square_content(J)
+        assert 10 <= sum(verdicts) <= 70  # both verdicts occur
+        assert rewritten >= 40
 
 
 class TestEliminationDimension:

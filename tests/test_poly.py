@@ -277,6 +277,23 @@ class TestTrustedResults:
                 lc = g.leading_term(order.key)[1]
                 assert type(lc) is int and lc == 1
 
+    def test_constructors(self):
+        # variable, constant and zero skip validation; each must equal what
+        # the validating constructor builds from the same terms.
+        for i, name in enumerate(AMB):
+            x = Polynomial.variable(name, list(AMB))
+            assert_canonical(x)
+            assert x == Polynomial({tuple(int(j == i) for j in range(3)): 1}, AMB)
+        with pytest.raises(ValueError, match="unknown variable 'w'"):
+            Polynomial.variable("w", AMB)
+        for c in (3, -2, Fraction(4, 2), Fraction(1, 3), 0):
+            k = Polynomial.constant(c, list(AMB))
+            assert_canonical(k)
+            assert k == Polynomial({(0, 0, 0): c}, AMB)
+        z = Polynomial.zero(list(AMB))
+        assert_canonical(z)
+        assert z == Polynomial({}, AMB)
+
     def test_integral_values_are_ints(self):
         half = Polynomial({(1, 0, 0): Fraction(1, 2), (0, 0, 0): Fraction(4, 2)}, AMB)
         assert half.terms == {(1, 0, 0): Fraction(1, 2), (0, 0, 0): 2}

@@ -16,7 +16,7 @@ from logmono.principalize import (
     termination_measure,
 )
 
-from helpers import P, origin
+from helpers import P, assert_canonical, origin
 from test_fitting import surface_case3
 
 
@@ -130,7 +130,8 @@ class TestPrincipalize:
 
     def test_substitutions_have_int_coefficients(self):
         # Coordinate blowups are monomial maps, so every coefficient of every
-        # node's substitution is an int, not a Fraction.
+        # node's substitution is an int, not a Fraction.  The substitutions
+        # are built without validation, so each must also be canonical.
         rng = random.Random(3)
         chart = ChartedPair(("u", "v", "w"), ("u", "v", "w"))
         for _ in range(10):
@@ -145,6 +146,7 @@ class TestPrincipalize:
                 node = stack.pop()
                 stack.extend(node.children)
                 for p in node.substitution.values():
+                    assert_canonical(p)
                     assert all(type(c) is int for c in p.terms.values()), p
 
 
