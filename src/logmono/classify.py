@@ -4,9 +4,9 @@ morphisms, and log-rank-adapted verification."""
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import gcd
 from typing import Optional, Sequence
 
@@ -26,7 +26,7 @@ from .ideal import (
     local_monomial,
     radical_membership,
 )
-from .logdiff import maximal_minors
+from .logdiff import log_jacobian, maximal_minors
 from .rank import jacobian, log_rank_at_point, rational_matrix_rank
 from .poly import Monomial, Polynomial
 
@@ -316,25 +316,9 @@ def is_monomial_morphism_at(
 # Log-rank adapted verification
 
 
-def _sample_stratum_points(
-    chart_vars: tuple[str, ...],
-    zero_vars: set[str],
-    nonzero_vars: set[str],
-    rng: random.Random,
-    count: int,
-) -> list[RationalPoint]:
-    pts = []
-    for _ in range(count):
-        coords = []
-        for v in chart_vars:
-            if v in zero_vars:
-                coords.append(Fraction(0))
-            elif v in nonzero_vars:
-                coords.append(Fraction(rng.randint(1, 7), rng.randint(1, 3)))
-            else:
-                coords.append(Fraction(rng.randint(-5, 5)))
-        pts.append(RationalPoint(tuple(coords)))
-    return pts
+def _minors(rows: list[list[Polynomial]], size: int) -> list[Polynomial]:
+    """The nonzero size-minors: maximal minors of each size-subset of rows."""
+    return [m for sub in combinations(rows, size) for _, m in maximal_minors(list(sub))]
 
 
 def is_log_rank_adapted_at(
@@ -342,16 +326,21 @@ def is_log_rank_adapted_at(
     a: RationalPoint,
     filtration: DivisorFiltration,
     target_stratum_ideal: IdealPresentation,
-    seed: int = 0,
-    samples: int = 5,
 ) -> tuple[bool, list[str]]:
     """Verify the two log-rank-adapted conditions on supplied data.
 
     Condition (1): the first r components are distinct free variables and,
     unless r equals the target dimension, component r+1 is a divisor
     monomial generating the pullback of the supplied target stratum ideal.
-    Condition (2): on each sampled filtration stratum the log-rank is
-    exactly min(n, N) minus the level index.
+    Condition (2): for each level k and each variable w of level k outside
+    level k+1, the log-rank is exactly e = min(n, N) - k at every point,
+    over the algebraic closure, of {w = 0} minus the other divisor
+    components, with free variables unrestricted.  That set is dense in
+    {w = 0}, so this holds exactly when every (e+1)-minor of the log
+    Jacobian vanishes on w = 0 and the product of the other divisor
+    variables lies in the radical of the e-minors plus (w).  It never
+    holds for e < 0.  Raises NotAMorphismOfPairsError when a filtration
+    level is nonempty and the pair condition fails.
     """
     filtration.validate(phi.source.divisor_vars)
     diagnostics: list[str] = []
@@ -408,30 +397,35 @@ def is_log_rank_adapted_at(
                     f"by component {r + 1}"
                 )
 
-    rng = random.Random(seed)
-    expected_base = min(n, N)
-    for idx, level in enumerate(filtration.levels):
-        k = idx + 1
-        next_level = (
-            set(filtration.levels[idx + 1]) if idx + 1 < len(filtration.levels) else set()
-        )
-        boundary = [v for v in level if v not in next_level]
+    rows = log_jacobian(phi) if any(filtration.levels) else []
+    amb = phi.source.variables
+    for k, level in enumerate(filtration.levels, start=1):
+        inner = filtration.levels[k] if k < len(filtration.levels) else ()
+        boundary = [w for w in level if w not in inner]
         if not boundary:
             continue
+        e = min(n, N) - k
+        above = _minors(rows, e + 1) if e >= 0 else []
+        below = _minors(rows, e) if e > 0 else []
         for w in boundary:
-            pts = _sample_stratum_points(
-                phi.source.variables,
-                {w},
-                (set(phi.source.divisor_vars) - {w}) | set(phi.source.free_vars),
-                rng,
-                samples,
+            i = amb.index(w)
+            if e < 0 or any(not x[i] for m in above for x in m.terms):
+                diagnostics.append(f"log-rank exceeds {e} on the stratum of {w} at level {k}")
+                continue
+            # The e-minors at w = 0; a subset of canonical terms is canonical.
+            at_w = [
+                Polynomial._trusted({x: c for x, c in m.terms.items() if not x[i]}, amb)
+                for m in below
+            ]
+            others = Polynomial._trusted(
+                {tuple(int(v != w and v in phi.source.divisor_vars) for v in amb): 1}, amb
             )
-            for pt in pts:
-                lr = log_rank_at_point(phi, pt)
-                if lr != expected_base - k:
-                    diagnostics.append(
-                        f"log-rank {lr} on stratum of {w} at level {k}, "
-                        f"expected {expected_base - k}"
-                    )
-                    break
+            if e > 0 and not radical_membership(
+                others, IdealPresentation(at_w + [Polynomial.variable(w, amb)], amb)
+            ):
+                gens = ", ".join(str(g) for g in at_w if not g.is_zero()) or "0"
+                diagnostics.append(
+                    f"log-rank drops below {e} on the stratum of {w} at level {k}, "
+                    f"where the {e}-minors at {w} = 0 vanish: ({gens})"
+                )
     return (not diagnostics), diagnostics

@@ -6,8 +6,7 @@ lets the subcommand compute its ``Report``, prints it and maps the outcome
 to an exit code.  Exit codes: 0 on success (and for predicates that hold),
 1 for predicates that fail or computations yielding a negative verdict
 (``Report.ok`` false), 2 for malformed input or violated preconditions, 3
-for an internal error.  ``--seed`` seeds the point sampling of
-``lradapted``.
+for an internal error.
 """
 
 from __future__ import annotations
@@ -172,11 +171,7 @@ def cmd_lradapted(problem, args) -> Report:
         raise InputError("lradapted needs a targetideal in the problem file")
     a = _point_from(args, problem)
     ok, diags = is_log_rank_adapted_at(
-        problem.morphism,
-        a,
-        problem.filtration,
-        problem.target_ideal,
-        seed=args.seed,
+        problem.morphism, a, problem.filtration, problem.target_ideal
     )
     report = Report("lradapted")
     report.add("log_rank_adapted", ok)
@@ -253,9 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--json", action="store_true", help="emit JSON reports")
     parser.add_argument(
         "--max-depth", type=int, default=64, help="blowup tree depth cap"
-    )
-    parser.add_argument(
-        "--seed", type=int, default=0, help="point sampling seed for lradapted"
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -14,6 +14,7 @@ from logmono.classify import is_quasi_prepared
 from logmono.frontend import MAX_NESTING, MAX_TERMS, ProblemSyntaxError
 from logmono.ideal import IdealPresentation, radical_membership
 from logmono.poly import Polynomial, exact_divide
+from logmono.rank import log_rank_at_point
 
 
 def P(expr: str, ambient) -> Polynomial:
@@ -168,6 +169,29 @@ def random_stratum_point(chart: ChartedPair, D, rng) -> RationalPoint:
         for v in chart.variables
     )
     return RationalPoint(coords)
+
+
+def sampled_log_rank_mismatch(phi: MorphismOfPairs, filtration, seed: int, samples: int = 5) -> bool:
+    """Sampling oracle for condition (2) of log-rank adaptedness: True when
+    one of ``samples`` random points per boundary stratum (w = 0, the other
+    source variables drawn positive) has log-rank other than
+    min(n, N) - k.  It can miss a drop, never invent one."""
+    rng = random.Random(seed)
+    expected = min(len(phi.source.variables), len(phi.target.variables))
+    levels = filtration.levels
+    for k, level in enumerate(levels, start=1):
+        inner = levels[k] if k < len(levels) else ()
+        for w in (w for w in level if w not in inner):
+            pts = [
+                RationalPoint(tuple(
+                    Fraction(0) if v == w else Fraction(rng.randint(1, 7), rng.randint(1, 3))
+                    for v in phi.source.variables
+                ))
+                for _ in range(samples)
+            ]
+            if any(log_rank_at_point(phi, pt) != expected - k for pt in pts):
+                return True
+    return False
 
 
 # ---------------------------------------------------------------------------

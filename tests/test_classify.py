@@ -33,6 +33,7 @@ from helpers import (
     normal_form_corpus,
     origin,
     pair_condition_corpus,
+    sampled_log_rank_mismatch,
 )
 from test_fitting import surface_case1, surface_case2, surface_case3
 
@@ -250,6 +251,66 @@ class TestLogRankAdapted:
         ok, diags = is_log_rank_adapted_at(phi, pt, filtration, target_ideal)
         assert not ok
         assert any("log-rank" in d for d in diags)
+
+    @pytest.mark.parametrize(
+        "source, target, maps, drop",
+        [
+            # The log-rank drops to 1 on u2 = +-1: half of all sampler seeds
+            # miss it.
+            (
+                ("u1 u2 v1", "u1 u2"),
+                ("x1 y1 z1", "z1"),
+                {"x1": "-u2^2*v1 + v1", "y1": "5", "z1": "u2^3"},
+                "2-minors at u1 = 0 vanish: (3*u2^2 - 3)",
+            ),
+            # The log-rank drops to 0 on v2 = 0: the sampler draws free
+            # variables positive, so it never sees the drop.
+            (
+                ("u1 v1 v2", "u1"),
+                ("x1 y1", ""),
+                {"x1": "u1^2*v2 - 3", "y1": "-3*u1*v1*v2 + 2*v2^2"},
+                "1-minors at u1 = 0 vanish: (4*v2)",
+            ),
+        ],
+    )
+    def test_drop_off_the_sampled_points_rejected(self, source, target, maps, drop):
+        src = ChartedPair(tuple(source[0].split()), tuple(source[1].split()))
+        tgt = ChartedPair(tuple(target[0].split()), tuple(target[1].split()))
+        phi = MorphismOfPairs(src, tgt, {x: P(e, src.variables) for x, e in maps.items()})
+        filtration = DivisorFiltration([("u1",)])
+        target_ideal = IdealPresentation([], tgt.variables)
+        ok, diags = is_log_rank_adapted_at(phi, origin(src), filtration, target_ideal)
+        assert not ok
+        rank_diags = [d for d in diags if "log-rank" in d]
+        assert len(rank_diags) == 1
+        assert "drops below" in rank_diags[0] and "stratum of u1 at level 1" in rank_diags[0]
+        assert rank_diags[0].endswith(drop)
+        assert not all(sampled_log_rank_mismatch(phi, filtration, seed) for seed in range(10))
+
+    def test_sampler_mismatch_implies_exact_rejection(self):
+        # The sampler can only miss a drop, so wherever it sees a wrong
+        # log-rank the exact check must reject too.
+        phis = [phi for phi, _ in normal_form_corpus()]
+        phis += empty_divisor_corpus() + monomial_surface_corpus() + pair_condition_corpus()
+        accepted = sampled = blind = 0
+        for phi in phis:
+            div = phi.source.divisor_vars
+            if not div or not validate_pair_condition(phi)[0]:
+                continue
+            target_ideal = IdealPresentation([], phi.target.variables)
+            for levels in dict.fromkeys([((w,),) for w in div] + [(div,), (div, div[:1])]):
+                filtration = DivisorFiltration(list(levels))
+                _, diags = is_log_rank_adapted_at(
+                    phi, origin(phi.source), filtration, target_ideal
+                )
+                exact_ok = not any("log-rank" in d for d in diags)
+                seen = any(sampled_log_rank_mismatch(phi, filtration, s) for s in range(5))
+                assert not (seen and exact_ok), (phi.components, levels)
+                accepted += exact_ok
+                sampled += seen
+                blind += not (seen or exact_ok)
+        # Both verdicts occur, and some drops are invisible to the sampler.
+        assert accepted >= 100 and sampled >= 100 and blind >= 10
 
     def test_filtration_validation(self):
         f = DivisorFiltration([("u1",), ("u1", "u2")])

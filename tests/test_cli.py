@@ -158,6 +158,49 @@ class TestClassify:
         assert data["exponent_matrix"] == [[1, 2, 0], [0, 3, 4]]
 
 
+class TestLogRankAdapted:
+    # The first is the accepted case of test_classify.py written as a file;
+    # the second also passes the stratum check of its level-1 filtration.
+    ACCEPTED = [
+        "source vars v1 u1 u2 divisor u1 u2\ntarget vars y1 x1 divisor x1\n"
+        "map y1 = v1\nmap x1 = u1*u2\npoint 1,0,0\nfiltration 1:\ntargetideal x1\n",
+        "source vars u1 v1 divisor u1\ntarget vars x1 y1 divisor x1\n"
+        "map x1 = u1\nmap y1 = u1*v1\npoint 0,0\nfiltration 1: u1\ntargetideal x1\n",
+    ]
+    V2_DROP = (
+        "source vars u1 v1 v2 divisor u1\ntarget vars x1 y1 divisor\n"
+        "map x1 = u1^2*v2 - 3\nmap y1 = -3*u1*v1*v2 + 2*v2^2\npoint 0,0,0\n"
+        "filtration 1: u1\ntargetideal x1\n"
+    )
+
+    @pytest.mark.parametrize("text", ACCEPTED)
+    def test_accepted_exit_0(self, capsys, tmp_path, text):
+        path = tmp_path / "adapted.problem"
+        path.write_text(text)
+        code, data = run_json(capsys, "lradapted", str(path))
+        assert code == 0
+        assert data == {"command": "lradapted", "ok": True, "log_rank_adapted": True}
+
+    def test_drop_on_free_variable_exit_1(self, capsys, tmp_path):
+        path = tmp_path / "drop.problem"
+        path.write_text(self.V2_DROP)
+        code, data = run_json(capsys, "lradapted", str(path))
+        assert code == 1 and data["log_rank_adapted"] is False
+        assert data["diagnostics"] == [
+            "component 1 is not a monomial in divisor variables",
+            "log-rank drops below 1 on the stratum of u1 at level 1, "
+            "where the 1-minors at u1 = 0 vanish: (4*v2)",
+        ]
+
+    def test_seed_flag_is_gone(self, capsys, tmp_path):
+        path = tmp_path / "drop.problem"
+        path.write_text(self.V2_DROP)
+        with pytest.raises(SystemExit) as exc:
+            main(["--seed", "0", "lradapted", str(path)])
+        assert exc.value.code == 2
+        assert not capsys.readouterr().out
+
+
 class TestBlowupCommands:
     def test_blowup_charts(self, capsys, example1):
         code, data = run_json(capsys, "blowup", "--center", "u1,u2", example1)
