@@ -24,14 +24,15 @@ class ChartedPair:
     def __post_init__(self):
         if len(set(self.variables)) != len(self.variables):
             raise ValueError("duplicate chart variables")
-        extra = set(self.divisor_vars) - set(self.variables)
+        divisor = set(self.divisor_vars)
+        extra = divisor.difference(self.variables)
         if extra:
             raise ValueError(f"divisor variables {extra} not in chart")
         # Keep divisor variables in chart order for determinism.
         object.__setattr__(
             self,
             "divisor_vars",
-            tuple(v for v in self.variables if v in set(self.divisor_vars)),
+            tuple(v for v in self.variables if v in divisor),
         )
 
     @property

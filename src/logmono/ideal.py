@@ -362,7 +362,12 @@ def elimination(I: IdealPresentation, keep: Sequence[str]) -> IdealPresentation:
     for g in basis:
         if g.support_variables() <= set(keep):
             kept_gens.append(g.restrict_ambient(keep))
-    return IdealPresentation(kept_gens, keep)
+    out = IdealPresentation(kept_gens, keep)
+    # The block order restricts to grevlex on the kept variables, so the
+    # kept part of the reduced basis is the reduced grevlex basis of the
+    # elimination ideal, already in grevlex order.
+    out._basis_cache[grevlex_order().tag] = kept_gens
+    return out
 
 
 def dimension(I: IdealPresentation) -> int:

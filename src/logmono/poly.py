@@ -247,16 +247,25 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "Polynomial":
+        """Binary powering seeded with the power of the lowest set bit of
+        ``k``: floor(log2 k) squarings and one product per further set
+        bit, none of them by the constant 1.  ``p**1`` is ``p`` itself and
+        ``p**0`` the constant 1."""
         if k < 0:
             raise ValueError("negative power")
-        result = Polynomial.constant(1, self.ambient)
+        if not k:
+            return Polynomial.constant(1, self.ambient)
         base = self
+        while not k & 1:
+            base = base * base
+            k >>= 1
+        result = base
+        k >>= 1
         while k:
+            base = base * base
             if k & 1:
                 result = result * base
             k >>= 1
-            if k:
-                base = base * base
         return result
 
     # -- calculus and evaluation ----------------------------------------

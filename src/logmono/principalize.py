@@ -6,6 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import le
 from typing import Sequence
 
 from .blowup import BlowupTree, transform_morphism
@@ -74,12 +75,15 @@ class MonomialIdeal:
 
 
 def _antichain(gens: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
-    uniq = sorted(set(gens))
+    """The minimal exponents under divisibility, in lex order.
+
+    A proper divisor precedes its multiples in lex order, and dividing is
+    transitive, so a candidate is tested only against the minima kept
+    before it."""
     keep = []
-    for g in uniq:
-        if any(h != g and all(a <= b for a, b in zip(h, g)) for h in uniq):
-            continue
-        keep.append(g)
+    for g in sorted(set(gens)):
+        if not any(all(map(le, h, g)) for h in keep):
+            keep.append(g)
     return tuple(keep)
 
 
@@ -174,8 +178,11 @@ def goward_principalize(
     the ideal is principal in every chart.
 
     The termination measure must strictly decrease on every non-principal
-    child; a violation raises TerminationMeasureError.  The zero ideal has
-    no generator to certify and raises ValueError.
+    child; a violation raises TerminationMeasureError.  Each expanded
+    chart's ideal is measured once: a non-principal child when it is
+    compared with its parent, and that value is its ``before`` when it is
+    expanded in turn; only the root is measured when it is expanded.  The
+    zero ideal has no generator to certify and raises ValueError.
     """
     if ideal.variables != chart.variables:
         raise ValueError("ideal variables must match the chart")
@@ -189,9 +196,9 @@ def goward_principalize(
     if not ideal.generators:
         raise ValueError("zero ideal cannot be principalized")
     tree = BlowupTree(chart, ideal)
-    worklist = [(tree.root, 0)]
+    worklist = [(tree.root, 0, None)]
     while worklist:
-        node, depth = worklist.pop()
+        node, depth, before = worklist.pop()
         current: MonomialIdeal = node.payload
         if current.is_principal():
             node.certificate = PrincipalMonomialCertificate(
@@ -202,10 +209,12 @@ def goward_principalize(
         if depth >= max_depth:
             raise DepthLimitError(f"blowup depth exceeded {max_depth}")
         ci, cj = choose_center(current, node.chart.divisor_vars)
-        before = termination_measure(current)
+        if before is None:
+            before = termination_measure(current)
         for child in tree.expand(node, (ci, cj)):
             absorbed = [v for v in (ci, cj) if v != child.distinguished]
             child.payload = current.transform(child.distinguished, absorbed)
+            after = None
             if not child.payload.is_principal():
                 after = termination_measure(child.payload)
                 if not after < before:
@@ -213,7 +222,7 @@ def goward_principalize(
                         f"measure did not decrease: {before} -> {after} "
                         f"(center {ci},{cj})"
                     )
-            worklist.append((child, depth + 1))
+            worklist.append((child, depth + 1, after))
     return tree
 
 

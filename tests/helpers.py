@@ -52,6 +52,17 @@ def origin(chart: ChartedPair) -> RationalPoint:
     return RationalPoint((Fraction(0),) * len(chart.variables))
 
 
+def all_pairs_antichain(gens) -> tuple[tuple[int, ...], ...]:
+    """Minimal exponent tuples under divisibility, in lex order, by
+    testing each candidate against every other one."""
+    uniq = sorted(set(gens))
+    return tuple(
+        g
+        for g in uniq
+        if not any(h != g and all(a <= b for a, b in zip(h, g)) for h in uniq)
+    )
+
+
 # ---------------------------------------------------------------------------
 # Quasi-prepared corpus in and around the three surface normal forms
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import logmono.ideal
 from logmono.classify import singular_locus_ideal
 from logmono.ideal import (
     EmptyVarietyError,
@@ -25,6 +26,7 @@ from logmono.ideal import (
     saturation,
 )
 from logmono.poly import Polynomial
+from logmono.rank import graph_ideal
 
 from helpers import (
     P,
@@ -35,6 +37,7 @@ from helpers import (
     normal_form_corpus,
     pair_condition_corpus,
     random_sparse_poly,
+    rank_law_corpus,
 )
 
 
@@ -173,6 +176,51 @@ class TestRadicalRewrite:
             rewritten += has_square_content(J)
         assert 10 <= sum(verdicts) <= 70  # both verdicts occur
         assert rewritten >= 40
+
+
+def assert_elimination_basis_is_reduced(E: IdealPresentation) -> bool:
+    """elimination() stores the kept part of its reduced block-order basis
+    as the result's grevlex basis: it must be the reduced grevlex basis of
+    the elimination ideal, in the order reduced_groebner_basis gives.
+    Returns whether the ideal is nonzero."""
+    order = grevlex_order()
+    stored = E._basis_cache[order.tag]
+    assert stored == E.generators
+    assert stored == reduced_groebner_basis(list(E.generators), order), E
+    return bool(stored)
+
+
+class TestEliminationBasis:
+    def test_graph_ideals_of_the_corpora(self):
+        phis = [phi for phi, _ in normal_form_corpus()]
+        phis += empty_divisor_corpus() + monomial_surface_corpus()
+        phis += pair_condition_corpus() + rank_law_corpus()
+        nonzero = sum(
+            assert_elimination_basis_is_reduced(elimination(*graph_ideal(phi)))
+            for phi in phis
+        )
+        assert nonzero >= 100
+
+    def test_seeded_eliminations_and_saturations(self):
+        rng = random.Random(31)
+        amb = ("a", "b", "x", "y")
+        nonzero = 0
+        for _ in range(60):
+            gens = [random_sparse_poly(amb, rng, max_terms=3) for _ in range(3)]
+            keep = amb[rng.randint(1, 3):]
+            J = IdealPresentation(gens, amb)
+            nonzero += assert_elimination_basis_is_reduced(elimination(J, keep))
+            f = random_sparse_poly(amb, rng, max_terms=2)
+            nonzero += assert_elimination_basis_is_reduced(saturation(J, f))
+        assert nonzero >= 60
+
+    def test_dimension_reads_the_stored_basis(self, monkeypatch):
+        E = elimination(I(["x - t", "y - t^2"], ("t", "x", "y")), ("x", "y"))
+        monkeypatch.setattr(
+            logmono.ideal, "reduced_groebner_basis", lambda *args: pytest.fail()
+        )
+        assert dimension(E) == 1
+        assert not contains_one(E)
 
 
 class TestEliminationDimension:

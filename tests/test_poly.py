@@ -119,6 +119,53 @@ class TestArithmetic:
         # Squaring the 16th power as well would cost len(result)^2.
         assert max(work) < len(result.terms) ** 2
 
+    def test_power_multiplies_only_squarings_and_set_bits(self, monkeypatch):
+        p = P("x + 2*y - z", AMB)
+        one = Polynomial.constant(1, AMB)
+        operands = []
+        mul = Polynomial.__mul__
+
+        def counting_mul(a, b):
+            operands.append((a, b))
+            return mul(a, b)
+
+        monkeypatch.setattr(Polynomial, "__mul__", counting_mul)
+        for k in range(40):
+            operands.clear()
+            p ** k
+            # floor(log2 k) squarings, then one product per set bit of k
+            # after the lowest.
+            squarings = max(k.bit_length() - 1, 0)
+            products = max(bin(k).count("1") - 1, 0)
+            assert len(operands) == squarings + products, k
+            assert all(a != one and b != one for a, b in operands), k
+
+    def test_first_power_is_the_base(self):
+        p = P("x*y - 1/2*z", AMB)
+        assert p ** 1 is p
+        assert p ** 1 == p
+
+    def test_powers_of_zero_and_constants(self):
+        zero = Polynomial.zero(AMB)
+        assert zero ** 0 == Polynomial.constant(1, AMB)
+        for k in (1, 2, 5):
+            assert (zero ** k).is_zero()
+        for c in (Fraction(-2, 3), 3, Fraction(1, 2)):
+            for k in range(6):
+                power = Polynomial.constant(c, AMB) ** k
+                assert power == Polynomial.constant(Fraction(c) ** k, AMB)
+                assert_canonical(power)
+
+    @given(polys, st.integers(0, 7))
+    @settings(max_examples=60, deadline=None)
+    def test_power_matches_repeated_multiplication(self, p, k):
+        expected = Polynomial.constant(1, AMB)
+        for _ in range(k):
+            expected = expected * p
+        power = p ** k
+        assert power == expected
+        assert_canonical(power)
+
 
 class TestCalculus:
     def test_partial_derivative_oracle(self):

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import logmono.principalize
 from logmono.blowup import transform_morphism
 from logmono.chart import ChartedPair, MorphismOfPairs
 from logmono.classify import top_fitting_ideal
@@ -9,6 +10,8 @@ from logmono.ideal import is_principal_monomial_at
 from logmono.principalize import (
     MonomialIdeal,
     NonMonomialInputError,
+    TerminationMeasureError,
+    _antichain,
     choose_center,
     goward_principalize,
     monomial_ideal_from_presentation,
@@ -16,7 +19,7 @@ from logmono.principalize import (
     termination_measure,
 )
 
-from helpers import P, assert_canonical, origin
+from helpers import P, all_pairs_antichain, assert_canonical, origin
 from test_fitting import surface_case3
 
 
@@ -28,6 +31,22 @@ class TestMonomialIdeal:
         I = MonomialIdeal.from_exponents(("u", "v"), [(2, 0), (3, 1), (2, 0)])
         assert I.generators == ((2, 0),)
         assert I.is_principal()
+
+    def test_antichain_matches_all_pairs_definition(self):
+        rng = random.Random(23)
+        shrunk = 0
+        for _ in range(400):
+            n = rng.randint(1, 4)
+            gens = [tuple(rng.randint(0, 4) for _ in range(n))]
+            for _ in range(rng.randint(0, 11)):
+                if rng.random() < 0.25:
+                    gens.append(rng.choice(gens))  # a duplicate
+                else:
+                    gens.append(tuple(rng.randint(0, 4) for _ in range(n)))
+            got = _antichain(tuple(gens))
+            assert got == all_pairs_antichain(gens), gens
+            shrunk += len(got) < len(set(gens))
+        assert shrunk >= 100  # most draws have a non-minimal generator
 
     def test_incomparable_pairs(self):
         I = MonomialIdeal.from_exponents(("u", "v"), [(2, 0), (0, 3)])
@@ -107,6 +126,36 @@ class TestPrincipalize:
             goward_principalize(
                 MonomialIdeal.from_exponents(("u", "v"), [(2, 0), (0, 3)]), chart
             )
+
+    def test_one_termination_measure_per_blowup_step(self, monkeypatch):
+        calls = []
+        measure = termination_measure
+
+        def counting(ideal):
+            calls.append(ideal)
+            return measure(ideal)
+
+        monkeypatch.setattr(logmono.principalize, "termination_measure", counting)
+        chart = ChartedPair(("u", "v", "w"), ("u", "v", "w"))
+        I = MonomialIdeal.from_exponents(
+            chart.variables, [(3, 0, 1), (0, 2, 0), (1, 1, 3)]
+        )
+        tree = goward_principalize(I, chart)
+        assert tree.step_count() > 3
+        assert len(calls) == tree.step_count()
+
+    def test_measure_that_does_not_decrease_is_rejected(self, monkeypatch):
+        monkeypatch.setattr(
+            logmono.principalize, "termination_measure", lambda ideal: (1, (1, 1))
+        )
+        I = MonomialIdeal.from_exponents(("u", "v"), [(2, 0), (0, 3)])
+        with pytest.raises(TerminationMeasureError, match="did not decrease"):
+            goward_principalize(I, UV)
+        # A principal root is never expanded, so nothing is compared.
+        tree = goward_principalize(
+            MonomialIdeal.from_exponents(("u", "v"), [(2, 1)]), UV
+        )
+        assert tree.root.certificate.generator_monomial.exponents == (2, 1)
 
     def test_zero_ideal_rejected(self):
         # The zero ideal is not the unit ideal: no generator certifies it.
