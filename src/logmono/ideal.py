@@ -9,6 +9,16 @@ On top of it: membership, radical membership via the Rabinowitsch trick,
 elimination by block orders, Krull dimension from the leading-term ideal,
 saturation, and the locally-principal-monomial test with the one "unit at
 the point" rule (``local_monomial``).
+
+The kernel is fraction-free, after Bareiss's integer-preserving
+elimination (Math. Comp. 1968): basis elements are primitive integer
+polynomials, and a reduction step scales the working polynomial by an
+integer instead of dividing by a leading coefficient.  A remainder is M
+times the rational one, for an integer multiplier M that the reduction
+returns with it, so rationals appear only in outputs: the monic reduced
+basis and ``normal_form`` divide each coefficient once.  Leading terms,
+sugars, pair order and criteria are those of monic rational reduction, so
+every basis is the same term for term.
 """
 
 from __future__ import annotations
@@ -17,6 +27,7 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations
+from math import gcd, lcm
 from operator import add, ge, le, sub
 from typing import Sequence
 
@@ -24,7 +35,7 @@ from .poly import (
     AmbientMismatchError,
     Monomial,
     Polynomial,
-    canonical_coefficient,
+    grevlex_heap_key,
     grevlex_key,
 )
 
@@ -50,13 +61,8 @@ class MonomialOrder:
         return f"MonomialOrder({self.tag})"
 
 
-def _grevlex_heap_key(exps):
-    # Higher total degree first, then the smaller last exponent.
-    return (-sum(exps), exps[::-1])
-
-
 def grevlex_order() -> MonomialOrder:
-    return MonomialOrder("grevlex", grevlex_key, _grevlex_heap_key)
+    return MonomialOrder("grevlex", grevlex_key, grevlex_heap_key)
 
 
 def block_order(n_eliminated: int) -> MonomialOrder:
@@ -66,10 +72,12 @@ def block_order(n_eliminated: int) -> MonomialOrder:
         return (grevlex_key(exps[:n_eliminated]), grevlex_key(exps[n_eliminated:]))
 
     def heap_key(exps):
-        return (
-            _grevlex_heap_key(exps[:n_eliminated]),
-            _grevlex_heap_key(exps[n_eliminated:]),
-        )
+        # The two blocks' grevlex heap keys, flattened: the first block's
+        # reversed exponents all have the same length, so this is the
+        # order of the pair of keys, built from one tuple.
+        a = exps[:n_eliminated]
+        b = exps[n_eliminated:]
+        return (-sum(a), a[::-1], -sum(b), b[::-1])
 
     return MonomialOrder(f"block{n_eliminated}", key, heap_key)
 
@@ -126,43 +134,78 @@ class IdealPresentation:
 # ---------------------------------------------------------------------------
 # Core Buchberger machinery
 #
-# A divisor record (lt, tail) stands for the monic polynomial x^lt + tail;
-# tail is a list of (exponent, coefficient) pairs below lt, with canonical
-# coefficients (see ``poly``).
+# A divisor record (lt, lc, tail) stands for the primitive integer
+# polynomial lc*x^lt + tail: lc > 0, tail is a list of (exponent, int)
+# pairs below lt, and the coefficients have no common factor.  Records are
+# integer throughout.  ``_reduce`` returns a remainder together with the
+# multiplier M it carries: the remainder is M times the one that monic
+# rational division takes through the same steps.  Rationals appear only
+# in outputs, one division by M (and by what was cleared from the input)
+# per coefficient.
 
 
-def _monic_tail(lt, terms: dict) -> list:
-    """The tail of ``terms`` divided by the coefficient at ``lt``."""
-    inv = canonical_coefficient(Fraction(1, terms[lt]))
-    return [(e, canonical_coefficient(c * inv)) for e, c in terms.items() if e != lt]
+def _cleared(terms: dict) -> tuple[dict, int]:
+    """``terms`` times the lcm D of their denominators, as ints, and D."""
+    d = lcm(*(c.denominator for c in terms.values()))
+    if d == 1:
+        return dict(terms), 1
+    return {e: c.numerator * (d // c.denominator) for e, c in terms.items()}, d
 
 
-def _record(g: Polynomial, heap_key) -> tuple[tuple[int, ...], list]:
-    lt = min(g.terms, key=heap_key)
-    return lt, _monic_tail(lt, g.terms)
+def _divided(terms: dict, d: int) -> dict:
+    """The int ``terms`` divided by d > 0, with canonical coefficients."""
+    if d == 1:
+        return terms
+    return {e: c // d if not c % d else Fraction(c, d) for e, c in terms.items()}
 
 
-def _reduce(work: dict, divisors: Sequence, heap_key) -> dict:
-    """Fully reduce the term dict ``work`` (consumed) by the divisor
-    records; return the remainder's canonical terms, largest first.
+def _primitive_record(lt, terms: dict) -> tuple:
+    """The record of the int ``terms`` with leading exponent ``lt``:
+    divided by their content, signed so that the leading coefficient is
+    positive."""
+    content = gcd(*terms.values())
+    if terms[lt] < 0:
+        content = -content
+    tail = [(e, c // content) for e, c in terms.items() if e != lt]
+    return lt, terms[lt] // content, tail
+
+
+def _record(g: Polynomial, heap_key) -> tuple:
+    return _primitive_record(min(g.terms, key=heap_key), _cleared(g.terms)[0])
+
+
+def _reduce(work: dict, divisors: Sequence, heap_key) -> tuple[dict, int]:
+    """Fully reduce the int term dict ``work`` (consumed) by the divisor
+    records; return the remainder, largest term first, and its
+    multiplier M.
 
     Each term of ``work`` is keyed once, when it first enters, and queued
-    on a heap that pops the largest first.  A reduction step writes only
-    terms below the one it removes, so a popped exponent never comes back.
-    A term that cancels stays in ``work`` at zero and is skipped when its
-    entry surfaces.  A popped coefficient is made canonical before it
-    scales a tail or enters the remainder."""
+    on a heap that pops the largest first.  A step that removes the term
+    c*x^e with the record (lt, a, tail) sets work to
+    (a/g)*work - (c/g)*x^(e-lt)*tail, g = gcd(a, c), and multiplies M by
+    a/g.  It writes only terms below e, so a popped exponent never comes
+    back.  A term that cancels stays in ``work`` at zero and is skipped
+    when its entry surfaces.  A remainder term is stored with the
+    multiplier of its time and scaled up to the final M at the end."""
     heap = [(heap_key(e), e) for e in work]
     heapq.heapify(heap)
-    rem: dict[tuple[int, ...], int | Fraction] = {}
+    out = []
+    m = 1
     while heap:
         e = heapq.heappop(heap)[1]
         c = work.pop(e)
         if not c:
             continue
-        c = canonical_coefficient(c)
-        for lt, tail in divisors:
+        for lt, a, tail in divisors:
             if all(map(ge, e, lt)):
+                if a != 1:
+                    g = gcd(a, c)
+                    c //= g
+                    if g != a:
+                        f = a // g
+                        m *= f
+                        for k, v in work.items():
+                            work[k] = v * f
                 shift = tuple(map(sub, e, lt))
                 for te, tc in tail:
                     ne = tuple(map(add, te, shift))
@@ -174,8 +217,8 @@ def _reduce(work: dict, divisors: Sequence, heap_key) -> dict:
                         work[ne] = s - c * tc
                 break
         else:
-            rem[e] = c
-    return rem
+            out.append((e, c, m))
+    return {e: c if k == m else c * (m // k) for e, c, k in out}, m
 
 
 def normal_form(f: Polynomial, basis: Sequence[Polynomial], order: MonomialOrder) -> Polynomial:
@@ -185,9 +228,9 @@ def normal_form(f: Polynomial, basis: Sequence[Polynomial], order: MonomialOrder
     if f.is_zero() or not basis:
         return f
     divisors = [_record(g, order.heap_key) for g in basis]
-    return Polynomial._trusted(
-        _reduce(dict(f.terms), divisors, order.heap_key), f.ambient
-    )
+    work, d = _cleared(f.terms)
+    rem, m = _reduce(work, divisors, order.heap_key)
+    return Polynomial._trusted(_divided(rem, m * d), f.ambient)
 
 
 def reduced_groebner_basis(
@@ -204,7 +247,7 @@ def reduced_groebner_basis(
         return []
     ambient = gens[0].ambient
     heap_key = order.heap_key
-    # Per element: leading exponent, divisor record and sugar.  Every
+    # Per element: leading exponent, primitive record and sugar.  Every
     # record reduces, oldest first.  New pairs are formed only with the
     # active elements, those whose leading term no later element's leading
     # term divides.
@@ -218,10 +261,11 @@ def reduced_groebner_basis(
     live: dict[tuple[int, int], tuple[int, ...]] = {}
     pairs: list = []
 
-    def install(lt, tail, sugar):
+    def install(record, sugar):
+        lt = record[0]
         k = len(lts)
         lts.append(lt)
-        records.append((lt, tail))
+        records.append(record)
         sugars.append(sugar)
         # B: drop a pending pair whose lcm lt divides, unless lt shares
         # that lcm with one of the pair's elements.
@@ -254,28 +298,34 @@ def reduced_groebner_basis(
         active[:] = [m for m in active if not all(map(ge, lts[m], lt))] + [k]
 
     for g in gens:
-        install(*_record(g, heap_key), g.total_degree)
+        install(_record(g, heap_key), g.total_degree)
 
     while pairs:
         sugar, (i, j) = heapq.heappop(pairs)
         l = live.pop((i, j), None)
         if l is None:
             continue
-        # Both elements are monic, so their S-polynomial is the difference
-        # of the two tails, each shifted up to the lcm.
+        # With cofactors lc_j/g and lc_i/g, g = gcd(lc_i, lc_j), the
+        # leading terms cancel, so the S-polynomial is the difference of
+        # the two scaled tails, each shifted up to the lcm.
+        _, ai, tail_i = records[i]
+        _, aj, tail_j = records[j]
+        g = gcd(ai, aj)
+        ci, cj = aj // g, ai // g
         si = tuple(map(sub, l, lts[i]))
-        work = {tuple(map(add, te, si)): tc for te, tc in records[i][1]}
+        work = {tuple(map(add, te, si)): ci * tc for te, tc in tail_i}
         sj = tuple(map(sub, l, lts[j]))
-        for te, tc in records[j][1]:
+        for te, tc in tail_j:
             ne = tuple(map(add, te, sj))
-            work[ne] = work.get(ne, 0) - tc
-        rem = _reduce(work, records, heap_key)
+            work[ne] = work.get(ne, 0) - cj * tc
+        rem, _ = _reduce(work, records, heap_key)
         if rem:
-            lt = next(iter(rem))
-            install(lt, _monic_tail(lt, rem), sugar)
+            install(_primitive_record(next(iter(rem)), rem), sugar)
 
     # Minimalize: active leading terms are distinct, so drop each that
-    # another divides.  Then reduce each tail by the others.
+    # another divides.  Then reduce each tail by the others, and make the
+    # element monic: a tail coefficient c with multiplier M becomes
+    # c/(M*lc).
     minimal = [
         k
         for k in active
@@ -284,9 +334,11 @@ def reduced_groebner_basis(
     minimal.sort(key=lambda k: order.key(lts[k]))
     reduced = []
     for k in minimal:
+        lt, lc, tail = records[k]
         others = [records[m] for m in minimal if m != k]
-        terms = {lts[k]: 1}
-        terms.update(_reduce(dict(records[k][1]), others, heap_key))
+        rem, m = _reduce(dict(tail), others, heap_key)
+        terms = {lt: 1}
+        terms.update(_divided(rem, m * lc))
         reduced.append(Polynomial._trusted(terms, ambient))
     return reduced
 

@@ -27,6 +27,7 @@ the result and must not be mutated afterwards.
 
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
 from operator import add, ge, sub
 from typing import Iterable, Mapping, Sequence
@@ -107,6 +108,13 @@ class Monomial:
 def grevlex_key(exps: tuple[int, ...]):
     # Graded reverse lexicographic: higher key = larger monomial.
     return (sum(exps), tuple(-e for e in reversed(exps)))
+
+
+def grevlex_heap_key(exps: tuple[int, ...]):
+    # The other way round: ascending heap keys list exponents in
+    # descending grevlex order, higher total degree first, then the
+    # smaller last exponent.
+    return (-sum(exps), exps[::-1])
 
 
 class Polynomial:
@@ -369,8 +377,11 @@ class Polynomial:
     # -- ambient surgery ------------------------------------------------
 
     def extend_ambient(self, new_ambient: Sequence[str]) -> "Polynomial":
-        """Re-express over a larger ambient containing the current one."""
+        """Re-express over a larger ambient containing the current one;
+        the same ambient returns ``self``."""
         new = tuple(new_ambient)
+        if new == self.ambient:
+            return self
         pos = [new.index(v) for v in self.ambient]
         out = {}
         for exps, c in self.terms.items():
@@ -438,24 +449,41 @@ def exact_divide(p: Polynomial, q: Polynomial) -> Polynomial | None:
     """Exact quotient p / q, or None if q does not divide p.
 
     Single-divisor multivariate division with grevlex leading terms; the
-    quotient is returned only when the remainder vanishes.
+    quotient is returned only when the remainder vanishes, and None as
+    soon as a leading term of the remainder is not divisible by q's.
+
+    One pass over one working dict: each term is keyed once, when it
+    first enters, and popped from a heap largest first.  A step writes
+    only terms below the one it removes, so a popped exponent never comes
+    back; a term that cancels stays at zero and is skipped when its entry
+    surfaces.  Each quotient term is written once.
     """
     p._check_ambient(q)
     if q.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
-    if p.is_zero():
-        return Polynomial.zero(p.ambient)
-    qe, qc = q.leading_term()
-    quotient = Polynomial.zero(p.ambient)
-    rem = p
-    while not rem.is_zero():
-        re, rc = rem.leading_term()
-        if not all(map(ge, re, qe)):
+    qe = min(q.terms, key=grevlex_heap_key)
+    qc = q.terms[qe]
+    tail = [(e, c) for e, c in q.terms.items() if e != qe]
+    work = dict(p.terms)
+    heap = [(grevlex_heap_key(e), e) for e in work]
+    heapq.heapify(heap)
+    quotient: dict[tuple[int, ...], int | Fraction] = {}
+    while heap:
+        e = heapq.heappop(heap)[1]
+        c = work.pop(e)
+        if not c:
+            continue
+        if not all(map(ge, e, qe)):
             return None
-        t = Polynomial._trusted(
-            {tuple(map(sub, re, qe)): canonical_coefficient(Fraction(rc, qc))},
-            p.ambient,
-        )
-        quotient = quotient + t
-        rem = rem - t * q
-    return quotient
+        c = canonical_coefficient(Fraction(c, qc))
+        shift = tuple(map(sub, e, qe))
+        quotient[shift] = c
+        for te, tc in tail:
+            ne = tuple(map(add, te, shift))
+            s = work.get(ne)
+            if s is None:
+                work[ne] = -c * tc
+                heapq.heappush(heap, (grevlex_heap_key(ne), ne))
+            else:
+                work[ne] = s - c * tc
+    return Polynomial._trusted(quotient, p.ambient)

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from operator import le
 from typing import Sequence
 
@@ -28,10 +29,10 @@ class NonMonomialInputError(ValueError):
     """Input outside the monomial subclass handled combinatorially."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class MonomialIdeal:
     """Minimal monomial generators (an antichain under divisibility) over a
-    fixed variable tuple."""
+    fixed variable tuple.  Frozen, so the pair scan is computed once."""
 
     variables: tuple[str, ...]
     generators: tuple[tuple[int, ...], ...]
@@ -44,6 +45,19 @@ class MonomialIdeal:
 
     def is_principal(self) -> bool:
         return len(self.generators) <= 1
+
+    @cached_property
+    def _pair_scan(self) -> tuple[int, tuple[int, int] | None, tuple | None]:
+        """(number of incomparable generator pairs, their minimal Euclidean
+        weight, the target pair), from one pass over the pairs.  The
+        target pair has the minimal weight, with the pair itself as the
+        canonical tiebreak; a principal ideal gives (0, None, None)."""
+        best = min(
+            ((_pair_key(_difference(g, h)), (g, h)) for g, h in self.incomparable_pairs()),
+            default=(None, None),
+        )
+        n = len(self.generators)
+        return n * (n - 1) // 2, best[0], best[1]
 
     def incomparable_pairs(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
         out = []
@@ -115,9 +129,9 @@ def _pair_key(d: Sequence[int]) -> tuple[int, int]:
 def _target_pair(ideal: MonomialIdeal) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The incomparable generator pair attacked next: minimal Euclidean
     weight, canonical tiebreak."""
-    pairs = ideal.incomparable_pairs()
-    assert pairs, "principal ideal needs no center"
-    return min(pairs, key=lambda gh: (_pair_key(_difference(*gh)), gh))
+    target = ideal._pair_scan[2]
+    assert target, "principal ideal needs no center"
+    return target
 
 
 def choose_center(ideal: MonomialIdeal, divisor_vars: Sequence[str]) -> tuple[str, str]:
@@ -156,13 +170,8 @@ def termination_measure(ideal: MonomialIdeal) -> tuple:
     either turns comparable or strictly drops its weight, so the minimal
     weight falls whenever the count does not.
     """
-    pairs = ideal.incomparable_pairs()
-    if not pairs:
-        return (0,)
-    return (
-        len(pairs),
-        min(_pair_key(_difference(g, h)) for g, h in pairs),
-    )
+    count, weight, _ = ideal._pair_scan
+    return (count, weight) if count else (0,)
 
 
 # ---------------------------------------------------------------------------

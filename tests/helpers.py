@@ -505,6 +505,28 @@ def max_scan_normal_form(f, basis, order):
     return Polynomial(rem, f.ambient)
 
 
+def reference_exact_divide(p: Polynomial, q: Polynomial) -> Polynomial | None:
+    """Reference single-divisor division: each step rescans the remainder
+    for its grevlex leading term and builds the quotient and remainder
+    anew as polynomials.  This is the loop that ``poly.exact_divide``
+    replaced with one heap pass; it is kept only as an oracle."""
+    if q.is_zero():
+        raise ZeroDivisionError("division by the zero polynomial")
+    if p.is_zero():
+        return Polynomial.zero(p.ambient)
+    qe, qc = q.leading_term()
+    quotient = Polynomial.zero(p.ambient)
+    rem = p
+    while not rem.is_zero():
+        re, rc = rem.leading_term()
+        if not all(a >= b for a, b in zip(re, qe)):
+            return None
+        t = Polynomial({tuple(a - b for a, b in zip(re, qe)): Fraction(rc, qc)}, p.ambient)
+        quotient = quotient + t
+        rem = rem - t * q
+    return quotient
+
+
 # ---------------------------------------------------------------------------
 # Reference expression parser
 

@@ -152,6 +152,35 @@ class TestClassify:
             "divisor preimage does not equal the source divisor",
         ]
 
+    @pytest.mark.parametrize(
+        "component",
+        [
+            # Radical membership over a basis of about 1000 elements; no
+            # reduction step meets a leading coefficient other than 1.
+            "7*u^1000*v - 3*v^3 + 2*v^2",
+            # Nearly every reduction step meets a leading coefficient other
+            # than 1, so the integer coefficients must not grow with the
+            # exponent.  Both take about 0.3 s on a 2-vCPU VM.
+            "7*u^100*v - 3*v^3 + 2*v^2 + 5*u*v^2",
+        ],
+    )
+    def test_large_exponent_with_non_unit_coefficients_is_fast(
+        self, capsys, tmp_path, component
+    ):
+        path = tmp_path / "power.problem"
+        path.write_text(
+            "source vars u v divisor u\n"
+            "target vars x divisor x\n"
+            f"map x = {component}\n"
+            "point 0,0\n"
+        )
+        start = time.perf_counter()
+        code, data = run_json(capsys, "classify", str(path))
+        assert time.perf_counter() - start < 2.0
+        assert code == 1
+        assert data["pair_condition"] is False
+        assert data["quasi_prepared"] is False
+
     def test_verify_monomial(self, capsys, example3):
         code, data = run_json(capsys, "verify-monomial", example3)
         assert code == 0

@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction
+from math import gcd
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -345,6 +347,15 @@ def _assert_sympy_basis(gens, amb, order, sympy_order):
     return ours
 
 
+def _sympy_block_order(n):
+    """sympy's counterpart of ``block_order(n)``."""
+    orderings = pytest.importorskip("sympy.polys.orderings")
+    grevlex = orderings.grevlex
+    return orderings.ProductOrder(
+        (grevlex, lambda m: m[:n]), (grevlex, lambda m: m[n:])
+    )
+
+
 class TestGroebnerOracle:
     """Reduced bases agree with sympy's, which shares no code with ours, so
     the S-pair queue and the reduction kernels change no basis."""
@@ -375,11 +386,7 @@ class TestGroebnerOracle:
 
     def test_block_order_bases_match_sympy(self):
         # The eliminations behind elimination() and saturation().
-        orderings = pytest.importorskip("sympy.polys.orderings")
-        grevlex = orderings.grevlex
-        product = orderings.ProductOrder(
-            (grevlex, lambda m: m[:1]), (grevlex, lambda m: m[1:])
-        )
+        product = _sympy_block_order(1)
         rng = random.Random(13)
         amb = ("a", "x", "y")
         for _ in range(15):
@@ -390,11 +397,7 @@ class TestGroebnerOracle:
         # 4-5 generators of up to 4 terms in 3-4 variables, where the pair
         # criteria have many pairs to prune.  Every other ideal has no
         # constant terms, so it is proper and its basis is not just [1].
-        orderings = pytest.importorskip("sympy.polys.orderings")
-        grevlex = orderings.grevlex
-        product = orderings.ProductOrder(
-            (grevlex, lambda m: m[:2]), (grevlex, lambda m: m[2:])
-        )
+        product = _sympy_block_order(2)
         rng = random.Random(14)
         sizes = []
         for amb in (("x", "y", "z"), ("w", "x", "y", "z")):
@@ -425,26 +428,35 @@ AMB3 = ("x", "y", "z")
 ORDERS = [grevlex_order(), block_order(1), block_order(2)]
 exps3 = st.tuples(*(st.integers(0, 3) for _ in AMB3))
 small_coeffs = st.integers(-3, 3).filter(bool).map(Fraction)
-terms3 = st.dictionaries(exps3, small_coeffs, min_size=1, max_size=4)
+
+
+# Rational coefficients for the fraction-free kernel: denominators up to
+# 12, and the leading coefficients 7, -12 and 1/5 often, so that records
+# have non-unit leading coefficients and unequal cofactors.
+rational_coeffs = st.one_of(
+    st.sampled_from([Fraction(7), Fraction(-12), Fraction(1, 5)]),
+    st.fractions(min_value=-3, max_value=3, max_denominator=12).filter(bool),
+)
 
 
 @st.composite
-def division_problems(draw):
+def division_problems(draw, coeffs=small_coeffs):
     """(order, f, basis).  Some basis elements share a leading term, and f
     is mostly a combination of shifted basis elements, so reduction steps
     often cancel terms that are already queued."""
+    terms = st.dictionaries(exps3, coeffs, min_size=1, max_size=4)
     order = draw(st.sampled_from(ORDERS))
-    basis = [Polynomial(t, AMB3) for t in draw(st.lists(terms3, min_size=1, max_size=3))]
+    basis = [Polynomial(t, AMB3) for t in draw(st.lists(terms, min_size=1, max_size=3))]
     for g in draw(st.lists(st.sampled_from(basis), max_size=2)):
         # Same leading term, another coefficient and tail.
         lt = max(g.terms, key=order.key)
-        tail = draw(terms3)
-        terms = {e: c for e, c in tail.items() if order.key(e) < order.key(lt)}
-        terms[lt] = draw(small_coeffs)
-        basis.append(Polynomial(terms, AMB3))
-    f = Polynomial(draw(st.dictionaries(exps3, small_coeffs, max_size=2)), AMB3)
+        tail = draw(terms)
+        same_lt = {e: c for e, c in tail.items() if order.key(e) < order.key(lt)}
+        same_lt[lt] = draw(coeffs)
+        basis.append(Polynomial(same_lt, AMB3))
+    f = Polynomial(draw(st.dictionaries(exps3, coeffs, max_size=2)), AMB3)
     for g in basis:
-        shift = Polynomial({draw(exps3): draw(small_coeffs)}, AMB3)
+        shift = Polynomial({draw(exps3): draw(coeffs)}, AMB3)
         f = f + shift * g
     return order, f, draw(st.permutations(basis))
 
@@ -455,6 +467,12 @@ class TestReduction:
     @settings(max_examples=300, deadline=None)
     @given(division_problems())
     def test_normal_form_matches_max_scan(self, problem):
+        order, f, basis = problem
+        assert normal_form(f, basis, order) == max_scan_normal_form(f, basis, order)
+
+    @settings(max_examples=100, deadline=None)
+    @given(division_problems(rational_coeffs))
+    def test_normal_form_matches_max_scan_on_rationals(self, problem):
         order, f, basis = problem
         assert normal_form(f, basis, order) == max_scan_normal_form(f, basis, order)
 
@@ -475,3 +493,72 @@ class TestReduction:
         assert sorted(exponents, key=order.heap_key) == sorted(
             exponents, key=order.key, reverse=True
         )
+
+
+# Small generator lists with rational coefficients for the sympy oracle.
+rational_generators = st.lists(
+    st.dictionaries(
+        st.tuples(*(st.integers(0, 2) for _ in AMB3)), rational_coeffs, min_size=1, max_size=3
+    ).map(lambda terms: Polynomial(terms, AMB3)),
+    min_size=1,
+    max_size=3,
+)
+
+
+def _is_primitive(record):
+    lt, lc, tail = record
+    coeffs = [lc] + [c for _, c in tail]
+    return lc > 0 and all(type(c) is int for c in coeffs) and gcd(*coeffs) == 1
+
+
+class TestFractionFreeKernel:
+    """The integer kernel on rational input: the same bases as sympy, every
+    record primitive, and rationals built only for the output."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(rational_generators)
+    def test_grevlex_bases_match_sympy(self, gens):
+        _assert_sympy_basis(gens, AMB3, grevlex_order(), "grevlex")
+
+    @settings(max_examples=40, deadline=None)
+    @given(rational_generators)
+    def test_block_order_bases_match_sympy(self, gens):
+        _assert_sympy_basis(gens, AMB3, block_order(1), _sympy_block_order(1))
+        _assert_sympy_basis(gens, AMB3, block_order(2), _sympy_block_order(2))
+
+    @settings(max_examples=60, deadline=None)
+    @given(rational_generators, st.sampled_from(ORDERS))
+    def test_every_divisor_record_is_primitive(self, gens, order):
+        reduce = logmono.ideal._reduce
+
+        def checking(work, divisors, heap_key):
+            assert all(type(c) is int for c in work.values())
+            for record in divisors:
+                assert _is_primitive(record), record
+            return reduce(work, divisors, heap_key)
+
+        with mock.patch.object(logmono.ideal, "_reduce", checking):
+            reduced_groebner_basis(gens, order)
+
+    def test_one_fraction_per_non_integral_output_coefficient(self, monkeypatch):
+        # Integer generators with leading coefficients 2, 3, 5, 7 and 12:
+        # the kernel stays in ints, and only the monic output divides.
+        made = []
+
+        def counting(*args):
+            made.append(args)
+            return Fraction(*args)
+
+        monkeypatch.setattr(logmono.ideal, "Fraction", counting)
+        amb = ("x", "y", "z")
+        ideals = [
+            ["2*x^2 + 3*y", "3*x*y - 5*z", "7*y^2 + x - 1"],
+            ["12*x*y + 5*z^2", "7*x^2 - 3*y + 2*z"],
+            ["5*x^3 - 2*y*z", "3*y^2 - 7*x*z + 1", "2*z^2 - x"],
+        ]
+        non_integral = 0
+        for exprs in ideals:
+            for g in reduced_groebner_basis([P(e, amb) for e in exprs], grevlex_order()):
+                non_integral += sum(type(c) is Fraction for c in g.terms.values())
+        assert non_integral > 0
+        assert len(made) <= non_integral

@@ -17,7 +17,7 @@ from logmono.poly import (
     exact_divide,
 )
 
-from helpers import P, assert_canonical, naive_evaluate
+from helpers import P, assert_canonical, naive_evaluate, reference_exact_divide
 
 AMB = ("x", "y", "z")
 
@@ -251,6 +251,31 @@ class TestExactDivision:
             q = Polynomial(terms_q, AMB)
             got = exact_divide(p * q, q)
             assert got == p
+
+    @given(polys, polys, polys, st.integers(0, 2))
+    @settings(max_examples=120, deadline=None)
+    def test_matches_reference_division(self, p, q, r, kind):
+        # kind 0: an arbitrary pair, mostly not divisible; 1: a multiple of
+        # q plus a stray remainder; 2: an exact multiple of q.
+        if q.is_zero():
+            return
+        dividend = (p, p * q + r, p * q)[kind]
+        got = exact_divide(dividend, q)
+        want = reference_exact_divide(dividend, q)
+        if want is None:
+            assert got is None
+        else:
+            assert_canonical(got)
+            assert got == want
+
+    def test_cancelled_term_that_returns(self):
+        # Dividing by y^2 + y + 1: the step at y^4 cancels the queued
+        # 2*y^2, and the step at y^3 brings y^2 back while its entry is
+        # still queued.
+        p = P("2*y^4 + y^3 + 2*y^2 + 1", AMB)
+        q = P("y^2 + y + 1", AMB)
+        assert exact_divide(p, q) == P("2*y^2 - y + 1", AMB)
+        assert reference_exact_divide(p, q) == P("2*y^2 - y + 1", AMB)
 
 
 TARGET = ("s", "t")
