@@ -45,10 +45,17 @@ class ChartedPair:
         return len(self.variables)
 
     def divisor_product(self) -> Polynomial:
-        p = Polynomial.constant(1, self.variables)
-        for v in self.divisor_vars:
-            p = p * Polynomial.variable(v, self.variables)
-        return p
+        exps = tuple(int(v in self.divisor_vars) for v in self.variables)
+        return Polynomial._trusted({exps: 1}, self.variables)
+
+    def is_divisor_monomial(self, p: Polynomial) -> bool:
+        """Whether p is c*u^a with a supported on the divisor variables (a
+        nonzero constant included): one term whose exponents vanish off the
+        divisor, so p vanishes only on the divisor."""
+        if len(p.terms) != 1:
+            return False
+        (exps,) = p.terms
+        return all(v in self.divisor_vars for v, e in zip(self.variables, exps) if e)
 
 
 @dataclass(frozen=True)
@@ -131,10 +138,9 @@ def validate_pair_condition(phi: MorphismOfPairs) -> tuple[bool, list[str]]:
     power of the product of the source divisor variables, and in a UFD the
     divisors of a monomial are a constant times a monomial.  So the
     condition holds exactly when f = c*u^a with a supported on the source
-    divisor variables: one term, with exponent 0 on every free variable.
+    divisor variables (``ChartedPair.is_divisor_monomial``).
     """
     diagnostics: list[str] = []
-    free = set(phi.source.free_vars)
     ok = True
     for x in phi.target.divisor_vars:
         comp = phi.components[x]
@@ -142,10 +148,7 @@ def validate_pair_condition(phi: MorphismOfPairs) -> tuple[bool, list[str]]:
             raise DegenerateMorphismError(
                 f"divisor variable {x!r} pulls back to zero"
             )
-        exps = next(iter(comp.terms))
-        if len(comp.terms) != 1 or any(
-            e for v, e in zip(phi.source.variables, exps) if v in free
-        ):
+        if not phi.source.is_divisor_monomial(comp):
             ok = False
             diagnostics.append(
                 f"pullback of {x!r} vanishes outside the source divisor: {comp}"

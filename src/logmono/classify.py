@@ -178,8 +178,6 @@ def _match_first_component(
     m = 0
     for x in e:
         m = gcd(m, x)
-    if m == 0:
-        return None
     alpha = tuple(x // m for x in e)
     return m, alpha
 
@@ -201,7 +199,7 @@ def _split_series_part(
             if all(x == 0 for x in de):
                 j = 0
             else:
-                ratios = {x // a for x, a in zip(de, alpha) if a > 0}
+                ratios = {x // a for x, a in zip(de, alpha)}
                 if len(ratios) == 1:
                     jj = ratios.pop()
                     if de == tuple(jj * a for a in alpha):
@@ -286,8 +284,7 @@ def match_spm_template(
                 beta = tuple(
                     e for v, e in zip(ambient, exps) if v in stratum
                 )
-                if k >= 1:
-                    return StronglyPreparedCertificate(1, alpha, beta, m, series, z_kind)
+                return StronglyPreparedCertificate(1, alpha, beta, m, series, z_kind)
     return None
 
 
@@ -374,10 +371,7 @@ def is_log_rank_adapted_at(
 
     if r < N:
         p = comps[r]
-        cm = _as_constant_times_monomial(p)
-        if cm is None or _divisor_exponents(
-            cm[1].exponents, phi.source.variables, phi.source.divisor_vars
-        ) is None:
+        if not phi.source.is_divisor_monomial(p):
             diagnostics.append(
                 f"component {r + 1} is not a monomial in divisor variables"
             )

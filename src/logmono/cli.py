@@ -28,11 +28,9 @@ from .classify import (
     top_fitting_ideal,
 )
 from .fitting import log_fitting_ideal
-from .frontend import ProblemSyntaxError, Report, parse_problem
-from .logdiff import NotAMorphismOfPairsError
+from .frontend import Report, parse_problem
 from .principalize import (
     DepthLimitError,
-    NonMonomialInputError,
     TerminationMeasureError,
     goward_principalize,
     monomial_ideal_from_presentation,
@@ -56,10 +54,7 @@ def _load(args) -> tuple:
             text = fh.read()
     except OSError as e:
         raise InputError(str(e))
-    try:
-        return parse_problem(text)
-    except (ProblemSyntaxError, ValueError) as e:
-        raise InputError(str(e))
+    return parse_problem(text)
 
 
 def _point_from(args, problem) -> RationalPoint:
@@ -305,14 +300,7 @@ def main(argv=None) -> int:
     try:
         report = args.fn(_load(args), args)
         out = report.render_json() if args.json else report.render_text()
-    except (
-        InputError,
-        NonMonomialInputError,
-        NotAMorphismOfPairsError,
-        DepthLimitError,
-        TerminationMeasureError,
-        ValueError,
-    ) as e:
+    except (InputError, DepthLimitError, TerminationMeasureError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except Exception as e:

@@ -1,7 +1,8 @@
 """Log-Fitting ideals of a morphism of pairs, computed chart-wise.
 
 The ideal at form degree k is generated by all coefficients of the
-pullbacks of the target log basis k-forms.  Indexing convention: the
+pullbacks of the target log basis k-forms: the k-minors of one log
+Jacobian, each k-subset of its rows wedged once.  Indexing convention: the
 artifact exposes the form degree k directly; the top ideal (k equal to
 the target dimension) is the one whose local principality characterizes
 strongly prepared morphisms.
@@ -13,7 +14,7 @@ from itertools import combinations
 
 from .chart import MorphismOfPairs
 from .ideal import IdealPresentation, radical_membership
-from .logdiff import pullback_basis_form
+from .logdiff import log_jacobian, wedge_rows
 
 
 def log_fitting_ideal(phi: MorphismOfPairs, k: int) -> IdealPresentation:
@@ -26,13 +27,14 @@ def log_fitting_ideal(phi: MorphismOfPairs, k: int) -> IdealPresentation:
     cached = phi._log_fitting.get(k)
     if cached is not None:
         return cached
+    rows = dict(zip(phi.target.variables, log_jacobian(phi)))
     gens = []
     div = phi.target.divisor_vars
     free = phi.target.free_vars
     for l in range(0, k + 1):
         for I in combinations(div, l):
             for J in combinations(free, k - l):
-                form = pullback_basis_form(phi, I, J)
+                form = wedge_rows([rows[x] for x in I + J], phi.source)
                 gens.extend(form.coefficients.values())
     F = phi._log_fitting[k] = IdealPresentation(gens, phi.source.variables)
     return F
@@ -47,10 +49,6 @@ def fitting_vanishing_in_divisor(phi: MorphismOfPairs, k: int) -> bool:
     Otherwise the answer is whether the divisor product lies in the radical
     of F."""
     F = log_fitting_ideal(phi, k)
-    divisor = set(phi.source.divisor_vars)
-    for g in F.generators:
-        if len(g.terms) == 1:
-            (exps,) = g.terms
-            if all(v in divisor for v, e in zip(g.ambient, exps) if e):
-                return True
-    return radical_membership(phi.source.divisor_product(), F)
+    return any(map(phi.source.is_divisor_monomial, F.generators)) or radical_membership(
+        phi.source.divisor_product(), F
+    )

@@ -6,10 +6,14 @@ polynomial coefficient per basis index pair (I, J) with I a sorted subset
 of divisor variables and J a sorted subset of free variables.
 
 Pullbacks along a morphism of pairs are wedges of rows of its log
-Jacobian.  Under the pair condition a divisorial component is c*u^a, so
-its row is the integer exponent vector a; a free component's row is its
-log differential.  The coefficients of a pulled-back basis form are
-maximal minors of these rows, so no division happens.
+Jacobian.  A row is a log differential: the Euler operator u*d/du scales
+each term by its exponent of u in a divisor column, and d/dv differentiates
+in a free column.  Under the pair condition a divisorial component is
+c*u^a, so its row is the integer exponent vector a.  The coefficient of
+dx_I/x_I ^ dy_J in a wedge is the maximal minor on the columns I + J, in
+that order: taking the divisor block first supplies the sign of the
+shuffle, and no division happens.  A log-Fitting ideal is generated by the
+minors of one log Jacobian.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from itertools import combinations
 from typing import Iterator, Sequence
 
 from .chart import ChartedPair, MorphismOfPairs, validate_pair_condition
-from .poly import Polynomial
+from .poly import Polynomial, canonicalise_terms
 
 
 class NotAMorphismOfPairsError(ValueError):
@@ -66,21 +70,26 @@ class LogKForm:
 
 
 def _log_row(f: Polynomial, chart: ChartedPair) -> list[Polynomial]:
-    """df over the chart's log basis, in chart order: u*df/du for divisor
-    variables, df/dv for free variables."""
+    """df over the chart's log basis, in chart order: u*df/du (each term
+    scaled by its exponent of u) for divisor variables, df/dv for free
+    variables."""
     if f.ambient != chart.variables:
         raise ValueError("polynomial not in chart variables")
-    divisor = set(chart.divisor_vars)
     row = []
-    for v in chart.variables:
-        d = f.partial_derivative(v)
-        row.append(d * Polynomial.variable(v, chart.variables) if v in divisor else d)
+    for i, v in enumerate(chart.variables):
+        if v in chart.divisor_vars:
+            # Scaling by a positive integer keeps the terms apart, but can
+            # make a Fraction coefficient integral.
+            terms = {e: c * e[i] for e, c in f.terms.items() if e[i]}
+            row.append(Polynomial._trusted(canonicalise_terms(terms), f.ambient))
+        else:
+            row.append(f.partial_derivative(v))
     return row
 
 
 def log_differential(f: Polynomial, chart: ChartedPair) -> LogKForm:
     """df expressed in the log basis: u*df/du against du/u, df/dv against dv."""
-    return _wedge_rows([_log_row(f, chart)], chart)
+    return wedge_rows([_log_row(f, chart)], chart)
 
 
 def maximal_minors(
@@ -95,40 +104,22 @@ def maximal_minors(
             yield cols, minor
 
 
-def _wedge_rows(rows: list[list[Polynomial]], chart: ChartedPair) -> LogKForm:
-    """Wedge of degree-1 forms given as coefficient rows over the log basis.
+def wedge_rows(rows: list[list[Polynomial]], chart: ChartedPair) -> LogKForm:
+    """Wedge of degree-1 forms given as coefficient rows over the chart's
+    log basis (chart order).
 
-    The coefficient of each basis subset is the corresponding maximal
-    minor; subsets are re-split into (I, J) with divisor block first,
-    carrying the sign of the sorting permutation.
+    Each basis subset, in ``itertools.combinations`` order of the chart,
+    splits into (I, J) with the divisor block first; its coefficient is the
+    minor on the columns I + J in that order, so the column order carries
+    the sign of the shuffle.
     """
-    divisor = set(chart.divisor_vars)
+    column = {v: j for j, v in enumerate(chart.variables)}
     coeffs = {}
-    for cols, minor in maximal_minors(rows):
-        names = [chart.variables[j] for j in cols]
-        I = tuple(v for v in names if v in divisor)
-        J = tuple(v for v in names if v not in divisor)
-        # Sign of the shuffle moving the divisor block in front.
-        sign = _permutation_sign([names.index(v) for v in I + J])
-        coeffs[(I, J)] = minor if sign == 1 else -minor
+    for names in combinations(chart.variables, len(rows)):
+        I = tuple(v for v in names if v in chart.divisor_vars)
+        J = tuple(v for v in names if v not in chart.divisor_vars)
+        coeffs[(I, J)] = _det([[row[column[v]] for v in I + J] for row in rows])
     return LogKForm(len(rows), chart, coeffs)
-
-
-def _permutation_sign(perm: list[int]) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j = i
-        length = 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
 
 
 def _det(matrix: list[list[Polynomial]]) -> Polynomial:
@@ -169,7 +160,7 @@ def pullback_basis_form(
     if not I_target + J_target:
         raise ValueError("form degree must be at least 1")
     rows = dict(zip(phi.target.variables, log_jacobian(phi)))
-    return _wedge_rows([rows[x] for x in I_target + J_target], phi.source)
+    return wedge_rows([rows[x] for x in I_target + J_target], phi.source)
 
 
 def log_jacobian(phi: MorphismOfPairs) -> list[list[Polynomial]]:

@@ -79,14 +79,6 @@ class MonomialIdeal:
             new.append(tuple(e))
         return MonomialIdeal.from_exponents(self.variables, new)
 
-    def content(self) -> tuple[int, ...]:
-        if not self.generators:
-            raise ValueError("zero monomial ideal")
-        out = list(self.generators[0])
-        for e in self.generators[1:]:
-            out = [min(a, b) for a, b in zip(out, e)]
-        return tuple(out)
-
 
 def _antichain(gens: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
     """The minimal exponents under divisibility, in lex order.

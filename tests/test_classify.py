@@ -2,7 +2,9 @@ from fractions import Fraction
 
 import pytest
 
+import logmono.classify
 import logmono.fitting
+import logmono.logdiff
 from logmono.chart import (
     ChartedPair,
     MorphismOfPairs,
@@ -115,21 +117,26 @@ class TestQuasiPrepared:
         assert seen == {(p, r) for p in (False, True) for r in (False, True)}
 
     def test_top_fitting_ideal_computed_once(self, monkeypatch):
-        # Surface case 1 has one top log basis form, dx1/x1 ^ dy1, so the
-        # quasi-prepared and strongly-prepared checks share one pullback.
-        forms = []
-        original = logmono.fitting.pullback_basis_form
+        # The quasi-prepared and strongly-prepared checks share one top
+        # log-Fitting ideal, and that ideal is read off one log Jacobian.
+        calls = []
+        original = logmono.logdiff.log_jacobian
 
-        def counting(phi, I, J):
-            forms.append((I, J))
-            return original(phi, I, J)
+        def counting(phi):
+            calls.append(phi)
+            return original(phi)
 
-        monkeypatch.setattr(logmono.fitting, "pullback_basis_form", counting)
+        for module in (logmono.logdiff, logmono.fitting, logmono.classify):
+            monkeypatch.setattr(module, "log_jacobian", counting)
         phi = surface_case1()
         assert is_quasi_prepared(phi)[0]
         assert is_strongly_prepared_at(phi, origin(phi.source)) is not None
         assert top_fitting_ideal(phi) is top_fitting_ideal(phi)
-        assert forms == [(("x1",), ("y1",))]
+        assert calls == [phi]
+        # Degree 1 wedges the two target basis 1-forms, dx1/x1 and dy1,
+        # from one more log Jacobian.
+        assert len(logmono.fitting.log_fitting_ideal(phi, 1).generators) > 1
+        assert calls == [phi, phi]
 
 
 class TestStronglyPrepared:

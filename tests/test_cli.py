@@ -37,6 +37,15 @@ map y = v^2
 point 0,0
 """
 
+# Divisor and free variables interleaved in chart order, so the log basis
+# order (divisor block first) differs from the chart order.
+INTERLEAVED = """\
+source vars v u w divisor u w
+target vars x y divisor x
+map x = u^2*w^3
+map y = v*u + 3*v^2*w - u*w^2
+"""
+
 
 @pytest.fixture
 def example1(tmp_path):
@@ -56,6 +65,13 @@ def example3(tmp_path):
 def not_qp(tmp_path):
     path = tmp_path / "not_qp.problem"
     path.write_text(NOT_QP)
+    return str(path)
+
+
+@pytest.fixture
+def interleaved(tmp_path):
+    path = tmp_path / "interleaved.problem"
+    path.write_text(INTERLEAVED)
     return str(path)
 
 
@@ -448,6 +464,18 @@ k: 2
 generators: 2*u1^3*u2^3, 2*u1^3*u2^3
 groebner_basis: u1^3*u2^3
 """,
+    ("interleaved", "fitting --k 1"): """\
+command: fitting
+k: 1
+generators: 6*v*w + u, -u*w^2 + v*u, 3*v^2*w - 2*u*w^2, 2, 3
+groebner_basis: 1
+""",
+    ("interleaved", "fitting --k 2"): """\
+command: fitting
+k: 2
+generators: 12*v*w + 2*u, 18*v*w + 3*u, 6*v^2*w - u*w^2 - 3*v*u
+groebner_basis: v*w + 1/6*u, u*w^2 + 4*v*u, v^2*u - 1/24*u^2*w
+""",
     ("example1", "classify"): """\
 command: classify
 pair_condition: True
@@ -526,6 +554,40 @@ PINNED_JSON = {
   ],
   "groebner_basis": [
     "u1^3*u2^3"
+  ],
+  "k": 2,
+  "ok": true
+}
+""",
+    ("interleaved", "fitting --k 1"): """\
+{
+  "command": "fitting",
+  "generators": [
+    "6*v*w + u",
+    "-u*w^2 + v*u",
+    "3*v^2*w - 2*u*w^2",
+    "2",
+    "3"
+  ],
+  "groebner_basis": [
+    "1"
+  ],
+  "k": 1,
+  "ok": true
+}
+""",
+    ("interleaved", "fitting --k 2"): """\
+{
+  "command": "fitting",
+  "generators": [
+    "12*v*w + 2*u",
+    "18*v*w + 3*u",
+    "6*v^2*w - u*w^2 - 3*v*u"
+  ],
+  "groebner_basis": [
+    "v*w + 1/6*u",
+    "u*w^2 + 4*v*u",
+    "v^2*u - 1/24*u^2*w"
   ],
   "k": 2,
   "ok": true

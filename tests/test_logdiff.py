@@ -3,6 +3,7 @@ from itertools import combinations
 import pytest
 
 from logmono.chart import ChartedPair, MorphismOfPairs, validate_pair_condition
+from logmono.fitting import log_fitting_ideal
 from logmono.logdiff import (
     LogKForm,
     NotAMorphismOfPairsError,
@@ -14,6 +15,7 @@ from logmono.poly import Polynomial
 
 from helpers import (
     P,
+    assert_canonical,
     division_log_jacobian,
     division_pullback,
     empty_divisor_corpus,
@@ -42,6 +44,21 @@ class TestLogDifferential:
         df, dg, dsum = (log_differential(p, CHART) for p in (f, g, f + g))
         for key in set(df.coefficients) | set(dg.coefficients):
             assert dsum.coefficient(*key) == df.coefficient(*key) + dg.coefficient(*key)
+
+    def test_euler_rows_keep_coefficients_canonical(self):
+        # u*d/du scales 1/2*u^2 by 2: the coefficient 1 must be the int 1.
+        amb = ("u", "v")
+        f = P("1/2*u^2 + 1/3*u*v + 3/2*v^2", amb)
+        d = log_differential(f, CHART)
+        assert d.coefficient(("u",), ()) == P("u^2 + 1/3*u*v", amb)
+        assert d.coefficient((), ("v",)) == P("1/3*u + 3*v", amb)
+        for p in d.coefficients.values():
+            assert_canonical(p)
+        tgt = ChartedPair(("x", "y"), ("x",))
+        phi = MorphismOfPairs(CHART, tgt, {"x": P("u^3", amb), "y": f})
+        for row in log_jacobian(phi):
+            for p in row:
+                assert_canonical(p)
 
     def test_index_validation(self):
         with pytest.raises(ValueError):
@@ -151,7 +168,9 @@ def reversed_source(phi: MorphismOfPairs) -> MorphismOfPairs:
 
 def test_rows_and_pullbacks_match_division_reference():
     """Integer divisorial rows and wedged pullbacks agree with the division
-    formulation on every basis form of every degree, in both chart orders."""
+    formulation on every basis form of every degree, in both chart orders,
+    and each log-Fitting ideal lists the pullbacks' coefficients in
+    (l, I, J) order."""
     pair_valid = [phi for phi in pair_condition_corpus() if validate_pair_condition(phi)[0]]
     assert len(pair_valid) >= 100
     corpus = pair_valid + [phi for phi, _ in normal_form_corpus()]
@@ -160,8 +179,12 @@ def test_rows_and_pullbacks_match_division_reference():
         assert log_jacobian(phi) == division_log_jacobian(phi), phi
         div, free = phi.target.divisor_vars, phi.target.free_vars
         for k in range(1, len(phi.target.variables) + 1):
+            gens = []
             for l in range(k + 1):
                 for I in combinations(div, l):
                     for J in combinations(free, k - l):
                         form = pullback_basis_form(phi, I, J)
                         assert form.coefficients == division_pullback(phi, I, J), (phi, I, J)
+                        gens.extend(form.coefficients.values())
+            if k <= len(phi.source.variables):
+                assert log_fitting_ideal(phi, k).generators == gens, (phi, k)
