@@ -158,7 +158,8 @@ def validate_pair_condition(phi: MorphismOfPairs) -> tuple[bool, list[str]]:
 
 def preimage_equality_check(phi: MorphismOfPairs) -> bool:
     """Whether the reduced preimage of the target divisor equals the source
-    divisor (given that the pair condition already holds).
+    divisor.  False whenever the pair condition fails, so a True answer
+    also certifies the pair condition.
 
     Under the pair condition the product of the divisorial components is
     c*u^s, with s the sum of their exponent vectors, and its reduced zero

@@ -15,7 +15,6 @@ from .chart import (
     RationalPoint,
     preimage_equality_check,
     stratum_of_point,
-    validate_pair_condition,
 )
 from .fitting import fitting_vanishing_in_divisor, log_fitting_ideal
 from .ideal import (
@@ -69,18 +68,15 @@ def singular_locus_ideal(phi: MorphismOfPairs) -> IdealPresentation:
 
 
 def is_quasi_prepared(phi: MorphismOfPairs) -> tuple[bool, list[str]]:
-    """Singular locus inside the divisor, and reduced divisor preimage
-    equal to the divisor.
+    """Reduced divisor preimage equal to the divisor, then singular locus
+    inside the divisor.
 
-    Under the pair condition the singular locus is read off the top
-    log-Fitting ideal F_N.  The Jacobian is the log Jacobian with each
-    divisorial row multiplied by its component c*u^a and each divisor
-    column divided by its u.  Off the divisor D these row and column
-    scalings are units, so Sing \\ D = V(F_N) \\ D, and Sing lies in D exactly
-    when V(F_N) does (``fitting.fitting_vanishing_in_divisor``).  When the
-    pair condition fails, log forms do not pull back, and the test is
-    whether the divisor product lies in the radical of the ideal of plain
-    Jacobian minors.
+    The preimage test is closed form and fails whenever the pair condition
+    does, so Sing is only examined under the pair condition, where it is
+    read off the top log-Fitting ideal F_N
+    (``fitting.fitting_vanishing_in_divisor``): off the divisor the
+    Jacobian and the log Jacobian differ by unit row and column scalings.
+    At most one diagnostic is given, the first test that fails.
 
     The verdict is computed once per morphism and cached on it; every call
     returns a fresh diagnostics list.
@@ -89,17 +85,11 @@ def is_quasi_prepared(phi: MorphismOfPairs) -> tuple[bool, list[str]]:
         N = len(phi.target.variables)
         if len(phi.source.variables) < N:
             raise ValueError("source dimension below target dimension")
-        if validate_pair_condition(phi)[0]:
-            sing_in_divisor = fitting_vanishing_in_divisor(phi, N)
-        else:
-            sing_in_divisor = radical_membership(
-                phi.source.divisor_product(), singular_locus_ideal(phi)
-            )
         diagnostics = []
-        if not sing_in_divisor:
-            diagnostics.append("singular locus not contained in the divisor")
         if not preimage_equality_check(phi):
             diagnostics.append("divisor preimage does not equal the source divisor")
+        elif not fitting_vanishing_in_divisor(phi, N):
+            diagnostics.append("singular locus not contained in the divisor")
         phi._quasi_prepared = (not diagnostics), tuple(diagnostics)
     ok, diagnostics = phi._quasi_prepared
     return ok, list(diagnostics)

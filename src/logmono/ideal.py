@@ -451,13 +451,6 @@ def saturation(I: IdealPresentation, f: Polynomial) -> IdealPresentation:
     return elimination(_rabinowitsch(I, f), I.ambient)
 
 
-def radical_equality(I: IdealPresentation, J: IdealPresentation) -> bool:
-    """Whether V(I) = V(J), by mutual radical membership of generators."""
-    return all(radical_membership(g, J) for g in I.generators) and all(
-        radical_membership(g, I) for g in J.generators
-    )
-
-
 def local_monomial(polys: Sequence[Polynomial], point: Sequence[Fraction]) -> Monomial:
     """The one "unit at the point" rule of the local predicates: each
     variable that vanishes at the point, to the largest power dividing

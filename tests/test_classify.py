@@ -9,6 +9,7 @@ from logmono.chart import (
     ChartedPair,
     MorphismOfPairs,
     RationalPoint,
+    preimage_equality_check,
     validate_pair_condition,
 )
 from logmono.classify import (
@@ -97,24 +98,33 @@ class TestQuasiPrepared:
         assert is_quasi_prepared(phi) == (ok, expected)
 
     def test_fitting_decision_matches_jacobian_minors(self):
-        # Under the pair condition Sing in D is decided from the top
-        # log-Fitting ideal; the reference is the radical-membership test
-        # over the ideal of plain Jacobian minors.
+        # Sing in D is decided from the top log-Fitting ideal, and only for
+        # morphisms that pass the preimage test (which implies the pair
+        # condition); the reference is the radical-membership test over the
+        # ideal of plain Jacobian minors.  Every other morphism is rejected
+        # by the preimage test alone.
         phis = [phi for phi, _ in normal_form_corpus()]
         phis += pair_condition_corpus() + monomial_surface_corpus()
         phis += empty_divisor_corpus()
+        preimage_line = "divisor preimage does not equal the source divisor"
         seen = set()
         for phi in phis:
+            ok, diags = is_quasi_prepared(phi)
+            pair_ok, _ = validate_pair_condition(phi)
+            if not preimage_equality_check(phi):
+                assert not ok and diags == [preimage_line], phi
+                seen.add(("preimage fails", pair_ok))
+                continue
+            assert pair_ok, phi
             u_prod = phi.source.divisor_product()
             reference = radical_membership(u_prod, singular_locus_ideal(phi))
-            _, diags = is_quasi_prepared(phi)
             decided = "singular locus not contained in the divisor" not in diags
             assert decided == reference, phi
-            pair_ok, _ = validate_pair_condition(phi)
-            if pair_ok:
-                assert fitting_vanishing_in_divisor(phi, 2) == reference, phi
-            seen.add((pair_ok, reference))
-        assert seen == {(p, r) for p in (False, True) for r in (False, True)}
+            assert fitting_vanishing_in_divisor(phi, 2) == reference, phi
+            seen.add(("preimage holds", reference))
+        assert seen == {
+            (p, r) for p in ("preimage fails", "preimage holds") for r in (False, True)
+        }
 
     def test_top_fitting_ideal_computed_once(self, monkeypatch):
         # The quasi-prepared and strongly-prepared checks share one top

@@ -86,6 +86,24 @@ def run_json(capsys, *argv):
     return code, json.loads(out)
 
 
+def count_calls(monkeypatch, name):
+    """Record the arguments of every call of logmono.ideal's function
+    ``name``, patched in every logmono module that imported it by name."""
+    import logmono.ideal
+
+    calls = []
+    original = getattr(logmono.ideal, name)
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("logmono") and getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counting)
+    return calls
+
+
 class TestFitting:
     def test_example1_top_fitting(self, capsys, example1):
         code, data = run_json(capsys, "fitting", "--k", "2", example1)
@@ -147,9 +165,11 @@ class TestClassify:
         assert code == 1
         assert data["quasi_prepared"] is False
 
-    def test_large_exponent_is_fast(self, capsys, tmp_path):
-        # The pair condition fails, so quasi-preparedness is a radical
-        # membership over the Jacobian minors 3000*u^2999*v and u^3000.
+    def test_large_exponent_is_fast(self, capsys, tmp_path, monkeypatch):
+        # The pair condition fails, so the preimage test settles the verdict
+        # and no basis is built for the Jacobian minors 3000*u^2999*v and
+        # u^3000.
+        bases = count_calls(monkeypatch, "reduced_groebner_basis")
         path = tmp_path / "power.problem"
         path.write_text(
             "source vars u v divisor u\n"
@@ -167,22 +187,33 @@ class TestClassify:
             "pullback of 'x' vanishes outside the source divisor: u^3000*v",
             "divisor preimage does not equal the source divisor",
         ]
+        assert bases == []
 
     @pytest.mark.parametrize(
-        "component",
+        "component, rendered",
         [
-            # Radical membership over a basis of about 1000 elements; no
-            # reduction step meets a leading coefficient other than 1.
-            "7*u^1000*v - 3*v^3 + 2*v^2",
-            # Nearly every reduction step meets a leading coefficient other
-            # than 1, so the integer coefficients must not grow with the
-            # exponent.  Both take about 0.3 s on a 2-vCPU VM.
-            "7*u^100*v - 3*v^3 + 2*v^2 + 5*u*v^2",
+            pytest.param(c, r, id=c)
+            for c, r in [
+                ("7*u^1000*v - 3*v^3 + 2*v^2", "7*u^1000*v - 3*v^3 + 2*v^2"),
+                (
+                    "7*u^100*v - 3*v^3 + 2*v^2 + 5*u*v^2",
+                    "7*u^100*v + 5*u*v^2 - 3*v^3 + 2*v^2",
+                ),
+                (
+                    "7*u^2000*v - 3*v^3 + 2*v^2 + 5*u*v^2",
+                    "7*u^2000*v + 5*u*v^2 - 3*v^3 + 2*v^2",
+                ),
+            ]
         ],
     )
     def test_large_exponent_with_non_unit_coefficients_is_fast(
-        self, capsys, tmp_path, component
+        self, capsys, tmp_path, monkeypatch, component, rendered
     ):
+        # The pair condition fails, so the preimage test settles the verdict
+        # and the Jacobian minors, whose radical test builds a basis of
+        # about 1000 elements or of fast-growing coefficients, are never
+        # examined.  tests/test_ideal.py times that radical test itself.
+        bases = count_calls(monkeypatch, "reduced_groebner_basis")
         path = tmp_path / "power.problem"
         path.write_text(
             "source vars u v divisor u\n"
@@ -192,10 +223,37 @@ class TestClassify:
         )
         start = time.perf_counter()
         code, data = run_json(capsys, "classify", str(path))
-        assert time.perf_counter() - start < 2.0
+        assert time.perf_counter() - start < 1.0
         assert code == 1
         assert data["pair_condition"] is False
         assert data["quasi_prepared"] is False
+        assert data["diagnostics"] == [
+            f"pullback of 'x' vanishes outside the source divisor: {rendered}",
+            "divisor preimage does not equal the source divisor",
+        ]
+        assert bases == []
+
+    def test_empty_target_divisor_large_exponent_is_fast(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        # With no target divisor the pair condition holds, but the preimage
+        # of the empty divisor misses u = 0, so again no basis is built.
+        bases = count_calls(monkeypatch, "reduced_groebner_basis")
+        path = tmp_path / "power.problem"
+        path.write_text(
+            "source vars u v divisor u\n"
+            "target vars x divisor\n"
+            "map x = 7*u^2000*v - 3*v^3 + 2*v^2 + 5*u*v^2\n"
+            "point 0,0\n"
+        )
+        start = time.perf_counter()
+        code, data = run_json(capsys, "classify", str(path))
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        assert data["pair_condition"] is True
+        assert data["quasi_prepared"] is False
+        assert data["diagnostics"] == ["divisor preimage does not equal the source divisor"]
+        assert bases == []
 
     def test_verify_monomial(self, capsys, example3):
         code, data = run_json(capsys, "verify-monomial", example3)
@@ -368,19 +426,7 @@ class TestErrorHandling:
 
 
 def test_classify_decides_quasi_prepared_once(capsys, example1, monkeypatch):
-    import logmono.ideal
-
-    calls = []
-    original = logmono.ideal.radical_membership
-
-    def counting(f, I):
-        calls.append(f)
-        return original(f, I)
-
-    # Patch every logmono module that imported the function by name.
-    for name, module in list(sys.modules.items()):
-        if name.startswith("logmono") and getattr(module, "radical_membership", None) is original:
-            monkeypatch.setattr(module, "radical_membership", counting)
+    calls = count_calls(monkeypatch, "radical_membership")
     code, _, _ = run(capsys, "classify", example1)
     assert code == 0
     # A generator of the top log-Fitting ideal is a monomial on the divisor,
