@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Mapping, Optional
 
@@ -35,10 +36,24 @@ class ChartedPair:
             tuple(v for v in self.variables if v in divisor),
         )
 
+    # The indices in ``variables`` of the divisor and of the free variables,
+    # computed on first use and kept: most charts built by blowups never
+    # ask.  (``cached_property`` writes the instance dict directly, which a
+    # frozen dataclass allows.)
+
+    @cached_property
+    def divisor_positions(self) -> tuple[int, ...]:
+        divisor = set(self.divisor_vars)
+        return tuple(i for i, v in enumerate(self.variables) if v in divisor)
+
+    @cached_property
+    def free_positions(self) -> tuple[int, ...]:
+        divisor = set(self.divisor_vars)
+        return tuple(i for i, v in enumerate(self.variables) if v not in divisor)
+
     @property
     def free_vars(self) -> tuple[str, ...]:
-        d = set(self.divisor_vars)
-        return tuple(v for v in self.variables if v not in d)
+        return tuple(self.variables[i] for i in self.free_positions)
 
     @property
     def dimension(self) -> int:
@@ -55,7 +70,7 @@ class ChartedPair:
         if len(p.terms) != 1:
             return False
         (exps,) = p.terms
-        return all(v in self.divisor_vars for v, e in zip(self.variables, exps) if e)
+        return not any(exps[i] for i in self.free_positions)
 
 
 @dataclass(frozen=True)
@@ -168,9 +183,9 @@ def preimage_equality_check(phi: MorphismOfPairs) -> bool:
     ok, _ = validate_pair_condition(phi)
     if not ok:
         return False
-    total = [0] * len(phi.source.variables)
+    vectors = [(0,) * len(phi.source.variables)]
     for x in phi.target.divisor_vars:
         (exps,) = phi.components[x].terms
-        total = [t + e for t, e in zip(total, exps)]
-    sums = dict(zip(phi.source.variables, total))
-    return all(sums[u] > 0 for u in phi.source.divisor_vars)
+        vectors.append(exps)
+    total = tuple(map(sum, zip(*vectors)))
+    return all(total[i] > 0 for i in phi.source.divisor_positions)

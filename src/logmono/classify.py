@@ -24,10 +24,11 @@ from .ideal import (
     is_principal_monomial_at,
     local_monomial,
     radical_membership,
+    residual_value,
 )
 from .logdiff import log_jacobian, maximal_minors
 from .rank import jacobian, log_rank_at_point, rational_matrix_rank
-from .poly import Monomial, Polynomial
+from .poly import Polynomial
 
 
 @dataclass
@@ -121,28 +122,38 @@ def is_strongly_prepared_at(
 # Syntactic normal-form matcher
 
 
-def _as_constant_times_monomial(p: Polynomial) -> Optional[tuple[Fraction, Monomial]]:
+def _as_constant_times_monomial(
+    p: Polynomial,
+) -> Optional[tuple[int | Fraction, tuple[int, ...]]]:
+    """(c, a) when p is the single term c*u^a."""
     if len(p.terms) != 1:
         return None
     ((exps, c),) = p.terms.items()
-    return c, Monomial(exps)
+    return c, exps
+
+
+def _stratum_positions(
+    ambient: tuple[str, ...], stratum: Sequence[str]
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The positions in the ambient of the stratum's variables and of every
+    other variable, each in ambient order (a stratum is in chart order)."""
+    inside = set(stratum)
+    flags = [v in inside for v in ambient]
+    return (
+        tuple(i for i, f in enumerate(flags) if f),
+        tuple(i for i, f in enumerate(flags) if not f),
+    )
 
 
 def _divisor_exponents(
-    p_exps: tuple[int, ...], ambient: tuple[str, ...], divisor: Sequence[str]
+    p_exps: tuple[int, ...], positions: tuple[tuple[int, ...], tuple[int, ...]]
 ) -> Optional[tuple[int, ...]]:
-    """Exponents restricted to the divisor block; None if a free variable
-    occurs."""
-    div = list(divisor)
-    out = [0] * len(div)
-    for v, e in zip(ambient, p_exps):
-        if e == 0:
-            continue
-        if v in div:
-            out[div.index(v)] = e
-        else:
-            return None
-    return tuple(out)
+    """Exponents restricted to the stratum (``_stratum_positions``); None
+    if a variable outside it occurs."""
+    inside, outside = positions
+    if any(p_exps[i] for i in outside):
+        return None
+    return tuple(p_exps[i] for i in inside)
 
 
 def _wedge_is_zero(a: Sequence[int], b: Sequence[int]) -> bool:
@@ -154,15 +165,14 @@ def _wedge_is_zero(a: Sequence[int], b: Sequence[int]) -> bool:
 
 
 def _match_first_component(
-    x1: Polynomial, ambient: tuple[str, ...], stratum: Sequence[str]
+    x1: Polynomial, positions: tuple[tuple[int, ...], tuple[int, ...]]
 ) -> Optional[tuple[int, tuple[int, ...]]]:
     """Recognize c*(u^alpha)^m with gcd(alpha)=1 and alpha positive on the
     whole stratum.  Returns (m, alpha)."""
     cm = _as_constant_times_monomial(x1)
     if cm is None:
         return None
-    _, mono = cm
-    e = _divisor_exponents(mono.exponents, ambient, stratum)
+    e = _divisor_exponents(cm[1], positions)
     if e is None or any(x == 0 for x in e) or not e:
         return None
     m = 0
@@ -173,7 +183,9 @@ def _match_first_component(
 
 
 def _split_series_part(
-    z: Polynomial, ambient: tuple[str, ...], stratum: Sequence[str], alpha: tuple[int, ...]
+    z: Polynomial,
+    positions: tuple[tuple[int, ...], tuple[int, ...]],
+    alpha: tuple[int, ...],
 ) -> tuple[dict[int, Fraction], Polynomial]:
     """Split z into P(u^alpha) plus a remainder.
 
@@ -183,7 +195,7 @@ def _split_series_part(
     series: dict[int, Fraction] = {}
     rem_terms = {}
     for exps, c in z.terms.items():
-        de = _divisor_exponents(exps, ambient, stratum)
+        de = _divisor_exponents(exps, positions)
         j = None
         if de is not None:
             if all(x == 0 for x in de):
@@ -214,6 +226,7 @@ def match_spm_template(
         return None
     stratum = stratum_of_point(phi.source, a)
     ambient = phi.source.variables
+    positions = _stratum_positions(ambient, stratum)
     target_div = list(phi.target.divisor_vars)
     target_free = list(phi.target.free_vars)
     k = len(stratum)
@@ -224,8 +237,8 @@ def match_spm_template(
         cm1 = _as_constant_times_monomial(comps[target_div[0]])
         cm2 = _as_constant_times_monomial(comps[target_div[1]])
         if cm1 and cm2:
-            e1 = _divisor_exponents(cm1[1].exponents, ambient, stratum)
-            e2 = _divisor_exponents(cm2[1].exponents, ambient, stratum)
+            e1 = _divisor_exponents(cm1[1], positions)
+            e2 = _divisor_exponents(cm2[1], positions)
             if (
                 e1 is not None
                 and e2 is not None
@@ -245,17 +258,17 @@ def match_spm_template(
         orderings.append((target_div[0], target_div[1], "divisorial"))
         orderings.append((target_div[1], target_div[0], "divisorial"))
     for x1_name, z_name, z_kind in orderings:
-        first = _match_first_component(comps[x1_name], ambient, stratum)
+        first = _match_first_component(comps[x1_name], positions)
         if first is None:
             continue
         m, alpha = first
-        series, rem = _split_series_part(comps[z_name], ambient, stratum, alpha)
+        series, rem = _split_series_part(comps[z_name], positions, alpha)
         if rem.is_zero():
             continue
         if len(rem.terms) != 1:
             continue
         ((exps, _),) = rem.terms.items()
-        beta = _divisor_exponents(exps, ambient, stratum)
+        beta = _divisor_exponents(exps, positions)
         if beta is not None:
             # Case 2: remainder is a pure divisor monomial not proportional
             # to alpha.
@@ -263,18 +276,11 @@ def match_spm_template(
                 return StronglyPreparedCertificate(2, alpha, beta, m, series, z_kind)
             continue
         # Case 1: remainder is u^beta * (one free variable, exponent 1).
-        free_part = {
-            v: e
-            for v, e in zip(ambient, exps)
-            if e and v not in stratum
-        }
-        if len(free_part) == 1 and set(free_part.values()) == {1}:
-            (free_v,) = free_part
-            if free_v in phi.source.free_vars:
-                beta = tuple(
-                    e for v, e in zip(ambient, exps) if v in stratum
-                )
-                return StronglyPreparedCertificate(1, alpha, beta, m, series, z_kind)
+        inside, outside = positions
+        off = [i for i in outside if exps[i]]
+        if len(off) == 1 and exps[off[0]] == 1 and off[0] in phi.source.free_positions:
+            beta = tuple(exps[i] for i in inside)
+            return StronglyPreparedCertificate(1, alpha, beta, m, series, z_kind)
     return None
 
 
@@ -284,17 +290,16 @@ def is_monomial_morphism_at(
     """Exponent matrix if every component is a unit at the point times its
     local monomial (``ideal.local_monomial``: the source variables that
     vanish there) and the matrix has full target rank; None otherwise."""
+    pt = a.coordinates
     rows = []
-    for x in phi.target.variables:
-        p = phi.components[x]
+    for p in phi.component_list():
         if p.is_zero():
             return None
-        m = local_monomial([p], a.coordinates)
-        if p.divide_by_monomial(m).evaluate(a.coordinates) == 0:
+        m = local_monomial([p], pt)
+        if not residual_value(p, m, pt):
             return None
         rows.append(m.exponents)
-    N = len(phi.target.variables)
-    if rational_matrix_rank(rows) != N:
+    if rational_matrix_rank(rows) != len(rows):
         return None
     return rows
 
@@ -345,16 +350,13 @@ def is_log_rank_adapted_at(
         ok = (
             cm is not None
             and cm[0] == 1
-            and cm[1].degree == 1
-            and next(
-                v for v, e in zip(phi.source.variables, cm[1].exponents) if e
-            )
-            in free
+            and sum(cm[1]) == 1
+            and next(v for v, e in zip(phi.source.variables, cm[1]) if e) in free
         )
         if not ok:
             diagnostics.append(f"component {i + 1} is not a free source variable")
             continue
-        v = next(v for v, e in zip(phi.source.variables, cm[1].exponents) if e)
+        v = next(v for v, e in zip(phi.source.variables, cm[1]) if e)
         if v in seen:
             diagnostics.append(f"component {i + 1} repeats the variable {v}")
         seen.add(v)

@@ -2,7 +2,10 @@
 
 The ideal at form degree k is generated by all coefficients of the
 pullbacks of the target log basis k-forms: the k-minors of one log
-Jacobian, each k-subset of its rows wedged once.  Indexing convention: the
+Jacobian, each k-subset of its rows wedged once.  Divisorial rows are the
+components' integer exponent tuples (``logdiff.log_jacobian_rows``), so a
+minor of divisorial rows alone is one integer and a divisorial entry of a
+mixed minor scales its cofactor.  Indexing convention: the
 artifact exposes the form degree k directly; the top ideal (k equal to
 the target dimension) is the one whose local principality characterizes
 strongly prepared morphisms.
@@ -14,20 +17,20 @@ from itertools import combinations
 
 from .chart import MorphismOfPairs
 from .ideal import IdealPresentation, radical_membership
-from .logdiff import log_jacobian, wedge_rows
+from .logdiff import log_jacobian_rows, wedge_rows
 
 
 def log_fitting_ideal(phi: MorphismOfPairs, k: int) -> IdealPresentation:
     """The degree-k log-Fitting ideal, computed once per morphism and form
     degree and cached on the morphism together with its Groebner bases."""
+    cached = phi._log_fitting.get(k)
+    if cached is not None:
+        return cached
     n = len(phi.source.variables)
     N = len(phi.target.variables)
     if not 1 <= k <= min(n, N):
         raise ValueError(f"form degree {k} out of range 1..{min(n, N)}")
-    cached = phi._log_fitting.get(k)
-    if cached is not None:
-        return cached
-    rows = dict(zip(phi.target.variables, log_jacobian(phi)))
+    rows = dict(zip(phi.target.variables, log_jacobian_rows(phi)))
     gens = []
     div = phi.target.divisor_vars
     free = phi.target.free_vars

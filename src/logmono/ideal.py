@@ -454,17 +454,45 @@ def saturation(I: IdealPresentation, f: Polynomial) -> IdealPresentation:
 def local_monomial(polys: Sequence[Polynomial], point: Sequence[Fraction]) -> Monomial:
     """The one "unit at the point" rule of the local predicates: each
     variable that vanishes at the point, to the largest power dividing
-    every polynomial.
+    every polynomial, which is its least exponent over all their terms.
 
     Every other factor, a variable that does not vanish at the point
-    included, stays in the residual ``p.divide_by_monomial(m)``, and p is
-    a unit times m near the point exactly when that residual does not
-    vanish there."""
-    content = None
-    for p in polys:
-        c = p.monomial_content()
-        content = c if content is None else content.gcd(c)
-    return Monomial(e if x == 0 else 0 for e, x in zip(content.exponents, point))
+    included, stays in the residual p / m, and p is a unit times m near
+    the point exactly when that residual does not vanish there
+    (``residual_value``)."""
+    if not polys or not all(p.terms for p in polys):
+        raise ValueError("local monomial of the zero polynomial")
+    terms = [e for p in polys for e in p.terms]
+    # Repeating the first term gives min at least two arguments.
+    content = map(min, terms[0], *terms)
+    return Monomial([e if x == 0 else 0 for e, x in zip(content, point)])
+
+
+def residual_value(p: Polynomial, m: Monomial, point: Sequence[Fraction]) -> int | Fraction:
+    """The value at the point of the residual p / m, for a local monomial
+    m of p (``local_monomial``), read off p's terms without dividing.
+
+    m lives on the coordinates that vanish at the point, so a term of p / m
+    survives there exactly when its exponents equal m's on them, and it
+    contributes its coefficient times the powers of the other
+    coordinates."""
+    if len(point) != len(p.ambient):
+        raise ValueError(
+            f"point of length {len(point)} for ambient of length {len(p.ambient)}"
+        )
+    me = m.exponents
+    nonzero = [(i, x) for i, x in enumerate(point) if x]
+    if not nonzero:
+        return p.terms.get(me, 0)
+    zeros = [i for i, x in enumerate(point) if not x]
+    total = 0
+    for e, c in p.terms.items():
+        if all(e[i] == me[i] for i in zeros):
+            for i, x in nonzero:
+                if e[i]:
+                    c *= x ** e[i]
+            total += c
+    return total
 
 
 def is_principal_monomial_at(
@@ -478,7 +506,7 @@ def is_principal_monomial_at(
     Procedure: take the local monomial m of the generators (the variables
     vanishing at the point, see ``local_monomial``), reject if m involves
     a non-divisor variable, and accept iff some generator divided by m is
-    a unit at the point.
+    a unit at the point; the certificate holds that generator's residual.
     """
     if I.is_zero_ideal():
         raise ValueError("zero ideal has no principal monomial generator")
@@ -491,7 +519,6 @@ def is_principal_monomial_at(
             return None
     # m divides every generator, so (I : m) is generated by the quotients.
     for g in I.generators:
-        residual = g.divide_by_monomial(m)
-        if residual.evaluate(point) != 0:
-            return PrincipalMonomialCertificate(m, residual)
+        if residual_value(g, m, point):
+            return PrincipalMonomialCertificate(m, g.divide_by_monomial(m))
     return None

@@ -9,11 +9,14 @@ Pullbacks along a morphism of pairs are wedges of rows of its log
 Jacobian.  A row is a log differential: the Euler operator u*d/du scales
 each term by its exponent of u in a divisor column, and d/dv differentiates
 in a free column.  Under the pair condition a divisorial component is
-c*u^a, so its row is the integer exponent vector a.  The coefficient of
-dx_I/x_I ^ dy_J in a wedge is the maximal minor on the columns I + J, in
-that order: taking the divisor block first supplies the sign of the
-shuffle, and no division happens.  A log-Fitting ideal is generated by the
-minors of one log Jacobian.
+c*u^a, so its row is the integer exponent vector a, kept as the
+component's exponent tuple of ints (``log_jacobian_rows``).  The
+coefficient of dx_I/x_I ^ dy_J in a wedge is the maximal minor on the
+columns I + J, in that order: taking the divisor block first supplies the
+sign of the shuffle, and no division happens.  Every minor comes from one
+determinant kernel (``_det``) whose entries are ints or polynomials: an
+int entry scales its cofactor, and a minor of integer rows alone is one
+int.  A log-Fitting ideal is generated by the minors of one log Jacobian.
 """
 
 from __future__ import annotations
@@ -52,6 +55,21 @@ class LogKForm:
             if not p.is_zero():
                 clean[(tuple(I), tuple(J))] = p
         self.coefficients = clean
+
+    @classmethod
+    def _trusted(
+        cls,
+        degree: int,
+        chart: ChartedPair,
+        coefficients: dict[tuple[tuple[str, ...], tuple[str, ...]], Polynomial],
+    ) -> "LogKForm":
+        """Wrap nonzero coefficients whose (I, J) keys are tuples split
+        from the chart's own variables, without checking them again."""
+        form = object.__new__(cls)
+        form.degree = degree
+        form.chart = chart
+        form.coefficients = coefficients
+        return form
 
     def coefficient(self, I: Sequence[str], J: Sequence[str]) -> Polynomial:
         return self.coefficients.get(
@@ -93,50 +111,88 @@ def log_differential(f: Polynomial, chart: ChartedPair) -> LogKForm:
 
 
 def maximal_minors(
-    rows: list[list[Polynomial]],
-) -> Iterator[tuple[tuple[int, ...], Polynomial]]:
+    rows: Sequence[Sequence[int | Polynomial]],
+) -> Iterator[tuple[tuple[int, ...], int | Polynomial]]:
     """Every nonzero maximal minor of a k x n matrix with its column subset,
-    in ``itertools.combinations`` order."""
+    in ``itertools.combinations`` order.  Entries are ints or polynomials
+    over one ambient (``_det``): a minor of ints alone is an int, and a
+    matrix of polynomials has polynomial minors."""
     ncols = len(rows[0]) if rows else 0
     for cols in combinations(range(ncols), len(rows)):
         minor = _det([[row[j] for j in cols] for row in rows])
-        if not minor.is_zero():
+        if not _is_zero(minor):
             yield cols, minor
 
 
-def wedge_rows(rows: list[list[Polynomial]], chart: ChartedPair) -> LogKForm:
+def wedge_rows(rows: Sequence[Sequence[int | Polynomial]], chart: ChartedPair) -> LogKForm:
     """Wedge of degree-1 forms given as coefficient rows over the chart's
-    log basis (chart order).
+    log basis (chart order); entries are ints or polynomials (``_det``).
 
     Each basis subset, in ``itertools.combinations`` order of the chart,
     splits into (I, J) with the divisor block first; its coefficient is the
     minor on the columns I + J in that order, so the column order carries
     the sign of the shuffle.
     """
-    column = {v: j for j, v in enumerate(chart.variables)}
+    names = chart.variables
+    divisor = chart.divisor_positions
     coeffs = {}
-    for names in combinations(chart.variables, len(rows)):
-        I = tuple(v for v in names if v in chart.divisor_vars)
-        J = tuple(v for v in names if v not in chart.divisor_vars)
-        coeffs[(I, J)] = _det([[row[column[v]] for v in I + J] for row in rows])
-    return LogKForm(len(rows), chart, coeffs)
+    for cols in combinations(range(len(names)), len(rows)):
+        I = [j for j in cols if j in divisor]
+        J = [j for j in cols if j not in divisor]
+        minor = _det([[row[j] for j in I + J] for row in rows])
+        if _is_zero(minor):
+            continue
+        if type(minor) is int:
+            minor = Polynomial.constant(minor, names)
+        coeffs[(tuple(names[j] for j in I), tuple(names[j] for j in J))] = minor
+    return LogKForm._trusted(len(rows), chart, coeffs)
 
 
-def _det(matrix: list[list[Polynomial]]) -> Polynomial:
+def _is_zero(x: int | Polynomial) -> bool:
+    return not x if type(x) is int else not x.terms
+
+
+def _plus(a: int | Polynomial, b: int | Polynomial) -> int | Polynomial:
+    """a + b for ints and polynomials over one ambient."""
+    if type(a) is int:
+        if type(b) is int:
+            return a + b
+        a, b = b, a
+    if type(b) is int:
+        return a + Polynomial.constant(b, a.ambient) if b else a
+    return a + b
+
+
+def _det(matrix: list[list[int | Polynomial]]) -> int | Polynomial:
+    """Determinant by cofactor expansion along the first column.
+
+    Entries are ints or polynomials over one ambient.  A zero entry or
+    cofactor is skipped, an int entry or cofactor scales the other factor,
+    and a matrix of ints alone gives one int.
+    """
     k = len(matrix)
     if k == 0:
         raise ValueError("empty determinant")
     if k == 1:
         return matrix[0][0]
-    amb = matrix[0][0].ambient
-    total = Polynomial.zero(amb)
-    for i in range(k):
-        entry = matrix[i][0]
-        if entry.is_zero():
+    total = 0
+    for i, row in enumerate(matrix):
+        entry = row[0]
+        if _is_zero(entry):
             continue
-        sub = [row[1:] for r, row in enumerate(matrix) if r != i]
-        cofactor = entry * _det(sub)
-        total = total + cofactor if i % 2 == 0 else total - cofactor
+        if k == 2:
+            # The cofactor of a 2 x 2 entry is the other row's other entry.
+            cofactor = matrix[1 - i][1]
+        else:
+            cofactor = _det([r[1:] for r in matrix[:i] + matrix[i + 1 :]])
+        if _is_zero(cofactor):
+            continue
+        if i % 2:
+            if type(entry) is int:
+                entry = -entry
+            else:
+                cofactor = -cofactor
+        total = _plus(total, entry * cofactor)
     return total
 
 
@@ -159,19 +215,32 @@ def pullback_basis_form(
         raise ValueError("J_target must consist of target free variables")
     if not I_target + J_target:
         raise ValueError("form degree must be at least 1")
-    rows = dict(zip(phi.target.variables, log_jacobian(phi)))
+    rows = dict(zip(phi.target.variables, log_jacobian_rows(phi)))
     return wedge_rows([rows[x] for x in I_target + J_target], phi.source)
 
 
 def log_jacobian(phi: MorphismOfPairs) -> list[list[Polynomial]]:
     """One row per target variable (target chart order) over the source log
-    basis (source chart order): the pullback of dx/x or dy.
+    basis (source chart order): the pullback of dx/x or dy, every entry a
+    polynomial.
 
     Under the pair condition a divisorial component is c*u^a, so dx/x pulls
     back to sum a_i du_i/u_i and its row is the exponent vector a, as
     constant polynomials.  A free component's row is its log differential.
     Raises NotAMorphismOfPairsError when the pair condition fails.
     """
+    amb = phi.source.variables
+    return [
+        [Polynomial.constant(e, amb) for e in row] if type(row) is tuple else row
+        for row in log_jacobian_rows(phi)
+    ]
+
+
+def log_jacobian_rows(phi: MorphismOfPairs) -> list[tuple[int, ...] | list[Polynomial]]:
+    """The rows of ``log_jacobian`` as the minor kernel takes them: a
+    divisorial row is the component's exponent tuple of ints, a free row
+    its log differential.  Raises NotAMorphismOfPairsError when the pair
+    condition fails."""
     ok, diags = validate_pair_condition(phi)
     if not ok:
         raise NotAMorphismOfPairsError("; ".join(diags))
@@ -181,7 +250,7 @@ def log_jacobian(phi: MorphismOfPairs) -> list[list[Polynomial]]:
         comp = phi.components[x]
         if x in phi.target.divisor_vars:
             (exps,) = comp.terms
-            rows.append([Polynomial.constant(e, chart.variables) for e in exps])
+            rows.append(exps)
         else:
             rows.append(_log_row(comp, chart))
     return rows

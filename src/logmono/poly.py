@@ -12,8 +12,10 @@ operand are checked for an integral value (``canonical_coefficient``,
 ``Fraction(n)``, so printing and comparison do not see the difference.
 
 ``Polynomial(terms, ambient)`` validates: it coerces every coefficient
-through ``Fraction`` to its canonical form and every exponent to ``int``,
-drops zero coefficients and checks exponent lengths.  It is for input from
+through ``Fraction`` to its canonical form and every exponent through
+``operator.index`` (a non-integral exponent such as ``1.5`` is a
+``ValueError``, never truncated), drops zero coefficients and checks
+exponent lengths.  It is for input from
 outside logmono, such as tests and callers' term dicts.  Every polynomial
 logmono builds itself goes through ``Polynomial._trusted``, which stores
 its arguments as given: the arithmetic's results, ``variable``,
@@ -29,12 +31,22 @@ from __future__ import annotations
 
 import heapq
 from fractions import Fraction
-from operator import add, ge, sub
+from operator import add, ge, index, sub
 from typing import Iterable, Mapping, Sequence
 
 
 class AmbientMismatchError(ValueError):
     """Two polynomials live over different variable lists."""
+
+
+def _exponent_tuple(exponents: Iterable[int]) -> tuple[int, ...]:
+    """Exponents as a tuple of ints; a value that is not an integer (a
+    float or a ``Fraction``, say) is rejected, not truncated."""
+    exps = tuple(exponents)
+    try:
+        return tuple(map(index, exps))
+    except TypeError:
+        raise ValueError(f"non-integral exponent in {exps}") from None
 
 
 def canonical_coefficient(c):
@@ -60,8 +72,8 @@ class Monomial:
     __slots__ = ("exponents",)
 
     def __init__(self, exponents: Iterable[int]):
-        exps = tuple(int(e) for e in exponents)
-        if any(e < 0 for e in exps):
+        exps = _exponent_tuple(exponents)
+        if exps and min(exps) < 0:
             raise ValueError(f"negative exponent in {exps}")
         self.exponents = exps
 
@@ -134,7 +146,7 @@ class Polynomial:
             c = Fraction(c)
             if c == 0:
                 continue
-            exps = tuple(int(e) for e in exps)
+            exps = _exponent_tuple(exps)
             if len(exps) != len(amb):
                 raise ValueError(f"exponent tuple {exps} does not match ambient {amb}")
             clean[exps] = c.numerator if c.denominator == 1 else c

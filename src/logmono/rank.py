@@ -20,8 +20,15 @@ def jacobian(phi: MorphismOfPairs) -> list[list[Polynomial]]:
     ]
 
 
-def rational_matrix_rank(rows: list[list[Fraction]]) -> int:
-    """Gaussian elimination over the rationals."""
+def rational_matrix_rank(rows: Sequence[Sequence[int | Fraction]]) -> int:
+    """Rank over the rationals.
+
+    A matrix of ints alone (exponent matrices, integer points) is
+    eliminated fraction-free in Python ints (``_integer_rank``); any other
+    entry sends the matrix through Gaussian elimination over ``Fraction``.
+    """
+    if all(type(x) is int for r in rows for x in r):
+        return _integer_rank(rows)
     m = [list(map(Fraction, r)) for r in rows]
     if not m:
         return 0
@@ -42,6 +49,34 @@ def rational_matrix_rank(rows: list[list[Fraction]]) -> int:
         row += 1
         rank += 1
         if row == len(m):
+            break
+    return rank
+
+
+def _integer_rank(rows: Sequence[Sequence[int]]) -> int:
+    """Rank of an integer matrix by Bareiss's fraction-free elimination
+    (Math. Comp. 1968): after each pivot every entry below it is a minor of
+    the input, so dividing by the previous pivot is exact and the entries
+    stay the size of those minors."""
+    m = [list(r) for r in rows]
+    rank = 0
+    prev = 1
+    for col in range(len(m[0]) if m else 0):
+        pivot = next((r for r in range(rank, len(m)) if m[r][col]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        top = m[rank]
+        pv = top[col]
+        for r in range(rank + 1, len(m)):
+            low = m[r]
+            a = low[col]
+            for c in range(col + 1, len(top)):
+                low[c] = (pv * low[c] - a * top[c]) // prev
+            low[col] = 0
+        prev = pv
+        rank += 1
+        if rank == len(m):
             break
     return rank
 

@@ -12,8 +12,8 @@ from typing import Optional
 from logmono.chart import ChartedPair, MorphismOfPairs, RationalPoint
 from logmono.classify import is_quasi_prepared
 from logmono.frontend import MAX_NESTING, MAX_TERMS, ProblemSyntaxError
-from logmono.ideal import IdealPresentation, radical_membership
-from logmono.poly import Polynomial, exact_divide
+from logmono.ideal import IdealPresentation, PrincipalMonomialCertificate, radical_membership
+from logmono.poly import Monomial, Polynomial, exact_divide
 from logmono.rank import log_rank_at_point
 
 
@@ -681,3 +681,94 @@ def naive_evaluate(p: Polynomial, point) -> Fraction:
             v *= Fraction(x) ** e
         total += v
     return total
+
+
+# ---------------------------------------------------------------------------
+# Reference kernels for the integer fast paths: minors with polynomial
+# entries only, rank over Fraction only, and the unit-at-point rule by
+# dividing out the local monomial and evaluating the quotient.
+
+
+def reference_det(matrix: list[list[Polynomial]]) -> Polynomial:
+    """Cofactor expansion along the first column; every entry, constants
+    included, is a polynomial and every product a polynomial product."""
+    k = len(matrix)
+    if k == 1:
+        return matrix[0][0]
+    amb = matrix[0][0].ambient
+    total = Polynomial.zero(amb)
+    for i in range(k):
+        entry = matrix[i][0]
+        if entry.is_zero():
+            continue
+        sub = [row[1:] for r, row in enumerate(matrix) if r != i]
+        cofactor = entry * reference_det(sub)
+        total = total + cofactor if i % 2 == 0 else total - cofactor
+    return total
+
+
+def reference_rational_matrix_rank(rows) -> int:
+    """Gaussian elimination with every entry coerced to ``Fraction``."""
+    m = [list(map(Fraction, r)) for r in rows]
+    if not m:
+        return 0
+    ncols = len(m[0])
+    rank = 0
+    for col in range(ncols):
+        pivot = next((r for r in range(rank, len(m)) if m[r][col] != 0), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        for r in range(rank + 1, len(m)):
+            f = m[r][col] / m[rank][col]
+            for c in range(col, ncols):
+                m[r][c] -= f * m[rank][c]
+        rank += 1
+        if rank == len(m):
+            break
+    return rank
+
+
+def reference_local_monomial(polys, point) -> Monomial:
+    """gcd of the polynomials' monomial contents, kept on the coordinates
+    that vanish at the point."""
+    content = None
+    for p in polys:
+        c = p.monomial_content()
+        content = c if content is None else content.gcd(c)
+    return Monomial(e if x == 0 else 0 for e, x in zip(content.exponents, point))
+
+
+def reference_residual_value(p: Polynomial, m: Monomial, point) -> Fraction:
+    """The residual p / m built as a polynomial, then evaluated."""
+    return p.divide_by_monomial(m).evaluate(point)
+
+
+def reference_is_principal_monomial_at(I: IdealPresentation, point, divisor_vars):
+    """The certificate of ``ideal.is_principal_monomial_at``, computed by
+    dividing every generator by the local monomial until one residual is a
+    unit at the point."""
+    m = reference_local_monomial(I.generators, point)
+    if any(e and v not in divisor_vars for v, e in zip(I.ambient, m.exponents)):
+        return None
+    for g in I.generators:
+        residual = g.divide_by_monomial(m)
+        if residual.evaluate(point) != 0:
+            return PrincipalMonomialCertificate(m, residual)
+    return None
+
+
+def reference_is_monomial_morphism_at(phi: MorphismOfPairs, a: RationalPoint):
+    """The exponent matrix of ``classify.is_monomial_morphism_at``, from the
+    reference unit-at-point rule and the Fraction rank."""
+    rows = []
+    for p in phi.component_list():
+        if p.is_zero():
+            return None
+        m = reference_local_monomial([p], a.coordinates)
+        if reference_residual_value(p, m, a.coordinates) == 0:
+            return None
+        rows.append(m.exponents)
+    if reference_rational_matrix_rank(rows) != len(rows):
+        return None
+    return rows

@@ -36,6 +36,7 @@ from helpers import (
     normal_form_corpus,
     origin,
     pair_condition_corpus,
+    reference_is_monomial_morphism_at,
     sampled_log_rank_mismatch,
 )
 from test_fitting import surface_case1, surface_case2, surface_case3
@@ -130,14 +131,14 @@ class TestQuasiPrepared:
         # The quasi-prepared and strongly-prepared checks share one top
         # log-Fitting ideal, and that ideal is read off one log Jacobian.
         calls = []
-        original = logmono.logdiff.log_jacobian
+        original = logmono.logdiff.log_jacobian_rows
 
         def counting(phi):
             calls.append(phi)
             return original(phi)
 
-        for module in (logmono.logdiff, logmono.fitting, logmono.classify):
-            monkeypatch.setattr(module, "log_jacobian", counting)
+        for module in (logmono.logdiff, logmono.fitting):
+            monkeypatch.setattr(module, "log_jacobian_rows", counting)
         phi = surface_case1()
         assert is_quasi_prepared(phi)[0]
         assert is_strongly_prepared_at(phi, origin(phi.source)) is not None
@@ -219,6 +220,36 @@ class TestMonomialMorphism:
         phi = MorphismOfPairs(src, tgt, {"x1": P("u*v", src.variables)})
         assert is_monomial_morphism_at(phi, RationalPoint((0, 1))) == [(1, 0)]
         assert is_monomial_morphism_at(phi, RationalPoint((0, 0))) == [(1, 1)]
+
+    def test_matches_reference_at_rational_points(self):
+        # The perfbench workloads only ask at the origin; here every corpus
+        # morphism is asked at the origin, at points of the deepest stratum
+        # whose free coordinates are nonzero rationals, and at points where
+        # some divisor coordinates are units too.
+        values = [Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-3), Fraction(2, 3)]
+        corpus = [phi for phi, _ in normal_form_corpus()] + monomial_surface_corpus()
+        corpus += empty_divisor_corpus() + pair_condition_corpus()[:100]
+        accepted_off_origin = 0
+        for i, phi in enumerate(corpus):
+            src = phi.source
+            n = len(src.variables)
+            points = [origin(src)] + [
+                RationalPoint(
+                    tuple(
+                        Fraction(0) if v in src.divisor_vars else values[1 + (i + s + j) % 5]
+                        for j, v in enumerate(src.variables)
+                    )
+                )
+                for s in (0, 2)
+            ] + [
+                RationalPoint(tuple(values[(i * s + j) % len(values)] for j in range(n)))
+                for s in (1, 2, 5)
+            ]
+            for a in points:
+                got = is_monomial_morphism_at(phi, a)
+                assert got == reference_is_monomial_morphism_at(phi, a), (phi, a)
+                accepted_off_origin += got is not None and any(a.coordinates)
+        assert accepted_off_origin >= 50
 
 
 class TestLogRankAdapted:

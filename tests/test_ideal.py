@@ -26,6 +26,7 @@ from logmono.ideal import (
     normal_form,
     radical_membership,
     reduced_groebner_basis,
+    residual_value,
     saturation,
 )
 from logmono.poly import Polynomial
@@ -41,6 +42,9 @@ from helpers import (
     pair_condition_corpus,
     random_sparse_poly,
     rank_law_corpus,
+    reference_is_principal_monomial_at,
+    reference_local_monomial,
+    reference_residual_value,
 )
 
 
@@ -336,6 +340,64 @@ class TestPrincipalMonomialAt:
         assert local_monomial(gens, (0, 0, 0)).exponents == (1, 3, 1)
         assert local_monomial(gens, (0, 2, 0)).exponents == (1, 0, 1)
         assert local_monomial(gens, (1, 1, 1)).exponents == (0, 0, 0)
+
+
+# Generators sharing a monomial content, with coefficients +-1 and 2 and
+# points whose coordinates are 0, +-1 or other rationals, so that residuals
+# vanish at points other than the origin as well as at it.
+LOCAL_AMB = ("u", "v", "w")
+local_points = st.lists(
+    st.sampled_from([Fraction(0), 0, Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-3), 2]),
+    min_size=3,
+    max_size=3,
+).map(tuple)
+
+
+@st.composite
+def local_generators(draw):
+    content = draw(st.tuples(*(st.integers(0, 3) for _ in LOCAL_AMB)))
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        terms = draw(
+            st.dictionaries(
+                st.tuples(*(st.integers(0, 2) for _ in LOCAL_AMB)),
+                st.sampled_from([1, -1, 2, Fraction(1, 2)]),
+                min_size=1,
+                max_size=3,
+            )
+        )
+        shifted = {tuple(map(sum, zip(e, content))): c for e, c in terms.items()}
+        gens.append(Polynomial(shifted, LOCAL_AMB))
+    return gens
+
+
+class TestUnitAtPointReference:
+    @settings(max_examples=300, deadline=None)
+    @given(local_generators(), local_points)
+    def test_local_monomial_and_residual_match_reference(self, gens, point):
+        m = local_monomial(gens, point)
+        assert m == reference_local_monomial(gens, point)
+        for g in gens:
+            assert residual_value(g, m, point) == reference_residual_value(g, m, point)
+            own = local_monomial([g], point)
+            assert residual_value(g, own, point) == reference_residual_value(g, own, point)
+
+    @settings(max_examples=200, deadline=None)
+    @given(local_generators(), local_points, st.lists(st.sampled_from(LOCAL_AMB), unique=True))
+    def test_principal_certificate_matches_reference(self, gens, point, divisor):
+        J = IdealPresentation(gens, LOCAL_AMB)
+        got = is_principal_monomial_at(J, point, divisor)
+        want = reference_is_principal_monomial_at(J, point, divisor)
+        assert got == want
+
+    def test_zero_polynomial_has_no_local_monomial(self):
+        with pytest.raises(ValueError):
+            local_monomial([P("u", LOCAL_AMB), Polynomial.zero(LOCAL_AMB)], (0, 0, 0))
+
+    def test_residual_point_length_checked(self):
+        p = P("u*v", LOCAL_AMB)
+        with pytest.raises(ValueError):
+            residual_value(p, local_monomial([p], (0, 0, 0)), (0, 0))
 
 
 def test_groebner_basis_wrapper_returns_presentation():

@@ -1,15 +1,20 @@
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from logmono.chart import ChartedPair, MorphismOfPairs, validate_pair_condition
 from logmono.fitting import log_fitting_ideal
 from logmono.logdiff import (
     LogKForm,
     NotAMorphismOfPairsError,
+    _det,
     log_differential,
     log_jacobian,
+    log_jacobian_rows,
+    maximal_minors,
     pullback_basis_form,
+    wedge_rows,
 )
 from logmono.poly import Polynomial
 
@@ -22,6 +27,7 @@ from helpers import (
     monomial_surface_corpus,
     normal_form_corpus,
     pair_condition_corpus,
+    reference_det,
 )
 
 CHART = ChartedPair(("u", "v"), ("u",))
@@ -188,3 +194,97 @@ def test_rows_and_pullbacks_match_division_reference():
                         gens.extend(form.coefficients.values())
             if k <= len(phi.source.variables):
                 assert log_fitting_ideal(phi, k).generators == gens, (phi, k)
+
+
+# ---------------------------------------------------------------------------
+# The minor kernel against the polynomial-only reference
+
+KERNEL_AMB = ("u", "v", "w")
+int_entries = st.integers(-4, 4)
+poly_entries = st.dictionaries(
+    st.tuples(*(st.integers(0, 2) for _ in KERNEL_AMB)),
+    st.fractions(min_value=-3, max_value=3, max_denominator=3),
+    max_size=3,
+).map(lambda terms: Polynomial(terms, KERNEL_AMB))
+entries = st.one_of(int_entries, int_entries, poly_entries)
+
+
+def as_polynomial(x):
+    return Polynomial.constant(x, KERNEL_AMB) if type(x) is int else x
+
+
+def as_polynomials(matrix):
+    return [[as_polynomial(x) for x in row] for row in matrix]
+
+
+@st.composite
+def mixed_matrices(draw, ncols=None):
+    """Matrices of ints (zero and negative ones included) and polynomials
+    (the zero polynomial included); some rows are all ints, like the
+    divisorial rows of a log Jacobian, some are zero, and one may repeat
+    another.  Square
+    unless ``ncols`` is given, then k x ncols with k <= ncols."""
+    k = draw(st.integers(1, ncols or 4))
+    n = ncols or k
+    rows = []
+    for _ in range(k):
+        kind = draw(st.sampled_from(["ints", "polys", "mixed", "zeros"]))
+        entry = {"ints": int_entries, "polys": poly_entries, "mixed": entries, "zeros": st.just(0)}[kind]
+        rows.append(draw(st.lists(entry, min_size=n, max_size=n)))
+    if k > 1 and draw(st.booleans()):
+        rows[-1] = list(rows[0])
+    return rows
+
+
+class TestMinorKernel:
+    @settings(max_examples=200, deadline=None)
+    @given(mixed_matrices())
+    def test_det_matches_reference(self, matrix):
+        d = _det(matrix)
+        assert as_polynomial(d) == reference_det(as_polynomials(matrix))
+        # A matrix of ints alone gives one int; a matrix of polynomials
+        # gives a polynomial unless every product vanishes.
+        kinds = {type(x) for row in matrix for x in row}
+        if kinds == {int}:
+            assert type(d) is int
+        elif kinds == {Polynomial}:
+            assert type(d) is Polynomial or d == 0
+        if type(d) is not int:
+            assert_canonical(d)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 5).flatmap(lambda n: mixed_matrices(ncols=n)))
+    def test_maximal_minors_match_reference(self, rows):
+        got = {cols: as_polynomial(m) for cols, m in maximal_minors(rows)}
+        want = {}
+        for cols in combinations(range(len(rows[0])), len(rows)):
+            m = reference_det([[as_polynomial(row[j]) for j in cols] for row in rows])
+            if not m.is_zero():
+                want[cols] = m
+        assert got == want
+        assert list(got) == sorted(got)
+
+    @settings(max_examples=150, deadline=None)
+    @given(mixed_matrices(ncols=len(KERNEL_AMB)), st.lists(st.sampled_from(KERNEL_AMB), unique=True))
+    def test_wedge_rows_from_ints_matches_constant_polynomials(self, rows, divisor):
+        chart = ChartedPair(KERNEL_AMB, tuple(divisor))
+        form = wedge_rows(rows, chart)
+        reference = wedge_rows(as_polynomials(rows), chart)
+        assert form.coefficients == reference.coefficients
+        assert list(form.coefficients) == list(reference.coefficients)
+        # The keys wedge_rows builds pass the validating constructor.
+        checked = LogKForm(form.degree, chart, form.coefficients)
+        assert checked.coefficients == form.coefficients
+        for p in form.coefficients.values():
+            assert type(p) is Polynomial and not p.is_zero()
+
+    def test_empty_determinant_rejected(self):
+        with pytest.raises(ValueError):
+            _det([])
+
+
+def test_divisorial_rows_are_exponent_tuples():
+    phi = surface_morphism()
+    rows = log_jacobian_rows(phi)
+    assert rows[0] == (2, 2, 0) and type(rows[0]) is tuple
+    assert rows[1] == log_jacobian(phi)[1]

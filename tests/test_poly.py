@@ -51,12 +51,26 @@ class TestMonomial:
         with pytest.raises(ValueError):
             Monomial((1, -1))
 
+    @pytest.mark.parametrize("bad", [1.5, 2.0, Fraction(3, 2), "1"])
+    def test_non_integral_exponent_rejected(self, bad):
+        # An exponent must be an integer: 1.5 is not truncated to 1.
+        with pytest.raises(ValueError, match="non-integral exponent"):
+            Monomial((bad, 0))
+        assert Monomial(e for e in (2, 1)).exponents == (2, 1)
+
     def test_as_string(self):
         assert Monomial((2, 1, 0)).as_string(AMB) == "x^2*y"
         assert Monomial((0, 0, 0)).as_string(AMB) == "1"
 
 
 class TestArithmetic:
+    @pytest.mark.parametrize("bad", [1.5, 2.0, Fraction(1, 2), "1"])
+    def test_non_integral_exponent_rejected(self, bad):
+        # Polynomial({(1.5, 0): 1}, ...) used to be u: int() truncated it.
+        with pytest.raises(ValueError, match="non-integral exponent"):
+            Polynomial({(bad, 0, 0): 1}, AMB)
+        assert Polynomial({(1, 0, 0): 1}, AMB) == P("x", AMB)
+
     def test_canonical_zero(self):
         p = P("x", AMB) - P("x", AMB)
         assert p.is_zero()

@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
 
+from hypothesis import given, settings, strategies as st
+
 from logmono.chart import ChartedPair, MorphismOfPairs, RationalPoint
 from logmono.poly import Polynomial
 from logmono.rank import (
@@ -14,7 +16,25 @@ from logmono.rank import (
     symbolic_matrix_rank,
 )
 
-from helpers import P, origin
+from helpers import P, origin, reference_rational_matrix_rank
+
+
+@st.composite
+def integer_matrices(draw):
+    """Integer matrices up to 5 x 5 with many zeros and negative entries;
+    some rows are integer combinations of earlier ones, so that ranks
+    below full occur."""
+    ncols = draw(st.integers(0, 5))
+    entry = st.one_of(st.just(0), st.integers(-6, 6), st.integers(-10**12, 10**12))
+    rows = []
+    for _ in range(draw(st.integers(0, 5))):
+        if rows and draw(st.booleans()):
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            s, t = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+            rows.append([s * x + t * y for x, y in zip(a, b)])
+        else:
+            rows.append(draw(st.lists(entry, min_size=ncols, max_size=ncols)))
+    return rows
 
 
 class TestMatrixRank:
@@ -24,6 +44,19 @@ class TestMatrixRank:
         assert rational_matrix_rank([[F(0), F(0)]]) == 0
         assert rational_matrix_rank([[F(1), F(2)], [F(2), F(4)]]) == 1
         assert rational_matrix_rank([[F(1), F(2)], [F(3), F(4)]]) == 2
+
+    @settings(max_examples=300, deadline=None)
+    @given(integer_matrices())
+    def test_integer_rank_matches_fraction_reference(self, rows):
+        assert rational_matrix_rank(rows) == reference_rational_matrix_rank(rows)
+
+    @settings(max_examples=100, deadline=None)
+    @given(integer_matrices(), st.data())
+    def test_rank_with_a_fraction_entry_matches_reference(self, rows, data):
+        # One non-int entry sends the matrix down the Fraction path.
+        if rows and rows[0]:
+            rows[0][0] = Fraction(data.draw(st.integers(-5, 5)), data.draw(st.integers(1, 4)))
+        assert rational_matrix_rank(rows) == reference_rational_matrix_rank(rows)
 
     def test_symbolic_rank_oracles(self):
         amb = ("x", "y")
