@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Mapping, Optional
+from typing import Mapping, Optional, Sequence
 
 from .ideal import IdealPresentation
 from .poly import Polynomial
@@ -13,6 +13,19 @@ from .poly import Polynomial
 
 class DegenerateMorphismError(ValueError):
     """A divisor variable pulls back to the zero polynomial."""
+
+
+def split_positions(
+    variables: tuple[str, ...], members: Sequence[str]
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The positions in ``variables`` of the names in ``members`` and of
+    every other name, each in the order of ``variables``."""
+    inside = set(members)
+    flags = [v in inside for v in variables]
+    return (
+        tuple(i for i, f in enumerate(flags) if f),
+        tuple(i for i, f in enumerate(flags) if not f),
+    )
 
 
 @dataclass(frozen=True)
@@ -36,24 +49,17 @@ class ChartedPair:
             tuple(v for v in self.variables if v in divisor),
         )
 
-    # The indices in ``variables`` of the divisor and of the free variables,
-    # computed on first use and kept: most charts built by blowups never
-    # ask.  (``cached_property`` writes the instance dict directly, which a
+    # (divisor positions, free positions) in ``variables``, computed on
+    # first use and kept: most charts built by blowups never ask.
+    # (``cached_property`` writes the instance dict directly, which a
     # frozen dataclass allows.)
-
     @cached_property
-    def divisor_positions(self) -> tuple[int, ...]:
-        divisor = set(self.divisor_vars)
-        return tuple(i for i, v in enumerate(self.variables) if v in divisor)
-
-    @cached_property
-    def free_positions(self) -> tuple[int, ...]:
-        divisor = set(self.divisor_vars)
-        return tuple(i for i, v in enumerate(self.variables) if v not in divisor)
+    def positions(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        return split_positions(self.variables, self.divisor_vars)
 
     @property
     def free_vars(self) -> tuple[str, ...]:
-        return tuple(self.variables[i] for i in self.free_positions)
+        return tuple(self.variables[i] for i in self.positions[1])
 
     @property
     def dimension(self) -> int:
@@ -70,7 +76,7 @@ class ChartedPair:
         if len(p.terms) != 1:
             return False
         (exps,) = p.terms
-        return not any(exps[i] for i in self.free_positions)
+        return not any(exps[i] for i in self.positions[1])
 
 
 @dataclass(frozen=True)
@@ -188,4 +194,4 @@ def preimage_equality_check(phi: MorphismOfPairs) -> bool:
         (exps,) = phi.components[x].terms
         vectors.append(exps)
     total = tuple(map(sum, zip(*vectors)))
-    return all(total[i] > 0 for i in phi.source.divisor_positions)
+    return all(total[i] > 0 for i in phi.source.positions[0])

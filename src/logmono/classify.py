@@ -14,6 +14,7 @@ from .chart import (
     MorphismOfPairs,
     RationalPoint,
     preimage_equality_check,
+    split_positions,
     stratum_of_point,
 )
 from .fitting import fitting_vanishing_in_divisor, log_fitting_ideal
@@ -132,24 +133,11 @@ def _as_constant_times_monomial(
     return c, exps
 
 
-def _stratum_positions(
-    ambient: tuple[str, ...], stratum: Sequence[str]
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The positions in the ambient of the stratum's variables and of every
-    other variable, each in ambient order (a stratum is in chart order)."""
-    inside = set(stratum)
-    flags = [v in inside for v in ambient]
-    return (
-        tuple(i for i, f in enumerate(flags) if f),
-        tuple(i for i, f in enumerate(flags) if not f),
-    )
-
-
 def _divisor_exponents(
     p_exps: tuple[int, ...], positions: tuple[tuple[int, ...], tuple[int, ...]]
 ) -> Optional[tuple[int, ...]]:
-    """Exponents restricted to the stratum (``_stratum_positions``); None
-    if a variable outside it occurs."""
+    """Exponents restricted to the stratum (positions from
+    ``chart.split_positions``); None if a variable outside it occurs."""
     inside, outside = positions
     if any(p_exps[i] for i in outside):
         return None
@@ -225,8 +213,7 @@ def match_spm_template(
     if len(phi.target.variables) != 2:
         return None
     stratum = stratum_of_point(phi.source, a)
-    ambient = phi.source.variables
-    positions = _stratum_positions(ambient, stratum)
+    positions = split_positions(phi.source.variables, stratum)
     target_div = list(phi.target.divisor_vars)
     target_free = list(phi.target.free_vars)
     k = len(stratum)
@@ -278,7 +265,7 @@ def match_spm_template(
         # Case 1: remainder is u^beta * (one free variable, exponent 1).
         inside, outside = positions
         off = [i for i in outside if exps[i]]
-        if len(off) == 1 and exps[off[0]] == 1 and off[0] in phi.source.free_positions:
+        if len(off) == 1 and exps[off[0]] == 1 and off[0] in phi.source.positions[1]:
             beta = tuple(exps[i] for i in inside)
             return StronglyPreparedCertificate(1, alpha, beta, m, series, z_kind)
     return None

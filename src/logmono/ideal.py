@@ -482,8 +482,6 @@ def residual_value(p: Polynomial, m: Monomial, point: Sequence[Fraction]) -> int
         )
     me = m.exponents
     nonzero = [(i, x) for i, x in enumerate(point) if x]
-    if not nonzero:
-        return p.terms.get(me, 0)
     zeros = [i for i, x in enumerate(point) if not x]
     total = 0
     for e, c in p.terms.items():

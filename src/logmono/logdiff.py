@@ -134,7 +134,7 @@ def wedge_rows(rows: Sequence[Sequence[int | Polynomial]], chart: ChartedPair) -
     the sign of the shuffle.
     """
     names = chart.variables
-    divisor = chart.divisor_positions
+    divisor = chart.positions[0]
     coeffs = {}
     for cols in combinations(range(len(names)), len(rows)):
         I = [j for j in cols if j in divisor]
@@ -180,11 +180,7 @@ def _det(matrix: list[list[int | Polynomial]]) -> int | Polynomial:
         entry = row[0]
         if _is_zero(entry):
             continue
-        if k == 2:
-            # The cofactor of a 2 x 2 entry is the other row's other entry.
-            cofactor = matrix[1 - i][1]
-        else:
-            cofactor = _det([r[1:] for r in matrix[:i] + matrix[i + 1 :]])
+        cofactor = _det([r[1:] for r in matrix[:i] + matrix[i + 1 :]])
         if _is_zero(cofactor):
             continue
         if i % 2:

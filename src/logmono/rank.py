@@ -4,6 +4,7 @@ image-dimension computation through elimination ideals."""
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .chart import ChartedPair, MorphismOfPairs, RationalPoint
@@ -21,44 +22,16 @@ def jacobian(phi: MorphismOfPairs) -> list[list[Polynomial]]:
 
 
 def rational_matrix_rank(rows: Sequence[Sequence[int | Fraction]]) -> int:
-    """Rank over the rationals.
+    """Rank over the rationals, by fraction-free integer elimination.
 
-    A matrix of ints alone (exponent matrices, integer points) is
-    eliminated fraction-free in Python ints (``_integer_rank``); any other
-    entry sends the matrix through Gaussian elimination over ``Fraction``.
+    Scaling a row by a nonzero number keeps the rank, so each row is first
+    multiplied by the lcm of its entries' denominators (1 for an int).  The
+    integer matrix is then eliminated as in Bareiss (Math. Comp. 1968):
+    after each pivot every entry below it is a minor of the input, so
+    dividing by the previous pivot is exact and the entries stay the size
+    of those minors.
     """
-    if all(type(x) is int for r in rows for x in r):
-        return _integer_rank(rows)
-    m = [list(map(Fraction, r)) for r in rows]
-    if not m:
-        return 0
-    ncols = len(m[0])
-    rank = 0
-    row = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(row, len(m)) if m[r][col] != 0), None)
-        if pivot is None:
-            continue
-        m[row], m[pivot] = m[pivot], m[row]
-        pv = m[row][col]
-        for r in range(row + 1, len(m)):
-            if m[r][col] != 0:
-                f = m[r][col] / pv
-                for c in range(col, ncols):
-                    m[r][c] -= f * m[row][c]
-        row += 1
-        rank += 1
-        if row == len(m):
-            break
-    return rank
-
-
-def _integer_rank(rows: Sequence[Sequence[int]]) -> int:
-    """Rank of an integer matrix by Bareiss's fraction-free elimination
-    (Math. Comp. 1968): after each pivot every entry below it is a minor of
-    the input, so dividing by the previous pivot is exact and the entries
-    stay the size of those minors."""
-    m = [list(r) for r in rows]
+    m = [_cleared_row(r) for r in rows]
     rank = 0
     prev = 1
     for col in range(len(m[0]) if m else 0):
@@ -79,6 +52,11 @@ def _integer_rank(rows: Sequence[Sequence[int]]) -> int:
         if rank == len(m):
             break
     return rank
+
+
+def _cleared_row(row: Sequence[int | Fraction]) -> list[int]:
+    d = lcm(*[x.denominator for x in row])
+    return [x.numerator * (d // x.denominator) for x in row]
 
 
 def _poly_pivot_key(p: Polynomial):
