@@ -6,7 +6,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import gcd
 from typing import Optional, Sequence
 
@@ -16,18 +15,18 @@ from .chart import (
     preimage_equality_check,
     split_positions,
     stratum_of_point,
+    validate_pair_condition,
 )
 from .fitting import fitting_vanishing_in_divisor, log_fitting_ideal
 from .ideal import (
     IdealPresentation,
     PrincipalMonomialCertificate,
-    ideal_membership,
     is_principal_monomial_at,
     local_monomial,
     radical_membership,
     residual_value,
 )
-from .logdiff import log_jacobian, maximal_minors
+from .logdiff import NotAMorphismOfPairsError, maximal_minors
 from .rank import jacobian, log_rank_at_point, rational_matrix_rank
 from .poly import Polynomial
 
@@ -295,11 +294,6 @@ def is_monomial_morphism_at(
 # Log-rank adapted verification
 
 
-def _minors(rows: list[list[Polynomial]], size: int) -> list[Polynomial]:
-    """The nonzero size-minors: maximal minors of each size-subset of rows."""
-    return [m for sub in combinations(rows, size) for _, m in maximal_minors(list(sub))]
-
-
 def is_log_rank_adapted_at(
     phi: MorphismOfPairs,
     a: RationalPoint,
@@ -315,11 +309,11 @@ def is_log_rank_adapted_at(
     level k+1, the log-rank is exactly e = min(n, N) - k at every point,
     over the algebraic closure, of {w = 0} minus the other divisor
     components, with free variables unrestricted.  That set is dense in
-    {w = 0}, so this holds exactly when every (e+1)-minor of the log
-    Jacobian vanishes on w = 0 and the product of the other divisor
-    variables lies in the radical of the e-minors plus (w).  It never
-    holds for e < 0.  Raises NotAMorphismOfPairsError when a filtration
-    level is nonempty and the pair condition fails.
+    {w = 0}, so this holds exactly when the log-Fitting ideal F_{e+1} (the
+    (e+1)-minors of the log Jacobian) vanishes on w = 0 and the product of
+    the other divisor variables lies in the radical of F_e plus (w).  It
+    never holds for e < 0.  Raises NotAMorphismOfPairsError when a
+    filtration level is nonempty and the pair condition fails.
     """
     filtration.validate(phi.source.divisor_vars)
     diagnostics: list[str] = []
@@ -328,22 +322,16 @@ def is_log_rank_adapted_at(
     phi0 = phi.with_empty_target_divisor()
     r = log_rank_at_point(phi0, a)
 
+    amb = phi.source.variables
     comps = phi.component_list()
     free = set(phi.source.free_vars)
     seen = set()
     for i in range(r):
-        p = comps[i]
-        cm = _as_constant_times_monomial(p)
-        ok = (
-            cm is not None
-            and cm[0] == 1
-            and sum(cm[1]) == 1
-            and next(v for v, e in zip(phi.source.variables, cm[1]) if e) in free
-        )
-        if not ok:
+        cm = _as_constant_times_monomial(comps[i])
+        v = amb[cm[1].index(1)] if cm and cm[0] == 1 and sum(cm[1]) == 1 else None
+        if v not in free:
             diagnostics.append(f"component {i + 1} is not a free source variable")
             continue
-        v = next(v for v, e in zip(phi.source.variables, cm[1]) if e)
         if v in seen:
             diagnostics.append(f"component {i + 1} repeats the variable {v}")
         seen.add(v)
@@ -355,31 +343,28 @@ def is_log_rank_adapted_at(
                 f"component {r + 1} is not a monomial in divisor variables"
             )
         else:
+            # Equal ideals have the same reduced Groebner basis.
             pulled = [phi.pullback(g) for g in target_stratum_ideal.generators]
-            pulled_ideal = IdealPresentation(pulled, phi.source.variables)
-            comp_ideal = IdealPresentation([p], phi.source.variables)
-            if not (
-                all(ideal_membership(g, comp_ideal) for g in pulled)
-                and all(
-                    ideal_membership(g, pulled_ideal)
-                    for g in comp_ideal.generators
-                )
-            ):
+            if IdealPresentation(pulled, amb).basis() != IdealPresentation([p], amb).basis():
                 diagnostics.append(
                     "pullback of the target stratum ideal is not generated "
                     f"by component {r + 1}"
                 )
 
-    rows = log_jacobian(phi) if any(filtration.levels) else []
-    amb = phi.source.variables
+    # A boundary level past min(n, N) builds no log-Fitting ideal, so the
+    # pair condition is checked here for every nonempty filtration.
+    if any(filtration.levels):
+        ok, pair_diags = validate_pair_condition(phi)
+        if not ok:
+            raise NotAMorphismOfPairsError("; ".join(pair_diags))
     for k, level in enumerate(filtration.levels, start=1):
         inner = filtration.levels[k] if k < len(filtration.levels) else ()
         boundary = [w for w in level if w not in inner]
         if not boundary:
             continue
         e = min(n, N) - k
-        above = _minors(rows, e + 1) if e >= 0 else []
-        below = _minors(rows, e) if e > 0 else []
+        above = log_fitting_ideal(phi, e + 1).generators if e >= 0 else []
+        below = log_fitting_ideal(phi, e).generators if e > 0 else []
         for w in boundary:
             i = amb.index(w)
             if e < 0 or any(not x[i] for m in above for x in m.terms):

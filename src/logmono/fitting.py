@@ -3,7 +3,7 @@
 The ideal at form degree k is generated by all coefficients of the
 pullbacks of the target log basis k-forms: the k-minors of one log
 Jacobian, each k-subset of its rows wedged once.  Divisorial rows are the
-components' integer exponent tuples (``logdiff.log_jacobian_rows``), so a
+components' integer exponent tuples (``logdiff.log_jacobian``), so a
 minor of divisorial rows alone is one integer and a divisorial entry of a
 mixed minor scales its cofactor.  Indexing convention: the
 artifact exposes the form degree k directly; the top ideal (k equal to
@@ -17,7 +17,7 @@ from itertools import combinations
 
 from .chart import MorphismOfPairs
 from .ideal import IdealPresentation, radical_membership
-from .logdiff import log_jacobian_rows, wedge_rows
+from .logdiff import log_jacobian, wedge_rows
 
 
 def log_fitting_ideal(phi: MorphismOfPairs, k: int) -> IdealPresentation:
@@ -30,7 +30,7 @@ def log_fitting_ideal(phi: MorphismOfPairs, k: int) -> IdealPresentation:
     N = len(phi.target.variables)
     if not 1 <= k <= min(n, N):
         raise ValueError(f"form degree {k} out of range 1..{min(n, N)}")
-    rows = dict(zip(phi.target.variables, log_jacobian_rows(phi)))
+    rows = dict(zip(phi.target.variables, log_jacobian(phi)))
     gens = []
     div = phi.target.divisor_vars
     free = phi.target.free_vars

@@ -10,7 +10,7 @@ Jacobian.  A row is a log differential: the Euler operator u*d/du scales
 each term by its exponent of u in a divisor column, and d/dv differentiates
 in a free column.  Under the pair condition a divisorial component is
 c*u^a, so its row is the integer exponent vector a, kept as the
-component's exponent tuple of ints (``log_jacobian_rows``).  The
+component's exponent tuple of ints (``log_jacobian``).  The
 coefficient of dx_I/x_I ^ dy_J in a wedge is the maximal minor on the
 columns I + J, in that order: taking the divisor block first supplies the
 sign of the shuffle, and no division happens.  Every minor comes from one
@@ -211,32 +211,18 @@ def pullback_basis_form(
         raise ValueError("J_target must consist of target free variables")
     if not I_target + J_target:
         raise ValueError("form degree must be at least 1")
-    rows = dict(zip(phi.target.variables, log_jacobian_rows(phi)))
+    rows = dict(zip(phi.target.variables, log_jacobian(phi)))
     return wedge_rows([rows[x] for x in I_target + J_target], phi.source)
 
 
-def log_jacobian(phi: MorphismOfPairs) -> list[list[Polynomial]]:
+def log_jacobian(phi: MorphismOfPairs) -> list[tuple[int, ...] | list[Polynomial]]:
     """One row per target variable (target chart order) over the source log
-    basis (source chart order): the pullback of dx/x or dy, every entry a
-    polynomial.
+    basis (source chart order): the pullback of dx/x or dy.
 
     Under the pair condition a divisorial component is c*u^a, so dx/x pulls
-    back to sum a_i du_i/u_i and its row is the exponent vector a, as
-    constant polynomials.  A free component's row is its log differential.
-    Raises NotAMorphismOfPairsError when the pair condition fails.
-    """
-    amb = phi.source.variables
-    return [
-        [Polynomial.constant(e, amb) for e in row] if type(row) is tuple else row
-        for row in log_jacobian_rows(phi)
-    ]
-
-
-def log_jacobian_rows(phi: MorphismOfPairs) -> list[tuple[int, ...] | list[Polynomial]]:
-    """The rows of ``log_jacobian`` as the minor kernel takes them: a
-    divisorial row is the component's exponent tuple of ints, a free row
-    its log differential.  Raises NotAMorphismOfPairsError when the pair
-    condition fails."""
+    back to sum a_i du_i/u_i and its row is the exponent tuple a of ints.
+    A free component's row is its log differential.  Raises
+    NotAMorphismOfPairsError when the pair condition fails."""
     ok, diags = validate_pair_condition(phi)
     if not ok:
         raise NotAMorphismOfPairsError("; ".join(diags))

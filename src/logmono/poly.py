@@ -86,27 +86,6 @@ class Monomial:
     def __repr__(self):
         return f"Monomial({self.exponents})"
 
-    @property
-    def degree(self) -> int:
-        return sum(self.exponents)
-
-    def divides(self, other: "Monomial") -> bool:
-        return all(a <= b for a, b in zip(self.exponents, other.exponents))
-
-    def __mul__(self, other: "Monomial") -> "Monomial":
-        return Monomial(a + b for a, b in zip(self.exponents, other.exponents))
-
-    def __truediv__(self, other: "Monomial") -> "Monomial":
-        if not other.divides(self):
-            raise ValueError(f"{other} does not divide {self}")
-        return Monomial(a - b for a, b in zip(self.exponents, other.exponents))
-
-    def lcm(self, other: "Monomial") -> "Monomial":
-        return Monomial(max(a, b) for a, b in zip(self.exponents, other.exponents))
-
-    def gcd(self, other: "Monomial") -> "Monomial":
-        return Monomial(min(a, b) for a, b in zip(self.exponents, other.exponents))
-
     def as_string(self, ambient: Sequence[str]) -> str:
         factors = []
         for v, e in zip(ambient, self.exponents):

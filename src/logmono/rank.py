@@ -116,9 +116,10 @@ def geometric_rank(phi: MorphismOfPairs) -> int:
 
 
 def log_rank_at_point(phi: MorphismOfPairs, a: RationalPoint) -> int:
+    # A divisorial row is already an integer tuple; only free rows are evaluated.
     pt = a.coordinates
     return rational_matrix_rank(
-        [[e.evaluate(pt) for e in row] for row in log_jacobian(phi)]
+        [r if type(r) is tuple else [e.evaluate(pt) for e in r] for r in log_jacobian(phi)]
     )
 
 

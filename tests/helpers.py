@@ -13,6 +13,7 @@ from logmono.chart import ChartedPair, MorphismOfPairs, RationalPoint
 from logmono.classify import is_quasi_prepared
 from logmono.frontend import MAX_NESTING, MAX_TERMS, ProblemSyntaxError
 from logmono.ideal import IdealPresentation, PrincipalMonomialCertificate, radical_membership
+from logmono.logdiff import log_jacobian
 from logmono.poly import Monomial, Polynomial, exact_divide
 from logmono.rank import log_rank_at_point
 
@@ -707,6 +708,29 @@ def reference_det(matrix: list[list[Polynomial]]) -> Polynomial:
     return total
 
 
+def polynomial_log_jacobian(phi: MorphismOfPairs) -> list[list[Polynomial]]:
+    """``logdiff.log_jacobian`` with each divisorial exponent tuple written
+    as a row of constant polynomials."""
+    amb = phi.source.variables
+    return [
+        [Polynomial.constant(e, amb) for e in row] if type(row) is tuple else row
+        for row in log_jacobian(phi)
+    ]
+
+
+def reference_minors(rows: list[list[Polynomial]], size: int) -> list[Polynomial]:
+    """The nonzero size-minors: for each size-subset of rows, the minor on
+    each size-subset of columns, by ``reference_det``."""
+    ncols = len(rows[0]) if rows else 0
+    out = []
+    for sub in combinations(rows, size):
+        for cols in combinations(range(ncols), size):
+            m = reference_det([[row[j] for j in cols] for row in sub])
+            if not m.is_zero():
+                out.append(m)
+    return out
+
+
 def reference_rational_matrix_rank(rows) -> int:
     """Gaussian elimination with every entry coerced to ``Fraction``."""
     m = [list(map(Fraction, r)) for r in rows]
@@ -734,9 +758,9 @@ def reference_local_monomial(polys, point) -> Monomial:
     that vanish at the point."""
     content = None
     for p in polys:
-        c = p.monomial_content()
-        content = c if content is None else content.gcd(c)
-    return Monomial(e if x == 0 else 0 for e, x in zip(content.exponents, point))
+        c = p.monomial_content().exponents
+        content = c if content is None else tuple(map(min, content, c))
+    return Monomial(e if x == 0 else 0 for e, x in zip(content, point))
 
 
 def reference_residual_value(p: Polynomial, m: Monomial, point) -> Fraction:

@@ -28,6 +28,7 @@ from logmono.ideal import (
     is_principal_monomial_at,
     radical_membership,
 )
+from logmono.logdiff import NotAMorphismOfPairsError
 
 from helpers import (
     P,
@@ -131,14 +132,14 @@ class TestQuasiPrepared:
         # The quasi-prepared and strongly-prepared checks share one top
         # log-Fitting ideal, and that ideal is read off one log Jacobian.
         calls = []
-        original = logmono.logdiff.log_jacobian_rows
+        original = logmono.logdiff.log_jacobian
 
         def counting(phi):
             calls.append(phi)
             return original(phi)
 
         for module in (logmono.logdiff, logmono.fitting):
-            monkeypatch.setattr(module, "log_jacobian_rows", counting)
+            monkeypatch.setattr(module, "log_jacobian", counting)
         phi = surface_case1()
         assert is_quasi_prepared(phi)[0]
         assert is_strongly_prepared_at(phi, origin(phi.source)) is not None
@@ -300,6 +301,18 @@ class TestLogRankAdapted:
         assert not ok
         assert any("log-rank" in d for d in diags)
 
+    @pytest.mark.parametrize("levels", [[("u1",)], [("u1",), ("u1",), ("u1",)]])
+    def test_pair_condition_failure_raises(self, levels):
+        # x1 = u1 + 1 does not vanish on u1 = 0.  With three equal levels
+        # only level 3, past min(n, N) = 1, has a boundary variable, and
+        # it builds no log-Fitting ideal.
+        src = ChartedPair(("u1", "v1"), ("u1",))
+        tgt = ChartedPair(("x1",), ("x1",))
+        phi = MorphismOfPairs(src, tgt, {"x1": P("u1 + 1", src.variables)})
+        target_ideal = IdealPresentation([], tgt.variables)
+        with pytest.raises(NotAMorphismOfPairsError):
+            is_log_rank_adapted_at(phi, origin(src), DivisorFiltration(levels), target_ideal)
+
     @pytest.mark.parametrize(
         "source, target, maps, drop",
         [
@@ -309,7 +322,7 @@ class TestLogRankAdapted:
                 ("u1 u2 v1", "u1 u2"),
                 ("x1 y1 z1", "z1"),
                 {"x1": "-u2^2*v1 + v1", "y1": "5", "z1": "u2^3"},
-                "2-minors at u1 = 0 vanish: (3*u2^2 - 3)",
+                "2-minors at u1 = 0 vanish: (-3*u2^2 + 3)",
             ),
             # The log-rank drops to 0 on v2 = 0: the sampler draws free
             # variables positive, so it never sees the drop.

@@ -1,10 +1,20 @@
+from collections import Counter
+
 import pytest
 
-from logmono.chart import ChartedPair, MorphismOfPairs
+from logmono.chart import ChartedPair, MorphismOfPairs, validate_pair_condition
 from logmono.fitting import fitting_vanishing_in_divisor, log_fitting_ideal
 from logmono.poly import Polynomial
 
-from helpers import P
+from helpers import (
+    P,
+    empty_divisor_corpus,
+    monomial_surface_corpus,
+    normal_form_corpus,
+    pair_condition_corpus,
+    polynomial_log_jacobian,
+    reference_minors,
+)
 
 
 def surface_case1():
@@ -85,3 +95,28 @@ class TestVanishingLocus:
         phi = MorphismOfPairs(src, tgt, {"x": P("u", amb), "y": P("u*v^2", amb)})
         assert log_fitting_ideal(phi, 2).generators == [P("2*u*v", amb)]
         assert not fitting_vanishing_in_divisor(phi, 2)
+
+
+def _up_to_sign(p: Polynomial) -> frozenset:
+    """The terms of p or -p, whichever is positive on its largest exponent."""
+    if p.terms[max(p.terms)] < 0:
+        p = -p
+    return frozenset(p.terms.items())
+
+
+def test_generators_are_the_log_jacobian_minors():
+    # F_k wedges each k-subset of rows (divisor rows first) over every
+    # column subset, so its generators are the k-minors of the log
+    # Jacobian up to sign and order.
+    corpus = [phi for phi, _ in normal_form_corpus()] + pair_condition_corpus()
+    corpus += empty_divisor_corpus() + monomial_surface_corpus()
+    checked = 0
+    for phi in corpus:
+        if not validate_pair_condition(phi)[0]:
+            continue
+        rows = polynomial_log_jacobian(phi)
+        for k in range(1, min(len(phi.source.variables), len(phi.target.variables)) + 1):
+            got = Counter(map(_up_to_sign, log_fitting_ideal(phi, k).generators))
+            assert got == Counter(map(_up_to_sign, reference_minors(rows, k))), (phi, k)
+            checked += 1
+    assert checked >= 300

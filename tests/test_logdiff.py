@@ -11,7 +11,6 @@ from logmono.logdiff import (
     _det,
     log_differential,
     log_jacobian,
-    log_jacobian_rows,
     maximal_minors,
     pullback_basis_form,
     wedge_rows,
@@ -27,6 +26,7 @@ from helpers import (
     monomial_surface_corpus,
     normal_form_corpus,
     pair_condition_corpus,
+    polynomial_log_jacobian,
     reference_det,
 )
 
@@ -62,7 +62,7 @@ class TestLogDifferential:
             assert_canonical(p)
         tgt = ChartedPair(("x", "y"), ("x",))
         phi = MorphismOfPairs(CHART, tgt, {"x": P("u^3", amb), "y": f})
-        for row in log_jacobian(phi):
+        for row in polynomial_log_jacobian(phi):
             for p in row:
                 assert_canonical(p)
 
@@ -147,7 +147,7 @@ class TestLogJacobian:
         amb = phi.source.variables
         lj = log_jacobian(phi)
         assert len(lj) == 2 and all(len(row) == 3 for row in lj)
-        assert lj[0] == [P("2", amb), P("2", amb), Polynomial.zero(amb)]
+        assert lj[0] == (2, 2, 0)
         assert lj[1] == [
             P("u1*u2 + 3*u1^3*u2^3*v1", amb),
             P("u1*u2 + 3*u1^3*u2^3*v1", amb),
@@ -182,7 +182,7 @@ def test_rows_and_pullbacks_match_division_reference():
     corpus = pair_valid + [phi for phi, _ in normal_form_corpus()]
     corpus += empty_divisor_corpus() + monomial_surface_corpus()
     for phi in corpus + [reversed_source(phi) for phi in corpus]:
-        assert log_jacobian(phi) == division_log_jacobian(phi), phi
+        assert polynomial_log_jacobian(phi) == division_log_jacobian(phi), phi
         div, free = phi.target.divisor_vars, phi.target.free_vars
         for k in range(1, len(phi.target.variables) + 1):
             gens = []
@@ -285,6 +285,7 @@ class TestMinorKernel:
 
 def test_divisorial_rows_are_exponent_tuples():
     phi = surface_morphism()
-    rows = log_jacobian_rows(phi)
+    rows = log_jacobian(phi)
     assert rows[0] == (2, 2, 0) and type(rows[0]) is tuple
-    assert rows[1] == log_jacobian(phi)[1]
+    assert all(type(e) is int for e in rows[0])
+    assert rows[1] == division_log_jacobian(phi)[1]

@@ -34,19 +34,6 @@ polys = st.dictionaries(exps, coeffs, max_size=5).map(rand_poly)
 
 
 class TestMonomial:
-    def test_divides_and_quotient(self):
-        a = Monomial((1, 2, 0))
-        b = Monomial((2, 2, 1))
-        assert a.divides(b)
-        assert not b.divides(a)
-        assert (b / a).exponents == (1, 0, 1)
-
-    def test_lcm_gcd(self):
-        a = Monomial((1, 2, 0))
-        b = Monomial((2, 0, 1))
-        assert a.lcm(b).exponents == (2, 2, 1)
-        assert a.gcd(b).exponents == (1, 0, 0)
-
     def test_negative_exponent_rejected(self):
         with pytest.raises(ValueError):
             Monomial((1, -1))
