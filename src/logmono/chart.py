@@ -30,18 +30,30 @@ def split_positions(
 
 @dataclass(frozen=True)
 class ChartedPair:
-    """An affine chart with a subset of coordinates cutting the divisor."""
+    """An affine chart with a subset of coordinates cutting the divisor.
+
+    The one chart validator: the variable names are distinct, and each
+    divisor name is declared and listed once (``frontend`` reports the same
+    messages at the chart's line).
+    """
 
     variables: tuple[str, ...]
     divisor_vars: tuple[str, ...]
 
     def __post_init__(self):
-        if len(set(self.variables)) != len(self.variables):
-            raise ValueError("duplicate chart variables")
+        names = set(self.variables)
+        if len(names) != len(self.variables):
+            raise ValueError("duplicate variable declaration")
         divisor = set(self.divisor_vars)
-        extra = divisor.difference(self.variables)
-        if extra:
-            raise ValueError(f"divisor variables {extra} not in chart")
+        if len(divisor) != len(self.divisor_vars) or not divisor <= names:
+            # Name the first bad divisor entry in listing order.
+            seen = set()
+            for d in self.divisor_vars:
+                if d not in names:
+                    raise ValueError(f"divisor variable {d!r} not declared")
+                if d in seen:
+                    raise ValueError(f"duplicate divisor variable {d!r}")
+                seen.add(d)
         # Keep divisor variables in chart order for determinism.
         object.__setattr__(
             self,

@@ -32,18 +32,6 @@ from .poly import Polynomial
 
 
 @dataclass
-class StronglyPreparedCertificate:
-    """Witness that the components match one of the three normal forms."""
-
-    case_tag: int
-    alpha: tuple[int, ...]
-    beta: tuple[int, ...]
-    multiplicity: int
-    series_coefficients: dict[int, Fraction]  # P as a polynomial in one monomial
-    z_designation: str  # "divisorial" or "free"
-
-
-@dataclass
 class DivisorFiltration:
     """Nested SNC divisor levels, outermost first."""
 
@@ -153,58 +141,38 @@ def _wedge_is_zero(a: Sequence[int], b: Sequence[int]) -> bool:
 
 def _match_first_component(
     x1: Polynomial, positions: tuple[tuple[int, ...], tuple[int, ...]]
-) -> Optional[tuple[int, tuple[int, ...]]]:
-    """Recognize c*(u^alpha)^m with gcd(alpha)=1 and alpha positive on the
-    whole stratum.  Returns (m, alpha)."""
-    cm = _as_constant_times_monomial(x1)
-    if cm is None:
+) -> Optional[tuple[int, ...]]:
+    """alpha when x1 is c*(u^alpha)^m with gcd(alpha)=1 and alpha positive
+    on the whole stratum."""
+    if len(x1.terms) != 1:
         return None
-    e = _divisor_exponents(cm[1], positions)
-    if e is None or any(x == 0 for x in e) or not e:
+    (exps,) = x1.terms
+    e = _divisor_exponents(exps, positions)
+    if not e or not all(e):
         return None
-    m = 0
-    for x in e:
-        m = gcd(m, x)
-    alpha = tuple(x // m for x in e)
-    return m, alpha
+    m = gcd(*e)
+    return tuple(x // m for x in e)
 
 
-def _split_series_part(
+def _series_remainder(
     z: Polynomial,
     positions: tuple[tuple[int, ...], tuple[int, ...]],
     alpha: tuple[int, ...],
-) -> tuple[dict[int, Fraction], Polynomial]:
-    """Split z into P(u^alpha) plus a remainder.
-
-    Terms whose exponents are a non-negative integer multiple of alpha on
-    the stratum (and zero elsewhere) belong to P.
-    """
-    series: dict[int, Fraction] = {}
-    rem_terms = {}
-    for exps, c in z.terms.items():
+) -> list[tuple[int, ...]]:
+    """The exponents of the terms of z outside P(u^alpha): those that are
+    not a non-negative integer multiple of alpha on the stratum and zero
+    elsewhere (alpha is positive, so the multiple is de[0] // alpha[0])."""
+    rem = []
+    for exps in z.terms:
         de = _divisor_exponents(exps, positions)
-        j = None
-        if de is not None:
-            if all(x == 0 for x in de):
-                j = 0
-            else:
-                ratios = {x // a for x, a in zip(de, alpha)}
-                if len(ratios) == 1:
-                    jj = ratios.pop()
-                    if de == tuple(jj * a for a in alpha):
-                        j = jj
-        if j is not None:
-            series[j] = series.get(j, Fraction(0)) + c
-        else:
-            rem_terms[exps] = c
-    # A subset of z's canonical terms is canonical.
-    return series, Polynomial._trusted(rem_terms, z.ambient)
+        if de is None or de != tuple(de[0] // alpha[0] * a for a in alpha):
+            rem.append(exps)
+    return rem
 
 
-def match_spm_template(
-    phi: MorphismOfPairs, a: RationalPoint
-) -> Optional[StronglyPreparedCertificate]:
-    """Syntactic matcher against the three strongly-prepared normal forms.
+def match_spm_template(phi: MorphismOfPairs, a: RationalPoint) -> Optional[int]:
+    """Syntactic matcher against the three strongly-prepared normal forms:
+    the number of the case the components match, or None.
 
     Recognizes presentations already in normal form; a None verdict does
     not preclude strong preparedness after a coordinate change.
@@ -213,8 +181,7 @@ def match_spm_template(
         return None
     stratum = stratum_of_point(phi.source, a)
     positions = split_positions(phi.source.variables, stratum)
-    target_div = list(phi.target.divisor_vars)
-    target_free = list(phi.target.free_vars)
+    target_div = phi.target.divisor_vars
     k = len(stratum)
     comps = phi.components
 
@@ -234,39 +201,34 @@ def match_spm_template(
                 and any(x > 0 and y > 0 and i != j
                         for i, x in enumerate(e1) for j, y in enumerate(e2))
             ):
-                return StronglyPreparedCertificate(3, e1, e2, 1, {}, "divisorial")
+                return 3
 
     # Cases 1 and 2: x1 divisorial in normal form, z the other component.
-    orderings = []
     if len(target_div) == 1:
-        orderings.append((target_div[0], target_free[0], "free"))
+        orderings = [(target_div[0], phi.target.free_vars[0])]
     elif len(target_div) == 2:
-        orderings.append((target_div[0], target_div[1], "divisorial"))
-        orderings.append((target_div[1], target_div[0], "divisorial"))
-    for x1_name, z_name, z_kind in orderings:
-        first = _match_first_component(comps[x1_name], positions)
-        if first is None:
+        orderings = [target_div, target_div[::-1]]
+    else:
+        orderings = []
+    for x1_name, z_name in orderings:
+        alpha = _match_first_component(comps[x1_name], positions)
+        if alpha is None:
             continue
-        m, alpha = first
-        series, rem = _split_series_part(comps[z_name], positions, alpha)
-        if rem.is_zero():
+        rem = _series_remainder(comps[z_name], positions, alpha)
+        if len(rem) != 1:
             continue
-        if len(rem.terms) != 1:
-            continue
-        ((exps, _),) = rem.terms.items()
+        (exps,) = rem
         beta = _divisor_exponents(exps, positions)
         if beta is not None:
             # Case 2: remainder is a pure divisor monomial not proportional
             # to alpha.
             if k >= 2 and not _wedge_is_zero(alpha, beta):
-                return StronglyPreparedCertificate(2, alpha, beta, m, series, z_kind)
+                return 2
             continue
         # Case 1: remainder is u^beta * (one free variable, exponent 1).
-        inside, outside = positions
-        off = [i for i in outside if exps[i]]
+        off = [i for i in positions[1] if exps[i]]
         if len(off) == 1 and exps[off[0]] == 1 and off[0] in phi.source.positions[1]:
-            beta = tuple(exps[i] for i in inside)
-            return StronglyPreparedCertificate(1, alpha, beta, m, series, z_kind)
+            return 1
     return None
 
 

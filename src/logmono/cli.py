@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from fractions import Fraction
 
 from .blowup import blowup_chart, transform_morphism
 from .chart import RationalPoint, validate_pair_condition
@@ -28,7 +27,7 @@ from .classify import (
     top_fitting_ideal,
 )
 from .fitting import log_fitting_ideal
-from .frontend import Report, parse_problem
+from .frontend import Report, parse_point, parse_problem
 from .principalize import (
     DepthLimitError,
     TerminationMeasureError,
@@ -59,13 +58,7 @@ def _load(args) -> tuple:
 
 def _point_from(args, problem) -> RationalPoint:
     if args.at:
-        try:
-            coords = tuple(Fraction(c) for c in args.at.split(","))
-        except (ValueError, ZeroDivisionError):
-            raise InputError(f"bad point {args.at!r}")
-        if len(coords) != len(problem.morphism.source.variables):
-            raise InputError("point length does not match the source chart")
-        return RationalPoint(coords)
+        return parse_point(args.at, len(problem.morphism.source.variables))
     if problem.point is None:
         raise InputError("a point is required (problem 'point' line or --at)")
     return problem.point
@@ -136,8 +129,7 @@ def cmd_classify(problem, args) -> Report:
         report.add("strongly_prepared_at_point", sp)
         if cert is not None:
             report.add("principal_monomial", str(cert.generator_monomial.as_string(phi.source.variables)))
-        syn = match_spm_template(phi, problem.point)
-        report.add("normal_form_case", syn.case_tag if syn else None)
+        report.add("normal_form_case", match_spm_template(phi, problem.point))
     if problem.point is not None:
         mono = is_monomial_morphism_at(phi, problem.point)
         report.add("monomial_at_point", mono is not None)

@@ -2,7 +2,8 @@
 
 The ideal at form degree k is generated by all coefficients of the
 pullbacks of the target log basis k-forms: the k-minors of one log
-Jacobian, each k-subset of its rows wedged once.  Divisorial rows are the
+Jacobian, each k-subset of its rows wedged once, and each minor kept once
+up to a nonzero rational scalar.  Divisorial rows are the
 components' integer exponent tuples (``logdiff.log_jacobian``), so a
 minor of divisorial rows alone is one integer and a divisorial entry of a
 mixed minor scales its cofactor.  Indexing convention: the
@@ -13,11 +14,13 @@ strongly prepared morphisms.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations
 
 from .chart import MorphismOfPairs
 from .ideal import IdealPresentation, radical_membership
 from .logdiff import log_jacobian, wedge_rows
+from .poly import Polynomial
 
 
 def log_fitting_ideal(phi: MorphismOfPairs, k: int) -> IdealPresentation:
@@ -31,16 +34,25 @@ def log_fitting_ideal(phi: MorphismOfPairs, k: int) -> IdealPresentation:
     if not 1 <= k <= min(n, N):
         raise ValueError(f"form degree {k} out of range 1..{min(n, N)}")
     rows = dict(zip(phi.target.variables, log_jacobian(phi)))
-    gens = []
+    gens = {}  # the first minor of each class up to a scalar, by _ray
     div = phi.target.divisor_vars
     free = phi.target.free_vars
     for l in range(0, k + 1):
         for I in combinations(div, l):
             for J in combinations(free, k - l):
                 form = wedge_rows([rows[x] for x in I + J], phi.source)
-                gens.extend(form.coefficients.values())
-    F = phi._log_fitting[k] = IdealPresentation(gens, phi.source.variables)
+                for p in form.coefficients.values():
+                    gens.setdefault(_ray(p), p)
+    F = phi._log_fitting[k] = IdealPresentation(list(gens.values()), phi.source.variables)
     return F
+
+
+def _ray(p: Polynomial) -> frozenset:
+    """p's terms divided by the coefficient of its least exponent tuple:
+    equal for two nonzero polynomials exactly when one is a nonzero
+    rational multiple of the other."""
+    c0 = p.terms[min(p.terms)]
+    return frozenset((e, Fraction(c, c0)) for e, c in p.terms.items())
 
 
 def fitting_vanishing_in_divisor(phi: MorphismOfPairs, k: int) -> bool:

@@ -12,7 +12,9 @@ File grammar (line oriented, ``#`` comments):
 Each ``source``/``target`` line appears once and names each variable once,
 in ``vars`` and in ``divisor``.  A name is an identifier (``IDENTIFIER``: a
 letter, then letters, digits and ``_``), the same pattern expressions use,
-so every declared variable can be referenced.
+so every declared variable can be referenced.  The names are checked by
+``ChartedPair`` and the point by ``parse_point``, which also reads the
+command line's ``--at``; their messages get the line here.
 
 Expressions use integer literals, rational literals ``<int>/<int>`` (one
 token with no spaces and a nonzero denominator, such as ``3/2``), declared
@@ -294,19 +296,28 @@ class ProblemFile:
         return "\n".join(lines) + "\n"
 
 
-def _parse_rational(text: str, line: int) -> Fraction:
-    text = text.strip()
-    try:
-        # A plain integer skips the regex parse of ``Fraction(str)``.
-        return Fraction(int(text)) if text.isdecimal() else Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise ProblemSyntaxError(f"bad rational {text!r}", line)
+def parse_point(text: str, n: int) -> RationalPoint:
+    """A point of an n-variable chart: comma separated rationals, as on a
+    ``point`` line or after ``--at``.  Raises ValueError; ``parse_problem``
+    adds the line."""
+    coords = []
+    for c in text.split(","):
+        c = c.strip()
+        try:
+            # A plain integer skips the regex parse of ``Fraction(str)``.
+            coords.append(Fraction(int(c)) if c.isdecimal() else Fraction(c))
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"bad rational {c!r}")
+    if len(coords) != n:
+        raise ValueError(f"point has {len(coords)} coordinates for {n} variables")
+    return RationalPoint(tuple(coords))
 
 
 def _parse_chart_line(rest: str, line: int) -> ChartedPair:
-    if "vars" not in rest.split():
-        raise ProblemSyntaxError("expected 'vars'", line)
+    """The syntax of a chart line; ``ChartedPair`` checks the names."""
     words = rest.split()
+    if "vars" not in words:
+        raise ProblemSyntaxError("expected 'vars'", line)
     if words[0] != "vars":
         raise ProblemSyntaxError("expected 'vars' after the chart keyword", line)
     try:
@@ -314,22 +325,15 @@ def _parse_chart_line(rest: str, line: int) -> ChartedPair:
     except ValueError:
         raise ProblemSyntaxError("expected 'divisor'", line)
     names = words[1:div_at]
-    divisor = words[div_at + 1 :]
     if not names:
         raise ProblemSyntaxError("chart needs at least one variable", line)
     for name in names:
         if not IDENTIFIER.fullmatch(name):
             raise ProblemSyntaxError(f"variable name {name!r} is not an identifier", line)
-    if len(set(names)) != len(names):
-        raise ProblemSyntaxError("duplicate variable declaration", line)
-    seen = set()
-    for d in divisor:
-        if d not in names:
-            raise ProblemSyntaxError(f"divisor variable {d!r} not declared", line)
-        if d in seen:
-            raise ProblemSyntaxError(f"duplicate divisor variable {d!r}", line)
-        seen.add(d)
-    return ChartedPair(tuple(names), tuple(divisor))
+    try:
+        return ChartedPair(tuple(names), tuple(words[div_at + 1 :]))
+    except ValueError as e:
+        raise ProblemSyntaxError(str(e), line)
 
 
 def parse_problem(text: str) -> ProblemFile:
@@ -401,13 +405,10 @@ def parse_problem(text: str) -> ProblemFile:
     point = None
     if point_line is not None:
         rest, lineno = point_line
-        coords = [_parse_rational(c, lineno) for c in rest.split(",")]
-        if len(coords) != len(source.variables):
-            raise ProblemSyntaxError(
-                f"point has {len(coords)} coordinates for {len(source.variables)} variables",
-                lineno,
-            )
-        point = RationalPoint(tuple(coords))
+        try:
+            point = parse_point(rest, len(source.variables))
+        except ValueError as e:
+            raise ProblemSyntaxError(str(e), lineno)
 
     filtration = None
     if filtration_lines:

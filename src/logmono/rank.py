@@ -10,7 +10,7 @@ from typing import Sequence
 from .chart import ChartedPair, MorphismOfPairs, RationalPoint
 from .ideal import IdealPresentation, dimension, elimination
 from .logdiff import log_jacobian
-from .poly import Polynomial, exact_divide, grevlex_key
+from .poly import Polynomial, exact_divide
 
 
 def jacobian(phi: MorphismOfPairs) -> list[list[Polynomial]]:
@@ -59,20 +59,12 @@ def _cleared_row(row: Sequence[int | Fraction]) -> list[int]:
     return [x.numerator * (d // x.denominator) for x in row]
 
 
-def _poly_pivot_key(p: Polynomial):
-    # Lowest total degree first, then canonical term order for determinism.
-    return (
-        p.total_degree,
-        tuple(sorted(p.terms.keys(), key=grevlex_key)),
-        tuple(p.terms[e] for e in sorted(p.terms.keys(), key=grevlex_key)),
-    )
-
-
 def symbolic_matrix_rank(rows: list[list[Polynomial]]) -> int:
     """Rank over the fraction field via Bareiss fraction-free elimination.
 
-    Pivots are chosen by lowest total degree (then canonical tiebreak);
-    all divisions are exact.
+    The pivot is a nonzero entry of lowest total degree, the first in
+    (row, column) order; the rank does not depend on the choice, and all
+    divisions are exact.
     """
     m = [list(r) for r in rows]
     if not m or not m[0]:
@@ -88,7 +80,7 @@ def symbolic_matrix_rank(rows: list[list[Polynomial]]) -> int:
         ]
         if not candidates:
             break
-        pr, pc = min(candidates, key=lambda rc: (_poly_pivot_key(m[rc[0]][rc[1]]), rc))
+        pr, pc = min(candidates, key=lambda rc: m[rc[0]][rc[1]].total_degree)
         pivot = m[pr][pc]
         rank += 1
         rows_left.remove(pr)

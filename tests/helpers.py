@@ -731,6 +731,13 @@ def reference_minors(rows: list[list[Polynomial]], size: int) -> list[Polynomial
     return out
 
 
+def up_to_scalar(p: Polynomial) -> frozenset:
+    """The terms of a nonzero p divided by its coefficient on its largest
+    exponent: equal exactly for proportional polynomials."""
+    top = p.terms[max(p.terms)]
+    return frozenset((e, Fraction(c) / top) for e, c in p.terms.items())
+
+
 def reference_rational_matrix_rank(rows) -> int:
     """Gaussian elimination with every entry coerced to ``Fraction``."""
     m = [list(map(Fraction, r)) for r in rows]
@@ -796,3 +803,93 @@ def reference_is_monomial_morphism_at(phi: MorphismOfPairs, a: RationalPoint):
     if reference_rational_matrix_rank(rows) != len(rows):
         return None
     return rows
+
+
+def reference_match_spm_template(phi: MorphismOfPairs, a: RationalPoint) -> Optional[int]:
+    """The case number of ``classify.match_spm_template``, by the matcher's
+    first form: it splits z into a series P(u^alpha), summed per power j,
+    plus a remainder, and finds alpha as the first exponent vector divided
+    by its multiplicity m, the gcd built up entry by entry."""
+    if len(phi.target.variables) != 2:
+        return None
+    coords = dict(zip(phi.source.variables, a.coordinates))
+    stratum = {v for v in phi.source.divisor_vars if coords[v] == 0}
+    inside = [i for i, v in enumerate(phi.source.variables) if v in stratum]
+    outside = [i for i, v in enumerate(phi.source.variables) if v not in stratum]
+    free = {i for i, v in enumerate(phi.source.variables) if v not in phi.source.divisor_vars}
+    k = len(inside)
+    comps = phi.components
+
+    def on_stratum(exps):
+        if any(exps[i] for i in outside):
+            return None
+        return tuple(exps[i] for i in inside)
+
+    def single(p):
+        return next(iter(p.terms)) if len(p.terms) == 1 else None
+
+    div = list(phi.target.divisor_vars)
+    if len(div) == 2 and k >= 2:
+        m1, m2 = single(comps[div[0]]), single(comps[div[1]])
+        if m1 is not None and m2 is not None:
+            e1, e2 = on_stratum(m1), on_stratum(m2)
+            if (
+                e1 is not None
+                and e2 is not None
+                and any(e1)
+                and any(e2)
+                and all(x + y > 0 for x, y in zip(e1, e2))
+                and any(x > 0 and y > 0 and i != j
+                        for i, x in enumerate(e1) for j, y in enumerate(e2))
+            ):
+                return 3
+
+    if len(div) == 1:
+        orderings = [(div[0], phi.target.free_vars[0])]
+    elif len(div) == 2:
+        orderings = [(div[0], div[1]), (div[1], div[0])]
+    else:
+        orderings = []
+    for x1_name, z_name in orderings:
+        mono = single(comps[x1_name])
+        e = None if mono is None else on_stratum(mono)
+        if e is None or any(x == 0 for x in e) or not e:
+            continue
+        m = 0
+        for x in e:
+            m = gcd(m, x)
+        alpha = tuple(x // m for x in e)
+        series: dict[int, Fraction] = {}
+        rem = {}
+        for exps, c in comps[z_name].terms.items():
+            de = on_stratum(exps)
+            j = None
+            if de is not None:
+                if all(x == 0 for x in de):
+                    j = 0
+                else:
+                    ratios = {x // y for x, y in zip(de, alpha)}
+                    if len(ratios) == 1:
+                        jj = ratios.pop()
+                        if de == tuple(jj * y for y in alpha):
+                            j = jj
+            if j is not None:
+                series[j] = series.get(j, Fraction(0)) + c
+            else:
+                rem[exps] = c
+        if len(rem) != 1:
+            continue
+        (exps,) = rem
+        beta = on_stratum(exps)
+        if beta is not None:
+            if k >= 2 and any(
+                alpha[i] * beta[j] != alpha[j] * beta[i]
+                for i in range(len(alpha))
+                for j in range(i + 1, len(alpha))
+            ):
+                return 2
+            continue
+        off = [i for i in outside if exps[i]]
+        if len(off) == 1 and exps[off[0]] == 1 and off[0] in free:
+            return 1
+    return None

@@ -46,6 +46,25 @@ class TestChartedPair:
         with pytest.raises(ValueError):
             ChartedPair(("a", "a"), ())
 
+    @pytest.mark.parametrize(
+        "variables, divisor, message",
+        [
+            (("a", "b", "a"), ("a",), "duplicate variable declaration"),
+            (("a", "b"), ("b", "w"), "divisor variable 'w' not declared"),
+            (("a", "b"), ("a", "a"), "duplicate divisor variable 'a'"),
+            # The first bad divisor name in listing order is reported.
+            (("a", "b"), ("b", "b", "w"), "duplicate divisor variable 'b'"),
+            (("a", "b"), ("w", "b", "b"), "divisor variable 'w' not declared"),
+        ],
+    )
+    def test_chart_messages(self, variables, divisor, message):
+        with pytest.raises(ValueError) as e:
+            ChartedPair(variables, divisor)
+        assert str(e.value) == message
+
+    def test_divisor_out_of_chart_order_resorted(self):
+        assert ChartedPair(("u", "v", "w"), ("w", "u")).divisor_vars == ("u", "w")
+
     def test_divisor_product(self):
         c = ChartedPair(("u", "v", "w"), ("u", "w"))
         assert c.divisor_product() == P("u*w", ("u", "v", "w"))

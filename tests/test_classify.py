@@ -37,7 +37,9 @@ from helpers import (
     normal_form_corpus,
     origin,
     pair_condition_corpus,
+    rank_law_corpus,
     reference_is_monomial_morphism_at,
+    reference_match_spm_template,
     sampled_log_rank_mismatch,
 )
 from test_fitting import surface_case1, surface_case2, surface_case3
@@ -161,9 +163,9 @@ class TestStronglyPrepared:
         assert c3 is not None and c3.generator_monomial.exponents == (0, 0, 0)
 
     def test_syntactic_case_tags(self):
-        assert match_spm_template(surface_case1(), origin(surface_case1().source)).case_tag == 1
-        assert match_spm_template(surface_case2(), origin(surface_case2().source)).case_tag == 2
-        assert match_spm_template(surface_case3(), origin(surface_case3().source)).case_tag == 3
+        assert match_spm_template(surface_case1(), origin(surface_case1().source)) == 1
+        assert match_spm_template(surface_case2(), origin(surface_case2().source)) == 2
+        assert match_spm_template(surface_case3(), origin(surface_case3().source)) == 3
 
     def test_requires_quasi_prepared(self):
         src = ChartedPair(("u", "v"), ("u",))
@@ -187,6 +189,25 @@ class TestStronglyPrepared:
              "y1": P("u1*u2 + u1^2*u2^3 + u1^3*u2^2", amb)},
         )
         assert match_spm_template(phi, origin(src)) is None
+
+    def test_matcher_agrees_with_reference_matcher(self):
+        # The origin and three other points, so that several strata of
+        # each source chart are matched.
+        corpus = [phi for phi, _ in normal_form_corpus()] + pair_condition_corpus()
+        corpus += empty_divisor_corpus() + monomial_surface_corpus() + rank_law_corpus()
+        matches = 0
+        for phi in corpus:
+            n = len(phi.source.variables)
+            for pt in (
+                origin(phi.source),
+                RationalPoint((0,) * (n - 1) + (1,)),
+                RationalPoint((0,) + (2,) * (n - 1)),
+                RationalPoint((Fraction(1, 2),) * (n - 1) + (0,)),
+            ):
+                case = match_spm_template(phi, pt)
+                assert case == reference_match_spm_template(phi, pt), (phi, pt)
+                matches += case is not None
+        assert matches >= 120
 
 
 class TestMonomialMorphism:

@@ -28,6 +28,7 @@ from helpers import (
     pair_condition_corpus,
     polynomial_log_jacobian,
     reference_det,
+    up_to_scalar,
 )
 
 CHART = ChartedPair(("u", "v"), ("u",))
@@ -176,7 +177,7 @@ def test_rows_and_pullbacks_match_division_reference():
     """Integer divisorial rows and wedged pullbacks agree with the division
     formulation on every basis form of every degree, in both chart orders,
     and each log-Fitting ideal lists the pullbacks' coefficients in
-    (l, I, J) order."""
+    (l, I, J) order, each kept once up to a nonzero rational scalar."""
     pair_valid = [phi for phi in pair_condition_corpus() if validate_pair_condition(phi)[0]]
     assert len(pair_valid) >= 100
     corpus = pair_valid + [phi for phi, _ in normal_form_corpus()]
@@ -193,7 +194,10 @@ def test_rows_and_pullbacks_match_division_reference():
                         assert form.coefficients == division_pullback(phi, I, J), (phi, I, J)
                         gens.extend(form.coefficients.values())
             if k <= len(phi.source.variables):
-                assert log_fitting_ideal(phi, k).generators == gens, (phi, k)
+                firsts = {}
+                for g in gens:
+                    firsts.setdefault(up_to_scalar(g), g)
+                assert log_fitting_ideal(phi, k).generators == list(firsts.values()), (phi, k)
 
 
 # ---------------------------------------------------------------------------
