@@ -57,7 +57,7 @@ def _load(args) -> tuple:
 
 
 def _point_from(args, problem) -> RationalPoint:
-    if args.at:
+    if args.at is not None:
         return parse_point(args.at, len(problem.morphism.source.variables))
     if problem.point is None:
         raise InputError("a point is required (problem 'point' line or --at)")

@@ -21,7 +21,8 @@ token with no spaces and a nonzero denominator, such as ``3/2``), declared
 identifiers, ``+ - * ^`` and parentheses; ``^`` binds tightest, then ``*``,
 then ``+``/``-``.  A rational literal is one atom, so ``1/2*u`` is half of
 ``u`` and ``1/2^2`` is ``1/4``; ``/`` is not an operator, so ``u/2`` is an
-error.  This is how ``ProblemFile.render`` writes coefficients.
+error.  This is how ``ProblemFile.render`` writes coefficients.  A point
+coordinate is such an integer or rational literal with an optional sign.
 
 An expression is tokenized in one scan and parsed by recursive descent
 straight to terms: a single term is an exponent tuple and a coefficient,
@@ -296,18 +297,25 @@ class ProblemFile:
         return "\n".join(lines) + "\n"
 
 
+# A point coordinate: an optional sign, then ASCII digits, optionally over
+# ASCII digits.  No decimals, exponents, underscores or other scripts'
+# digits, which ``Fraction(str)`` would take.
+_POINT_COORDINATE = re.compile(r"([-+]?[0-9]+)(?:/([0-9]+))?")
+
+
 def parse_point(text: str, n: int) -> RationalPoint:
-    """A point of an n-variable chart: comma separated rationals, as on a
-    ``point`` line or after ``--at``.  Raises ValueError; ``parse_problem``
-    adds the line."""
+    """A point of an n-variable chart: comma separated signed integers or
+    ``<int>/<int>`` rationals with a nonzero denominator, as on a
+    ``point`` line or after ``--at``.  Raises ValueError;
+    ``parse_problem`` adds the line."""
     coords = []
     for c in text.split(","):
         c = c.strip()
-        try:
-            # A plain integer skips the regex parse of ``Fraction(str)``.
-            coords.append(Fraction(int(c)) if c.isdecimal() else Fraction(c))
-        except (ValueError, ZeroDivisionError):
+        lit = _POINT_COORDINATE.fullmatch(c)
+        if lit is None or lit[2] and not int(lit[2]):
             raise ValueError(f"bad rational {c!r}")
+        num, den = lit.groups()
+        coords.append(Fraction(int(num), int(den)) if den else Fraction(int(num)))
     if len(coords) != n:
         raise ValueError(f"point has {len(coords)} coordinates for {n} variables")
     return RationalPoint(tuple(coords))

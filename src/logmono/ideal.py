@@ -19,6 +19,14 @@ returns with it, so rationals appear only in outputs: the monic reduced
 basis and ``normal_form`` divide each coefficient once.  Leading terms,
 sugars, pair order and criteria are those of monic rational reduction, so
 every basis is the same term for term.
+
+Buchberger's loop (``_minimal_records``) and the final interreduction
+(``_interreduced``) are two steps of one kernel.  ``elimination`` runs
+the second on the kept block only: under a block order the elements of a
+Groebner basis whose leading term is free of the eliminated variables are
+free of them in every term and generate the elimination ideal, and a
+leading term that involves an eliminated variable divides no term of
+theirs, so the other elements would be reduced only to be thrown away.
 """
 
 from __future__ import annotations
@@ -236,16 +244,21 @@ def normal_form(f: Polynomial, basis: Sequence[Polynomial], order: MonomialOrder
 def reduced_groebner_basis(
     generators: Sequence[Polynomial], order: MonomialOrder
 ) -> list[Polynomial]:
-    """Reduced Groebner basis; empty list for the zero ideal.
+    """Reduced Groebner basis; empty list for the zero ideal."""
+    gens = [g for g in generators if not g.is_zero()]
+    if not gens:
+        return []
+    return _interreduced(_minimal_records(gens, order), order.heap_key, gens[0].ambient)
+
+
+def _minimal_records(gens: Sequence[Polynomial], order: MonomialOrder) -> list:
+    """The records of a minimal Groebner basis of the nonzero ``gens``,
+    sorted by ``order``, smallest leading term first.
 
     Buchberger's algorithm with sugar selection and the Gebauer-Moeller
     installation: each new element prunes the pending pairs (criterion B)
     and its own new pairs (criteria M and F, and coprime leading terms)
     once, when it enters the basis."""
-    gens = [g for g in generators if not g.is_zero()]
-    if not gens:
-        return []
-    ambient = gens[0].ambient
     heap_key = order.heap_key
     # Per element: leading exponent, primitive record and sugar.  Every
     # record reduces, oldest first.  New pairs are formed only with the
@@ -323,22 +336,29 @@ def reduced_groebner_basis(
             install(_primitive_record(next(iter(rem)), rem), sugar)
 
     # Minimalize: active leading terms are distinct, so drop each that
-    # another divides.  Then reduce each tail by the others, and make the
-    # element monic: a tail coefficient c with multiplier M becomes
-    # c/(M*lc).
+    # another divides.
     minimal = [
         k
         for k in active
         if not any(m != k and all(map(ge, lts[k], lts[m])) for m in active)
     ]
     minimal.sort(key=lambda k: order.key(lts[k]))
+    return [records[k] for k in minimal]
+
+
+def _interreduced(
+    records: list, heap_key, ambient: tuple[str, ...], cut: int = 0
+) -> list[Polynomial]:
+    """The reduced basis of a minimal one: each record's tail reduced by
+    the other records, made monic (a tail coefficient c with multiplier M
+    becomes c/(M*lc)) and written over ``ambient``.  ``cut`` drops that
+    many leading exponents of every term, which must all be zero there."""
     reduced = []
-    for k in minimal:
-        lt, lc, tail = records[k]
-        others = [records[m] for m in minimal if m != k]
-        rem, m = _reduce(dict(tail), others, heap_key)
-        terms = {lt: 1}
-        terms.update(_divided(rem, m * lc))
+    for k, (lt, lc, tail) in enumerate(records):
+        rem, m = _reduce(dict(tail), records[:k] + records[k + 1:], heap_key)
+        terms = {lt[cut:]: 1}
+        for e, c in _divided(rem, m * lc).items():
+            terms[e[cut:]] = c
         reduced.append(Polynomial._trusted(terms, ambient))
     return reduced
 
@@ -400,20 +420,27 @@ def radical_membership(f: Polynomial, I: IdealPresentation) -> bool:
 
 
 def elimination(I: IdealPresentation, keep: Sequence[str]) -> IdealPresentation:
-    """Generators of I intersected with the subring in the kept variables."""
+    """Generators of I intersected with the subring in the kept variables.
+
+    Under the block order with the eliminated variables first, the basis
+    elements whose leading term is free of them form a Groebner basis of
+    the elimination ideal (Cox, Little & O'Shea, Ch. 3), and every term of
+    such an element is free of them too.  A leading term that involves an
+    eliminated variable divides no such term, so only the kept block of
+    the minimal basis is interreduced, among itself, and written straight
+    into the kept ambient: term for term the kept part of the reduced
+    block-order basis."""
     keep = tuple(keep)
     for v in keep:
         if v not in I.ambient:
             raise ValueError(f"kept variable {v!r} not in ambient")
     eliminated = tuple(v for v in I.ambient if v not in keep)
     ext = eliminated + keep
-    order = block_order(len(eliminated))
-    gens = [g.extend_ambient(ext) for g in I.generators]
-    basis = reduced_groebner_basis(gens, order)
-    kept_gens = []
-    for g in basis:
-        if g.support_variables() <= set(keep):
-            kept_gens.append(g.restrict_ambient(keep))
+    n = len(eliminated)
+    order = block_order(n)
+    records = _minimal_records([g.extend_ambient(ext) for g in I.generators], order)
+    kept = [r for r in records if not any(r[0][:n])]
+    kept_gens = _interreduced(kept, order.heap_key, keep, n)
     out = IdealPresentation(kept_gens, keep)
     # The block order restricts to grevlex on the kept variables, so the
     # kept part of the reduced basis is the reduced grevlex basis of the

@@ -64,13 +64,14 @@ def symbolic_matrix_rank(rows: list[list[Polynomial]]) -> int:
 
     The pivot is a nonzero entry of lowest total degree, the first in
     (row, column) order; the rank does not depend on the choice, and all
-    divisions are exact.
+    divisions are exact.  The first step has no previous pivot, so it
+    divides by nothing.
     """
     m = [list(r) for r in rows]
     if not m or not m[0]:
         return 0
     amb = m[0][0].ambient
-    prev = Polynomial.constant(1, amb)
+    prev = None
     rank = 0
     rows_left = list(range(len(m)))
     cols_left = list(range(len(m[0])))
@@ -87,9 +88,10 @@ def symbolic_matrix_rank(rows: list[list[Polynomial]]) -> int:
         cols_left.remove(pc)
         for r in rows_left:
             for c in cols_left:
-                num = m[r][c] * pivot - m[r][pc] * m[pr][c]
-                q = exact_divide(num, prev)
-                assert q is not None, "Bareiss division must be exact"
+                q = m[r][c] * pivot - m[r][pc] * m[pr][c]
+                if prev is not None:
+                    q = exact_divide(q, prev)
+                    assert q is not None, "Bareiss division must be exact"
                 m[r][c] = q
             m[r][pc] = Polynomial.zero(amb)
         prev = pivot
@@ -156,10 +158,15 @@ def graph_ideal(phi: MorphismOfPairs) -> tuple[IdealPresentation, tuple[str, ...
         tgt.append(name)
     tgt = tuple(tgt)
     amb = src + tgt
+    # y_k - f as one term dict: the unit of y_k, then f's exponents padded
+    # with zeros on the target block, where y_k is the only term.
+    pad = (0,) * len(tgt)
     gens = []
-    for new, old in zip(tgt, phi.target.variables):
-        g = Polynomial.variable(new, amb) - phi.components[old].extend_ambient(amb)
-        gens.append(g)
+    for k, x in enumerate(phi.target.variables):
+        terms = {(0,) * len(src) + pad[:k] + (1,) + pad[k + 1:]: 1}
+        for e, c in phi.components[x].terms.items():
+            terms[e + pad] = -c
+        gens.append(Polynomial._trusted(terms, amb))
     return IdealPresentation(gens, amb), tgt
 
 

@@ -12,7 +12,13 @@ from typing import Optional
 from logmono.chart import ChartedPair, MorphismOfPairs, RationalPoint
 from logmono.classify import is_quasi_prepared
 from logmono.frontend import MAX_NESTING, MAX_TERMS, ProblemSyntaxError
-from logmono.ideal import IdealPresentation, PrincipalMonomialCertificate, radical_membership
+from logmono.ideal import (
+    IdealPresentation,
+    PrincipalMonomialCertificate,
+    block_order,
+    radical_membership,
+    reduced_groebner_basis,
+)
 from logmono.logdiff import log_jacobian
 from logmono.poly import Monomial, Polynomial, exact_divide
 from logmono.rank import log_rank_at_point
@@ -403,6 +409,45 @@ def rank_law_corpus(rng=None, count=100):
         }
         out.append(MorphismOfPairs(src, tgt, comps))
     return out
+
+
+def reference_graph_ideal(phi: MorphismOfPairs) -> tuple[IdealPresentation, tuple[str, ...]]:
+    """The graph ideal built with polynomial arithmetic: y - f for each
+    target variable y (renamed with ``_img`` while it collides), as
+    ``Polynomial.variable`` minus the component over the larger ambient."""
+    src = phi.source.variables
+    tgt = []
+    for x in phi.target.variables:
+        name = x
+        while name in src or name in tgt:
+            name = name + "_img"
+        tgt.append(name)
+    amb = src + tuple(tgt)
+    gens = [
+        Polynomial.variable(new, amb) - phi.components[old].extend_ambient(amb)
+        for new, old in zip(tgt, phi.target.variables)
+    ]
+    return IdealPresentation(gens, amb), tuple(tgt)
+
+
+def reference_elimination(I: IdealPresentation, keep) -> list[Polynomial]:
+    """The elimination ideal's generators from the whole reduced
+    block-order basis of the larger ring: every element is reduced, then
+    those in the kept variables alone are restricted to them."""
+    keep = tuple(keep)
+    eliminated = tuple(v for v in I.ambient if v not in keep)
+    ext = eliminated + keep
+    gens = [g.extend_ambient(ext) for g in I.generators]
+    basis = reduced_groebner_basis(gens, block_order(len(eliminated)))
+    return [g.restrict_ambient(keep) for g in basis if g.support_variables() <= set(keep)]
+
+
+def reference_symbolic_rank(rows: list[list[Polynomial]]) -> int:
+    """The largest k with a nonzero k-minor (``reference_minors``)."""
+    k = min(len(rows), len(rows[0]) if rows else 0)
+    while k and not reference_minors(rows, k):
+        k -= 1
+    return k
 
 
 # ---------------------------------------------------------------------------

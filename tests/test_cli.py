@@ -345,6 +345,13 @@ class TestErrorHandling:
             ("1/0,0,0", "bad rational '1/0'"),
             ("0,a,0", "bad rational 'a'"),
             ("0,0,1.5.2", "bad rational '1.5.2'"),
+            # Only signed ASCII integers and <int>/<int>: no decimal,
+            # exponent, underscore or other script's digit.
+            ("0,0,1e3", "bad rational '1e3'"),
+            ("0.5,0,0", "bad rational '0.5'"),
+            ("0,\u0663,0", "bad rational '\u0663'"),
+            ("1_0,0,0", "bad rational '1_0'"),
+            ("0,-1/-2,0", "bad rational '-1/-2'"),
             ("0,0", "point has 2 coordinates for 3 variables"),
             ("0,0,0,0", "point has 4 coordinates for 3 variables"),
         ],
@@ -355,7 +362,15 @@ class TestErrorHandling:
         assert run(capsys, "logrank", "--at", point, example1) == (2, "", f"error: {message}\n")
         assert run(capsys, "logrank", str(path)) == (2, "", f"error: line 5, column 1: {message}\n")
 
-    @pytest.mark.parametrize("point", ["1,1,1", "1/2,-3,0", "2 , 0,3/1"])
+    @pytest.mark.parametrize("command", ["logrank", "rank", "verify-monomial", "lradapted"])
+    def test_empty_at_is_refused(self, capsys, tmp_path, command):
+        # An empty --at is a bad point, not a missing one: the file's point
+        # is not used instead.
+        path = tmp_path / "adapted.problem"
+        path.write_text(EXAMPLE1 + "filtration 1: u1\ntargetideal x1\n")
+        assert run(capsys, command, "--at", "", str(path)) == (2, "", "error: bad rational ''\n")
+
+    @pytest.mark.parametrize("point", ["1,1,1", "1/2,-3,0", "2 , 0,3/1", "+1,-0,007/14"])
     @pytest.mark.parametrize("command", ["logrank", "rank", "verify-monomial"])
     def test_at_and_point_line_give_equal_reports(self, capsys, tmp_path, example1, command, point):
         path = tmp_path / "point.problem"

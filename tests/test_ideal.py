@@ -42,6 +42,7 @@ from helpers import (
     pair_condition_corpus,
     random_sparse_poly,
     rank_law_corpus,
+    reference_elimination,
     reference_is_principal_monomial_at,
     reference_local_monomial,
     reference_residual_value,
@@ -220,14 +221,26 @@ def assert_elimination_basis_is_reduced(E: IdealPresentation) -> bool:
     return bool(stored)
 
 
+def assert_elimination_matches_reference(J: IdealPresentation, keep, E=None) -> bool:
+    """elimination(J, keep), or the given E computed from it, equals term
+    for term the kept part of the whole reduced block-order basis
+    (``helpers.reference_elimination``), in the same order, and its
+    stored basis is reduced.  Returns whether the ideal is nonzero."""
+    E = E or elimination(J, keep)
+    expected = reference_elimination(J, keep)
+    assert E.ambient == tuple(keep)
+    assert E.generators == expected, J
+    assert [str(g) for g in E.generators] == [str(g) for g in expected]
+    return assert_elimination_basis_is_reduced(E)
+
+
 class TestEliminationBasis:
     def test_graph_ideals_of_the_corpora(self):
         phis = [phi for phi, _ in normal_form_corpus()]
         phis += empty_divisor_corpus() + monomial_surface_corpus()
         phis += pair_condition_corpus() + rank_law_corpus()
         nonzero = sum(
-            assert_elimination_basis_is_reduced(elimination(*graph_ideal(phi)))
-            for phi in phis
+            assert_elimination_matches_reference(*graph_ideal(phi)) for phi in phis
         )
         assert nonzero >= 100
 
@@ -239,10 +252,28 @@ class TestEliminationBasis:
             gens = [random_sparse_poly(amb, rng, max_terms=3) for _ in range(3)]
             keep = amb[rng.randint(1, 3):]
             J = IdealPresentation(gens, amb)
-            nonzero += assert_elimination_basis_is_reduced(elimination(J, keep))
+            nonzero += assert_elimination_matches_reference(J, keep)
             f = random_sparse_poly(amb, rng, max_terms=2)
-            nonzero += assert_elimination_basis_is_reduced(saturation(J, f))
+            nonzero += assert_elimination_matches_reference(
+                _rabinowitsch(J, f), amb, saturation(J, f)
+            )
         assert nonzero >= 60
+
+    def test_zero_generators_and_the_zero_ideal(self):
+        amb = ("t", "x", "y")
+        zero = Polynomial.zero(amb)
+        for gens, keep in [
+            ([zero, P("x - t", amb), zero, P("y - t^2", amb)], ("x", "y")),
+            ([zero], ("x", "y")),
+            ([P("x - t", amb), P("y - t^2", amb)], ("y", "x")),
+            ([], ("y",)),
+            ([], amb),
+            ([zero, P("t*x - 1", amb), P("t*y", amb)], ("x", "y")),
+            ([P("x*y - t^3", amb), zero], amb),
+            ([P("x - 1", amb), P("x", amb), zero], ("y",)),
+        ]:
+            assert_elimination_matches_reference(IdealPresentation(gens, amb), keep)
+        assert elimination(IdealPresentation([zero], amb), ("x",)).is_zero_ideal()
 
     def test_dimension_reads_the_stored_basis(self, monkeypatch):
         E = elimination(I(["x - t", "y - t^2"], ("t", "x", "y")), ("x", "y"))

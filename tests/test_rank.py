@@ -3,11 +3,14 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
+import logmono.rank
 from logmono.chart import ChartedPair, MorphismOfPairs, RationalPoint
 from logmono.poly import Polynomial
 from logmono.rank import (
     geometric_rank,
+    graph_ideal,
     image_closure_dimension,
+    jacobian,
     log_rank_at_point,
     rank_at_point,
     rational_matrix_rank,
@@ -16,7 +19,18 @@ from logmono.rank import (
     symbolic_matrix_rank,
 )
 
-from helpers import P, origin, reference_rational_matrix_rank
+from helpers import (
+    P,
+    empty_divisor_corpus,
+    monomial_surface_corpus,
+    normal_form_corpus,
+    origin,
+    pair_condition_corpus,
+    rank_law_corpus,
+    reference_graph_ideal,
+    reference_rational_matrix_rank,
+    reference_symbolic_rank,
+)
 
 
 @st.composite
@@ -71,6 +85,43 @@ class TestMatrixRank:
         assert symbolic_matrix_rank([[x, y], [x * x, x * y]]) == 1
         assert symbolic_matrix_rank([[x, y], [y, x]]) == 2
         assert symbolic_matrix_rank([[Polynomial.zero(amb)]]) == 0
+
+    def test_first_step_divides_by_nothing(self, monkeypatch):
+        # A 2 x n matrix takes one Bareiss step, whose previous pivot would
+        # be the constant 1, so no exact division runs at all.
+        calls = []
+        real = logmono.rank.exact_divide
+        monkeypatch.setattr(
+            logmono.rank, "exact_divide", lambda p, q: calls.append(q) or real(p, q)
+        )
+        amb = ("x", "y")
+        x, y = P("x", amb), P("y", amb)
+        assert symbolic_matrix_rank([[x, y, x * y], [y, x, x + y]]) == 2
+        assert symbolic_matrix_rank([[x, y], [x * x, x * y]]) == 1
+        assert calls == []
+        # A third row takes a second step, divided by the first pivot.
+        assert symbolic_matrix_rank([[x, y, x * y], [y, x, x + y], [x * x, y * y, x]]) == 3
+        assert calls and all(q == x for q in calls)
+
+    def test_symbolic_rank_matches_reference_rank(self):
+        rows = [jacobian(phi) for phi in rank_law_corpus()]
+        # Every first pivot here has degree 1 or more, so the second step
+        # divides by a polynomial that is not a constant.
+        amb = ("x", "y", "z")
+        rows.append(
+            [
+                [P(e, amb) for e in r]
+                for r in [
+                    ["x*y", "y^2 + z", "x + z"],
+                    ["x^2", "x*y + x*z", "z^2 + x*z"],
+                    ["y*z", "y^2*z + z^2", "x*y + y*z"],
+                ]
+            ]
+        )
+        assert min(e.total_degree for e in rows[-1][0]) > 0
+        ranks = [symbolic_matrix_rank(r) for r in rows]
+        assert ranks == [reference_symbolic_rank(r) for r in rows]
+        assert len(set(ranks)) >= 3
 
     def test_symbolic_rank_matches_random_evaluation(self):
         amb = ("x", "y")
@@ -139,6 +190,30 @@ class TestRestriction:
         phi = simple_phi()
         assert restricted_geometric_rank(phi, ()) == 2
         assert restricted_geometric_rank(phi, ("u",)) == 0
+
+
+class TestGraphIdeal:
+    def test_matches_polynomial_arithmetic(self):
+        phis = [phi for phi, _ in normal_form_corpus()]
+        phis += empty_divisor_corpus() + monomial_surface_corpus()
+        phis += pair_condition_corpus() + rank_law_corpus()
+        # Colliding target names, renamed with _img more than once, and
+        # Fraction coefficients.
+        src = ChartedPair(("x", "x_img", "u"), ("u",))
+        tgt = ChartedPair(("u", "x"), ())
+        amb = src.variables
+        phis.append(
+            MorphismOfPairs(
+                src, tgt, {"u": P("1/2*x^2 - 3*u + 7/3", amb), "x": P("-2/5*x_img*u", amb)}
+            )
+        )
+        for phi in phis:
+            got, tgt_got = graph_ideal(phi)
+            want, tgt_want = reference_graph_ideal(phi)
+            assert tgt_got == tgt_want
+            assert got.ambient == want.ambient
+            assert got.generators == want.generators
+        assert tgt_got == ("u_img", "x_img_img")
 
 
 class TestImageDimension:
