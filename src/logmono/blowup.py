@@ -3,7 +3,8 @@
 A blowup at a coordinate subspace produces one chart per center
 variable: in the chart distinguished by w_c, every other center variable
 w_j is replaced by w_c*w_j, and w_c joins the divisor as the exceptional
-coordinate.  Variable names are stable across charts.
+coordinate.  Variable names are stable across charts, so a child chart
+is built trusted from its validated parent (``blowup_chart``).
 
 Every chart is a ``BlowupNode`` whose substitution maps each variable of
 a root chart to its expression in the node's chart.  ``blowup_chart``
@@ -44,7 +45,12 @@ class BlowupNode:
 
 def blowup_chart(chart: ChartedPair, center: Sequence[str]) -> list[BlowupNode]:
     """One child chart per center variable, in center order, each with its
-    one-step substitution from ``chart``."""
+    one-step substitution from ``chart``.
+
+    The center is checked here.  Each child chart is then built trusted
+    (``ChartedPair._trusted``): its names are the validated parent's, and
+    its divisor is the parent's plus the checked center variable, in chart
+    order, so the validator could not fail on it."""
     center = tuple(center)
     if len(center) < 2:
         raise TrivialBlowupError("center must contain at least two variables")
@@ -54,6 +60,7 @@ def blowup_chart(chart: ChartedPair, center: Sequence[str]) -> list[BlowupNode]:
         if w not in chart.variables:
             raise ValueError(f"center variable {w!r} not in chart")
     amb = tuple(chart.variables)
+    parent_divisor = chart.divisor_vars
     n = len(amb)
     unit = {v: (0,) * i + (1,) + (0,) * (n - i - 1) for i, v in enumerate(amb)}
     children = []
@@ -67,8 +74,11 @@ def blowup_chart(chart: ChartedPair, center: Sequence[str]) -> list[BlowupNode]:
             if v in center and v != c:
                 e = tuple(map(add, ec, e))
             sub[v] = Polynomial._trusted({e: 1}, amb)
-        divisor = tuple(dict.fromkeys(chart.divisor_vars + (c,)))
-        child = ChartedPair(chart.variables, divisor)
+        if c in parent_divisor:
+            divisor = parent_divisor
+        else:
+            divisor = tuple(v for v in amb if v == c or v in parent_divisor)
+        child = ChartedPair._trusted(chart.variables, divisor)
         children.append(BlowupNode(child, sub, distinguished=c))
     return children
 

@@ -61,6 +61,19 @@ class ChartedPair:
             tuple(v for v in self.variables if v in divisor),
         )
 
+    @classmethod
+    def _trusted(
+        cls, variables: tuple[str, ...], divisor_vars: tuple[str, ...]
+    ) -> "ChartedPair":
+        """Wrap fields that already pass the validator, with the divisor
+        already in chart order, without checking them (the model is
+        ``Polynomial._trusted``).  ``blowup.blowup_chart`` builds each child
+        chart this way from its validated parent."""
+        pair = object.__new__(cls)
+        object.__setattr__(pair, "variables", variables)
+        object.__setattr__(pair, "divisor_vars", divisor_vars)
+        return pair
+
     # (divisor positions, free positions) in ``variables``, computed on
     # first use and kept: most charts built by blowups never ask.
     # (``cached_property`` writes the instance dict directly, which a

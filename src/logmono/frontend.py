@@ -16,10 +16,11 @@ so every declared variable can be referenced.  The names are checked by
 ``ChartedPair`` and the point by ``parse_point``, which also reads the
 command line's ``--at``; their messages get the line here.
 
-Expressions use integer literals, rational literals ``<int>/<int>`` (one
-token with no spaces and a nonzero denominator, such as ``3/2``), declared
-identifiers, ``+ - * ^`` and parentheses; ``^`` binds tightest, then ``*``,
-then ``+``/``-``.  A rational literal is one atom, so ``1/2*u`` is half of
+Expressions use integer literals of ASCII digits ``0-9`` (``int`` alone
+would also read other scripts' digits), rational literals ``<int>/<int>``
+(one token with no spaces and a nonzero denominator, such as ``3/2``),
+declared identifiers, ``+ - * ^`` and parentheses; ``^`` binds tightest,
+then ``*``, then ``+``/``-``.  A rational literal is one atom, so ``1/2*u`` is half of
 ``u`` and ``1/2^2`` is ``1/4``; ``/`` is not an operator, so ``u/2`` is an
 error.  This is how ``ProblemFile.render`` writes coefficients.  A point
 coordinate is such an integer or rational literal with an optional sign.
@@ -63,11 +64,15 @@ class ProblemSyntaxError(ValueError):
 # A variable name: what a chart line may declare and an expression may use.
 IDENTIFIER = re.compile(r"[a-zA-Z][a-zA-Z0-9_]*")
 
+# The digits of every literal, in an expression and in a point coordinate:
+# ASCII only, though ``int`` and ``\d`` take other scripts' digits too.
+_DIGITS = "[0-9]+"
+
 # One scan of the whole expression.  The groups are, in order: rational
 # literal, integer literal, name, operator, and a catch-all for any other
 # non-blank character, which is an error at its own column.
 _TOKEN = re.compile(
-    rf"\s*(?:(\d+/\d+)|(\d+)|({IDENTIFIER.pattern})|([-+*^()])|(\S))"
+    rf"\s*(?:({_DIGITS}/{_DIGITS})|({_DIGITS})|({IDENTIFIER.pattern})|([-+*^()])|(\S))"
 )
 _KINDS = ("rational", "int", "name")
 _OP, _STRAY = 4, 5
@@ -297,10 +302,10 @@ class ProblemFile:
         return "\n".join(lines) + "\n"
 
 
-# A point coordinate: an optional sign, then ASCII digits, optionally over
-# ASCII digits.  No decimals, exponents, underscores or other scripts'
-# digits, which ``Fraction(str)`` would take.
-_POINT_COORDINATE = re.compile(r"([-+]?[0-9]+)(?:/([0-9]+))?")
+# A point coordinate: an optional sign, then the digits of an expression
+# literal, optionally over more of them.  No decimals, exponents,
+# underscores or other scripts' digits, which ``Fraction(str)`` would take.
+_POINT_COORDINATE = re.compile(rf"([-+]?{_DIGITS})(?:/({_DIGITS}))?")
 
 
 def parse_point(text: str, n: int) -> RationalPoint:

@@ -1,14 +1,22 @@
 """Combinatorial principalization of monomial ideals by coordinate
 blowups, and the monomialisation driver for monomial morphisms onto a
-surface."""
+surface.
+
+A monomial ideal is its antichain of minimal exponent tuples, and every
+step works on those tuples: one pass over the generator pairs gives the
+termination measure and the center, and a chart transform builds each new
+tuple once.  The blowup tree's child charts are built trusted from their
+validated parents, and all leaf certificates of one tree share one
+residual witness, the constant 1.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import le
-from typing import Sequence
+from operator import le, sub
+from typing import Iterable, Sequence
 
 from .blowup import BlowupTree, transform_morphism
 from .chart import ChartedPair, MorphismOfPairs, RationalPoint
@@ -31,8 +39,14 @@ class NonMonomialInputError(ValueError):
 
 @dataclass(frozen=True)
 class MonomialIdeal:
-    """Minimal monomial generators (an antichain under divisibility) over a
-    fixed variable tuple.  Frozen, so the pair scan is computed once."""
+    """Minimal monomial generators over a fixed variable tuple.
+
+    ``generators`` is an antichain under divisibility in lex order:
+    ``from_exponents`` and ``transform`` reduce to one, and the dataclass
+    constructor trusts its caller to pass one.  Two generators of an
+    antichain are incomparable, so their difference vector has a positive
+    and a negative entry; the pair scan relies on this.  Frozen, so the
+    pair scan is computed once."""
 
     variables: tuple[str, ...]
     generators: tuple[tuple[int, ...], ...]
@@ -41,46 +55,57 @@ class MonomialIdeal:
     def from_exponents(
         cls, variables: Sequence[str], exponents: Sequence[Sequence[int]]
     ) -> "MonomialIdeal":
-        return cls(tuple(variables), _antichain(tuple(map(tuple, exponents))))
+        return cls(tuple(variables), _antichain(map(tuple, exponents)))
 
     def is_principal(self) -> bool:
         return len(self.generators) <= 1
 
     @cached_property
-    def _pair_scan(self) -> tuple[int, tuple[int, int] | None, tuple | None]:
-        """(number of incomparable generator pairs, their minimal Euclidean
-        weight, the target pair), from one pass over the pairs.  The
-        target pair has the minimal weight, with the pair itself as the
-        canonical tiebreak; a principal ideal gives (0, None, None)."""
-        best = min(
-            ((_pair_key(_difference(g, h)), (g, h)) for g, h in self.incomparable_pairs()),
-            default=(None, None),
-        )
-        n = len(self.generators)
-        return n * (n - 1) // 2, best[0], best[1]
+    def _pair_scan(self) -> tuple[int, tuple[int, int] | None, tuple | None, list | None]:
+        """(number of generator pairs, their minimal Euclidean weight, the
+        target pair, its difference vector), from one pass over the pairs;
+        a principal ideal gives (0, None, None, None).
 
-    def incomparable_pairs(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-        out = []
-        g = self.generators
-        for i in range(len(g)):
-            for j in range(i + 1, len(g)):
-                out.append((g[i], g[j]))
-        return out
+        The target pair has the minimal weight, ties going to the pair
+        first in lex order, which is the order of the scan.  Each
+        difference d is computed once.  In an antichain max(d) is the
+        largest positive entry a and min(d) the negative entry -b of
+        largest magnitude, and the weight is (a + b, number of entries
+        equal to a or -b).  Blowing up the center pairing an entry at a
+        with one at -b replaces that entry by a value strictly inside
+        (-b, a), so in each chart the replaced entry leaves its extremal
+        class and never joins the other one: the weight strictly
+        lex-decreases unless the pair turns comparable.
+        """
+        gens = self.generators
+        weight = pair = diff = None
+        for i, g in enumerate(gens, 1):
+            for h in gens[i:]:
+                d = list(map(sub, g, h))
+                a = max(d)
+                b = min(d)
+                key = (a - b, d.count(a) + d.count(b))
+                if weight is None or key < weight:
+                    weight, pair, diff = key, (g, h), d
+        n = len(gens)
+        return n * (n - 1) // 2, weight, pair, diff
 
     def transform(self, distinguished: str, absorbed: Sequence[str]) -> "MonomialIdeal":
         """Blowup chart action: the distinguished exponent absorbs the
-        exponents of the other center variables."""
+        exponents of the other center variables.  Each new generator is
+        built as one tuple and goes straight to the antichain reduction."""
         c = self.variables.index(distinguished)
         idx = [self.variables.index(v) for v in absorbed]
         new = []
         for e in self.generators:
-            e = list(e)
-            e[c] += sum(e[i] for i in idx)
-            new.append(tuple(e))
-        return MonomialIdeal.from_exponents(self.variables, new)
+            x = e[c]
+            for i in idx:
+                x += e[i]
+            new.append(e[:c] + (x,) + e[c + 1:])
+        return MonomialIdeal(self.variables, _antichain(new))
 
 
-def _antichain(gens: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
+def _antichain(gens: Iterable[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
     """The minimal exponents under divisibility, in lex order.
 
     A proper divisor precedes its multiples in lex order, and dividing is
@@ -88,42 +113,16 @@ def _antichain(gens: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]
     before it."""
     keep = []
     for g in sorted(set(gens)):
-        if not any(all(map(le, h, g)) for h in keep):
+        for h in keep:
+            if all(map(le, h, g)):
+                break
+        else:
             keep.append(g)
     return tuple(keep)
 
 
 # ---------------------------------------------------------------------------
 # Center selection and the termination measure
-
-
-def _difference(g: Sequence[int], h: Sequence[int]) -> list[int]:
-    return [a - b for a, b in zip(g, h)]
-
-
-def _pair_key(d: Sequence[int]) -> tuple[int, int]:
-    """Euclidean weight of an incomparable difference vector.
-
-    With a the largest positive entry and b the largest magnitude of a
-    negative entry, the key is (a + b, number of entries attaining a or
-    -b).  Blowing up the center pairing an entry at a with one at -b
-    replaces that entry by a value strictly inside (-b, a), so in each
-    chart the replaced entry leaves its extremal class and never joins
-    the other one: the key strictly lex-decreases unless the pair turns
-    comparable.
-    """
-    a = max(x for x in d if x > 0)
-    b = max(-x for x in d if x < 0)
-    crowd = sum(1 for x in d if x == a or x == -b)
-    return (a + b, crowd)
-
-
-def _target_pair(ideal: MonomialIdeal) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The incomparable generator pair attacked next: minimal Euclidean
-    weight, canonical tiebreak."""
-    target = ideal._pair_scan[2]
-    assert target, "principal ideal needs no center"
-    return target
 
 
 def choose_center(ideal: MonomialIdeal, divisor_vars: Sequence[str]) -> tuple[str, str]:
@@ -134,22 +133,22 @@ def choose_center(ideal: MonomialIdeal, divisor_vars: Sequence[str]) -> tuple[st
     negative difference (the pair's largest non-principality defect,
     ties to the earliest variable).  The pair's Euclidean weight drops
     in every chart, and a comparable pair stays comparable under the
-    chart transforms, which makes the strategy terminate.
+    chart transforms, which makes the strategy terminate.  d is the one
+    the pair scan kept.
     """
-    g, h = _target_pair(ideal)
-    d = _difference(g, h)
+    d = ideal._pair_scan[3]
+    assert d, "principal ideal needs no center"
+    names = ideal.variables
     divisor = set(divisor_vars)
-    pos = [k for k, x in enumerate(d) if x > 0]
-    neg = [k for k, x in enumerate(d) if x < 0]
-    assert pos and neg, "comparable pair selected as center target"
-    for k in pos + neg:
-        if ideal.variables[k] not in divisor:
-            raise NonMonomialInputError(
-                f"generators differ on non-divisor variable {ideal.variables[k]!r}"
-            )
-    i = min(pos, key=lambda k: (-d[k], k))
-    j = min(neg, key=lambda k: (d[k], k))
-    return ideal.variables[i], ideal.variables[j]
+    off = [k for k, x in enumerate(d) if x and names[k] not in divisor]
+    if off:
+        # Name the first positive entry off the divisor, else the first
+        # negative one.
+        k = min(off, key=lambda k: (d[k] < 0, k))
+        raise NonMonomialInputError(
+            f"generators differ on non-divisor variable {names[k]!r}"
+        )
+    return names[d.index(max(d))], names[d.index(min(d))]
 
 
 def termination_measure(ideal: MonomialIdeal) -> tuple:
@@ -162,7 +161,7 @@ def termination_measure(ideal: MonomialIdeal) -> tuple:
     either turns comparable or strictly drops its weight, so the minimal
     weight falls whenever the count does not.
     """
-    count, weight, _ = ideal._pair_scan
+    count, weight = ideal._pair_scan[:2]
     return (count, weight) if count else (0,)
 
 
@@ -178,12 +177,17 @@ def goward_principalize(
     """Blow up codimension-two coordinate centers until the transform of
     the ideal is principal in every chart.
 
+    The ideal's generators must be an antichain (see ``MonomialIdeal``).
     The termination measure must strictly decrease on every non-principal
     child; a violation raises TerminationMeasureError.  Each expanded
     chart's ideal is measured once: a non-principal child when it is
     compared with its parent, and that value is its ``before`` when it is
     expanded in turn; only the root is measured when it is expanded.  The
     zero ideal has no generator to certify and raises ValueError.
+
+    Every leaf certificate holds the same witness, one constant 1 built
+    per call, and every child chart is built trusted from its validated
+    parent (``blowup.blowup_chart``).
     """
     if ideal.variables != chart.variables:
         raise ValueError("ideal variables must match the chart")
@@ -196,6 +200,9 @@ def goward_principalize(
                 )
     if not ideal.generators:
         raise ValueError("zero ideal cannot be principalized")
+    # Every chart has the root's names and polynomials are immutable, so
+    # all leaves share one residual witness.
+    witness = Polynomial.constant(1, chart.variables)
     tree = BlowupTree(chart, ideal)
     worklist = [(tree.root, 0, None)]
     while worklist:
@@ -203,8 +210,7 @@ def goward_principalize(
         current: MonomialIdeal = node.payload
         if current.is_principal():
             node.certificate = PrincipalMonomialCertificate(
-                Monomial(current.generators[0]),
-                Polynomial.constant(1, current.variables),
+                Monomial(current.generators[0]), witness
             )
             continue
         if depth >= max_depth:
@@ -212,8 +218,8 @@ def goward_principalize(
         ci, cj = choose_center(current, node.chart.divisor_vars)
         if before is None:
             before = termination_measure(current)
-        for child in tree.expand(node, (ci, cj)):
-            absorbed = [v for v in (ci, cj) if v != child.distinguished]
+        # The children come in center order: chart ci absorbs cj, and back.
+        for child, absorbed in zip(tree.expand(node, (ci, cj)), ((cj,), (ci,))):
             child.payload = current.transform(child.distinguished, absorbed)
             after = None
             if not child.payload.is_principal():

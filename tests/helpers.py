@@ -21,6 +21,7 @@ from logmono.ideal import (
 )
 from logmono.logdiff import log_jacobian
 from logmono.poly import Monomial, Polynomial, exact_divide
+from logmono.principalize import MonomialIdeal, NonMonomialInputError
 from logmono.rank import log_rank_at_point
 
 
@@ -68,6 +69,76 @@ def all_pairs_antichain(gens) -> tuple[tuple[int, ...], ...]:
         for g in uniq
         if not any(h != g and all(a <= b for a, b in zip(h, g)) for h in uniq)
     )
+
+
+def two_var_antichains(max_exp):
+    """Every two-variable antichain with exponents <= max_exp: strictly
+    increasing u-exponents paired with strictly decreasing v-exponents."""
+    vals = range(max_exp + 1)
+    for k in range(1, max_exp + 2):
+        for a_vals in combinations(vals, k):
+            for b_vals in combinations(vals, k):
+                yield tuple(zip(a_vals, sorted(b_vals, reverse=True)))
+
+
+# ---------------------------------------------------------------------------
+# Principalization: the multi-pass pair scan and the re-tupling transform
+# that ``principalize`` replaced, kept as differential oracles.  They do
+# not assume that two generators are incomparable.
+
+
+def reference_difference(g, h) -> list[int]:
+    return [a - b for a, b in zip(g, h)]
+
+
+def reference_pair_key(d) -> tuple[int, int]:
+    """(a + b, number of entries equal to a or -b), with a the largest
+    positive entry of d and b the largest magnitude of a negative one."""
+    a = max(x for x in d if x > 0)
+    b = max(-x for x in d if x < 0)
+    return (a + b, sum(1 for x in d if x == a or x == -b))
+
+
+def reference_target_pair(ideal: MonomialIdeal):
+    """The generator pair of least key, ties to the lex-first pair."""
+    return min(
+        combinations(ideal.generators, 2),
+        key=lambda gh: (reference_pair_key(reference_difference(*gh)), gh),
+    )
+
+
+def reference_termination_measure(ideal: MonomialIdeal) -> tuple:
+    n = len(ideal.generators)
+    if n <= 1:
+        return (0,)
+    d = reference_difference(*reference_target_pair(ideal))
+    return (n * (n - 1) // 2, reference_pair_key(d))
+
+
+def reference_choose_center(ideal: MonomialIdeal, divisor_vars) -> tuple[str, str]:
+    d = reference_difference(*reference_target_pair(ideal))
+    divisor = set(divisor_vars)
+    pos = [k for k, x in enumerate(d) if x > 0]
+    neg = [k for k, x in enumerate(d) if x < 0]
+    for k in pos + neg:
+        if ideal.variables[k] not in divisor:
+            raise NonMonomialInputError(
+                f"generators differ on non-divisor variable {ideal.variables[k]!r}"
+            )
+    i = min(pos, key=lambda k: (-d[k], k))
+    j = min(neg, key=lambda k: (d[k], k))
+    return ideal.variables[i], ideal.variables[j]
+
+
+def reference_transform(ideal: MonomialIdeal, distinguished, absorbed) -> MonomialIdeal:
+    c = ideal.variables.index(distinguished)
+    idx = [ideal.variables.index(v) for v in absorbed]
+    new = []
+    for e in ideal.generators:
+        e = list(e)
+        e[c] += sum(e[i] for i in idx)
+        new.append(tuple(e))
+    return MonomialIdeal.from_exponents(ideal.variables, new)
 
 
 # ---------------------------------------------------------------------------
@@ -577,7 +648,7 @@ def reference_exact_divide(p: Polynomial, q: Polynomial) -> Polynomial | None:
 # Reference expression parser
 
 
-_REFERENCE_TOKEN = re.compile(r"\s*(?:(\d+/\d+)|(\d+)|([a-zA-Z][a-zA-Z0-9_]*)|([-+*^()]))")
+_REFERENCE_TOKEN = re.compile(r"\s*(?:([0-9]+/[0-9]+)|([0-9]+)|([a-zA-Z][a-zA-Z0-9_]*)|([-+*^()]))")
 _REFERENCE_KINDS = ("rational", "int", "name", "op")
 
 

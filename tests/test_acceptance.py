@@ -55,6 +55,7 @@ from helpers import (
     random_sparse_poly,
     random_stratum_point,
     strata,
+    two_var_antichains,
 )
 
 
@@ -252,15 +253,6 @@ def _reverify_leaves(tree):
         assert cert.generator_monomial.exponents == ideal.generators[0]
 
 
-def _two_var_antichains(max_exp):
-    vals = range(max_exp + 1)
-    for k in range(1, max_exp + 2):
-        for a_vals in combinations(vals, k):
-            for b_vals in combinations(vals, k):
-                # Strictly increasing a paired with strictly decreasing b.
-                yield tuple(zip(a_vals, sorted(b_vals, reverse=True)))
-
-
 def test_criterion_6_principalization_terminates():
     """Exhaustive two-variable family (exponents <= 6) within depth 12,
     plus random three-variable ideals, with leaf re-verification.  The
@@ -269,7 +261,7 @@ def test_criterion_6_principalization_terminates():
     try:
         chart2 = ChartedPair(("u", "v"), ("u", "v"))
         count = 0
-        for gens in _two_var_antichains(6):
+        for gens in two_var_antichains(6):
             ideal = MonomialIdeal.from_exponents(chart2.variables, gens)
             tree = goward_principalize(ideal, chart2, max_depth=12)
             assert tree.depth() <= 12

@@ -1,3 +1,5 @@
+from itertools import permutations
+
 import pytest
 
 from logmono.blowup import (
@@ -70,6 +72,68 @@ class TestBlowupChart:
             blowup_chart(chart, ("u", "w"))
         with pytest.raises(ValueError):
             blowup_chart(chart, ("u", "u"))
+
+
+def assert_same_chart(got, want):
+    """Equal field for field, with the derived fields and the hash."""
+    assert type(got) is ChartedPair
+    assert type(got.divisor_vars) is tuple
+    assert got.variables == want.variables
+    assert got.divisor_vars == want.divisor_vars
+    assert got.positions == want.positions
+    assert got.free_vars == want.free_vars
+    assert got == want and hash(got) == hash(want)
+
+
+class TestTrustedChildCharts:
+    """Child charts skip the validator; each must equal the chart the
+    validator builds from the parent's divisor plus the center variable."""
+
+    def test_children_equal_validated_charts(self):
+        names = ("a", "b", "c", "d")
+        checked = 0
+        for n in (2, 3, 4):
+            amb = names[:n]
+            for r in range(n + 1):
+                for divisor in permutations(amb, r):
+                    chart = ChartedPair(amb, divisor)
+                    for size in range(2, n + 1):
+                        for center in permutations(amb, size):
+                            for child in blowup_chart(chart, center):
+                                c = child.distinguished
+                                want = ChartedPair(amb, tuple(dict.fromkeys(divisor + (c,))))
+                                assert_same_chart(child.chart, want)
+                                checked += 1
+        assert checked > 5000
+
+    def test_tree_charts_equal_validated_charts(self):
+        # Children of trusted charts are built from trusted charts in turn.
+        names = ("v", "u", "w", "t")
+        tree = BlowupTree(ChartedPair(names, ("w",)))
+        stack = [(tree.root, ("w",), 0)]
+        while stack:
+            node, divisor, depth = stack.pop()
+            assert_same_chart(node.chart, ChartedPair(names, divisor))
+            if depth < 3:
+                for child in tree.expand(node, names[depth : depth + 2]):
+                    grown = tuple(dict.fromkeys(divisor + (child.distinguished,)))
+                    stack.append((child, grown, depth + 1))
+        assert len(tree.leaves()) == 8
+
+    @pytest.mark.parametrize(
+        "center, error, message",
+        [
+            ((), TrivialBlowupError, "at least two variables"),
+            (("u",), TrivialBlowupError, "at least two variables"),
+            (("u", "u"), ValueError, "pairwise distinct"),
+            (("u", "z"), ValueError, "center variable 'z' not in chart"),
+        ],
+    )
+    def test_bad_centers_raise_on_trusted_charts(self, center, error, message):
+        root = ChartedPair(("u", "v"), ("u",))
+        for chart in [root] + [child.chart for child in blowup_chart(root, ("u", "v"))]:
+            with pytest.raises(error, match=message):
+                blowup_chart(chart, center)
 
 
 class TestTransform:

@@ -340,6 +340,19 @@ class TestErrorHandling:
         assert code == 2 and "missing target" in err
 
     @pytest.mark.parametrize(
+        "expression, column", [("٣*v", 1), ("v + ٣", 5), ("v^٣", 3)]
+    )
+    @pytest.mark.parametrize("command", ["grk", "classify"])
+    def test_literal_digits_are_ascii(self, capsys, tmp_path, command, expression, column):
+        # U+0663 is ARABIC-INDIC DIGIT THREE, which int() reads as 3.  A
+        # literal's digits are ASCII, as in a point coordinate.
+        path = tmp_path / "digit.problem"
+        path.write_text(NOT_QP.replace("map y = v^2", f"map y = {expression}"))
+        assert run(capsys, command, str(path)) == (
+            2, "", f"error: line 4, column {column}: unexpected character '٣'\n"
+        )
+
+    @pytest.mark.parametrize(
         "point, message",
         [
             ("1/0,0,0", "bad rational '1/0'"),

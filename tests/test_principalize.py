@@ -19,7 +19,18 @@ from logmono.principalize import (
     termination_measure,
 )
 
-from helpers import P, all_pairs_antichain, assert_canonical, origin
+from helpers import (
+    P,
+    all_pairs_antichain,
+    assert_canonical,
+    origin,
+    reference_choose_center,
+    reference_difference,
+    reference_target_pair,
+    reference_termination_measure,
+    reference_transform,
+    two_var_antichains,
+)
 from test_fitting import surface_case3
 
 
@@ -47,10 +58,6 @@ class TestMonomialIdeal:
             assert got == all_pairs_antichain(gens), gens
             shrunk += len(got) < len(set(gens))
         assert shrunk >= 100  # most draws have a non-minimal generator
-
-    def test_incomparable_pairs(self):
-        I = MonomialIdeal.from_exponents(("u", "v"), [(2, 0), (0, 3)])
-        assert I.incomparable_pairs() == [((0, 3), (2, 0))]
 
     def test_transform(self):
         I = MonomialIdeal.from_exponents(("u", "v"), [(2, 0), (0, 3)])
@@ -86,6 +93,71 @@ class TestCenterChoice:
         assert termination_measure(
             MonomialIdeal.from_exponents(("u",), [(2,)])
         ) == (0,)
+
+
+def _outcome(f, *args):
+    """f's value, or the message of the NonMonomialInputError it raises."""
+    try:
+        return f(*args)
+    except NonMonomialInputError as e:
+        return ("raises", str(e))
+
+
+def _seeded_ideals(rng, count):
+    """Ideals in 3 or 4 variables drawn with duplicate generators and
+    multiples of generators, reduced by ``from_exponents``."""
+    names = ("u", "v", "w", "t")
+    for _ in range(count):
+        n = rng.randint(3, 4)
+        gens = [tuple(rng.randint(0, 4) for _ in range(n)) for _ in range(rng.randint(2, 6))]
+        gens.append(rng.choice(gens))  # a duplicate
+        g = rng.choice(gens)
+        gens.append(tuple(x + rng.randint(0, 2) for x in g))  # comparable
+        yield MonomialIdeal.from_exponents(names[:n], gens)
+
+
+class TestPairScanAgainstReference:
+    """The one-pass pair scan and the direct transform against the
+    multi-pass scan and the ``from_exponents`` transform they replaced."""
+
+    def check(self, ideal, divisors):
+        assert ideal.generators == all_pairs_antichain(ideal.generators)
+        assert termination_measure(ideal) == reference_termination_measure(ideal)
+        if not ideal.is_principal():
+            _, _, pair, diff = ideal._pair_scan
+            assert pair == reference_target_pair(ideal)
+            assert diff == reference_difference(*pair)
+            for divisor in divisors:
+                assert _outcome(choose_center, ideal, divisor) == _outcome(
+                    reference_choose_center, ideal, divisor
+                )
+        names = ideal.variables
+        for c in names:
+            others = [v for v in names if v != c]
+            for absorbed in [[v] for v in others] + [others]:
+                got = ideal.transform(c, absorbed)
+                assert got == reference_transform(ideal, c, absorbed)
+
+    def test_two_variable_family(self):
+        # Criterion 6's family: every antichain with exponents <= 6.
+        divisors = [("u", "v"), ("u",), ("v",)]
+        count = 0
+        for gens in two_var_antichains(6):
+            self.check(MonomialIdeal.from_exponents(("u", "v"), gens), divisors)
+            count += 1
+        assert count == 3431
+
+    def test_seeded_ideals_with_duplicates_and_multiples(self):
+        rng = random.Random(21)
+        raised = 0
+        for ideal in _seeded_ideals(rng, 400):
+            names = ideal.variables
+            divisors = [names, names[:1], names[1:], names[::2]]
+            self.check(ideal, divisors)
+            raised += not ideal.is_principal() and any(
+                _outcome(choose_center, ideal, d)[0] == "raises" for d in divisors
+            )
+        assert raised >= 100  # the non-divisor message is compared too
 
 
 class TestPrincipalize:
