@@ -17,7 +17,7 @@ from .chart import (
     stratum_of_point,
     validate_pair_condition,
 )
-from .fitting import fitting_vanishing_in_divisor, log_fitting_ideal
+from .fitting import log_fitting_ideal
 from .ideal import (
     IdealPresentation,
     PrincipalMonomialCertificate,
@@ -61,10 +61,10 @@ def is_quasi_prepared(phi: MorphismOfPairs) -> tuple[bool, list[str]]:
     inside the divisor.
 
     The preimage test is closed form and fails whenever the pair condition
-    does, so Sing is only examined under the pair condition, where it is
-    read off the top log-Fitting ideal F_N
-    (``fitting.fitting_vanishing_in_divisor``): off the divisor the
-    Jacobian and the log Jacobian differ by unit row and column scalings.
+    does, so Sing is only examined under the pair condition, where it lies
+    in the divisor iff the divisor product is in the radical of the top
+    log-Fitting ideal F_N: off the divisor the Jacobian and the log
+    Jacobian differ by unit row and column scalings.
     At most one diagnostic is given, the first test that fails.
 
     The verdict is computed once per morphism and cached on it; every call
@@ -77,7 +77,7 @@ def is_quasi_prepared(phi: MorphismOfPairs) -> tuple[bool, list[str]]:
         diagnostics = []
         if not preimage_equality_check(phi):
             diagnostics.append("divisor preimage does not equal the source divisor")
-        elif not fitting_vanishing_in_divisor(phi, N):
+        elif not radical_membership(phi.source.divisor_product(), log_fitting_ideal(phi, N)):
             diagnostics.append("singular locus not contained in the divisor")
         phi._quasi_prepared = (not diagnostics), tuple(diagnostics)
     ok, diagnostics = phi._quasi_prepared
@@ -273,9 +273,10 @@ def is_log_rank_adapted_at(
     components, with free variables unrestricted.  That set is dense in
     {w = 0}, so this holds exactly when the log-Fitting ideal F_{e+1} (the
     (e+1)-minors of the log Jacobian) vanishes on w = 0 and the product of
-    the other divisor variables lies in the radical of F_e plus (w).  It
-    never holds for e < 0.  Raises NotAMorphismOfPairsError when a
-    filtration level is nonempty and the pair condition fails.
+    the other divisor variables, free of w, is in the radical of F_e at
+    w = 0 (F_0 = (1)).  It never holds for e < 0.  Raises
+    NotAMorphismOfPairsError when a level is nonempty and the pair
+    condition fails.
     """
     filtration.validate(phi.source.divisor_vars)
     diagnostics: list[str] = []
@@ -340,9 +341,7 @@ def is_log_rank_adapted_at(
             others = Polynomial._trusted(
                 {tuple(int(v != w and v in phi.source.divisor_vars) for v in amb): 1}, amb
             )
-            if e > 0 and not radical_membership(
-                others, IdealPresentation(at_w + [Polynomial.variable(w, amb)], amb)
-            ):
+            if e > 0 and not radical_membership(others, IdealPresentation(at_w, amb)):
                 gens = ", ".join(str(g) for g in at_w if not g.is_zero()) or "0"
                 diagnostics.append(
                     f"log-rank drops below {e} on the stratum of {w} at level {k}, "

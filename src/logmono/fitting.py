@@ -3,13 +3,13 @@
 The ideal at form degree k is generated by all coefficients of the
 pullbacks of the target log basis k-forms: the k-minors of one log
 Jacobian, each k-subset of its rows wedged once, and each minor kept once
-up to a nonzero rational scalar.  Divisorial rows are the
-components' integer exponent tuples (``logdiff.log_jacobian``), so a
-minor of divisorial rows alone is one integer and a divisorial entry of a
-mixed minor scales its cofactor.  Indexing convention: the
-artifact exposes the form degree k directly; the top ideal (k equal to
-the target dimension) is the one whose local principality characterizes
-strongly prepared morphisms.
+up to a nonzero rational scalar.  Divisorial rows are the components'
+integer exponent tuples (``logdiff.log_jacobian``), so a minor of
+divisorial rows alone is one integer and a divisorial entry of a mixed
+minor scales its cofactor.  The artifact exposes the form degree k.  Local
+principality of the top ideal (k the target dimension) characterizes
+strongly prepared morphisms, and its zero set lies in the divisor iff the
+divisor product is in its radical (``ideal.radical_membership``).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .chart import MorphismOfPairs
-from .ideal import IdealPresentation, radical_membership
+from .ideal import IdealPresentation
 from .logdiff import log_jacobian, wedge_rows
 from .poly import Polynomial
 
@@ -54,16 +54,3 @@ def _ray(p: Polynomial) -> frozenset:
     c0 = p.terms[min(p.terms)]
     return frozenset((e, Fraction(c, c0)) for e, c in p.terms.items())
 
-
-def fitting_vanishing_in_divisor(phi: MorphismOfPairs, k: int) -> bool:
-    """Whether the vanishing locus of the degree-k log-Fitting ideal is
-    contained in the source divisor D.
-
-    A generator c*u^a on divisor variables alone (a nonzero constant
-    included) vanishes only on D, so V(F) lies in D with no Groebner basis.
-    Otherwise the answer is whether the divisor product lies in the radical
-    of F."""
-    F = log_fitting_ideal(phi, k)
-    return any(map(phi.source.is_divisor_monomial, F.generators)) or radical_membership(
-        phi.source.divisor_product(), F
-    )

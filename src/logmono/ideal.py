@@ -5,10 +5,10 @@ Gebauer-Moeller pair installation (Gebauer & Moeller, "On an installation
 of Buchberger's algorithm", JSC 1988): the B, M and F criteria and the
 coprime-leading-term criterion are applied once per new basis element.
 Reduction keys each term once and pops terms from a heap, largest first.
-On top of it: membership, radical membership via the Rabinowitsch trick,
-elimination by block orders, Krull dimension from the leading-term ideal,
-saturation, and the locally-principal-monomial test with the one "unit at
-the point" rule (``local_monomial``).
+On top of it: membership, radical membership by unique factorization or
+the Rabinowitsch trick, elimination by block orders, Krull dimension from
+the leading-term ideal, saturation, and the locally-principal-monomial
+test with the one "unit at the point" rule (``local_monomial``).
 
 The kernel is fraction-free, after Bareiss's integer-preserving
 elimination (Math. Comp. 1968): basis elements are primitive integer
@@ -409,9 +409,23 @@ def radical_membership(f: Polynomial, I: IdealPresentation) -> bool:
     """True iff f vanishes on V(I) over the algebraic closure, that is iff
     the Rabinowitsch ideal I + (1 - t*f) is the unit ideal.
 
-    The answer depends only on V(I), and V(m*g) = V(rad(m)*g) for a
-    monomial m, so each generator first drops its monomial content's
-    exponents above 1: a generator like u^3000*v costs no more than u*v."""
+    A term f = c*x^b with support S needs no basis when a generator c*x^a
+    with supp(a) inside S vanishes only where f does (True), or else when I
+    has at most one generator g (False).  Q[x] is a UFD, so f^m in (g) makes
+    each irreducible factor of g a variable of S, and the zero ideal holds
+    no nonzero f (Cox, Little & O'Shea, Ch. 4).  Otherwise the answer
+    depends only on V(I), and V(m*g) = V(rad(m)*g) for a monomial m, so
+    each generator first drops its monomial content's exponents above 1: a
+    generator like u^3000*v costs no more than u*v."""
+    if f.ambient != I.ambient:
+        raise AmbientMismatchError(f"{f.ambient} vs {I.ambient}")
+    if len(f.terms) == 1:
+        off = [i for b in f.terms for i, x in enumerate(b) if not x]
+        for g in I.generators:
+            if len(g.terms) == 1 and not any(a[i] for a in g.terms for i in off):
+                return True
+        if len(I.generators) <= 1:
+            return False
     gens = []
     for g in I.generators:
         excess = [e - 1 if e > 1 else 0 for e in g.monomial_content().exponents]

@@ -22,13 +22,12 @@ from logmono.classify import (
     singular_locus_ideal,
     top_fitting_ideal,
 )
-from logmono.fitting import fitting_vanishing_in_divisor
 from logmono.ideal import (
     IdealPresentation,
     is_principal_monomial_at,
-    radical_membership,
 )
 from logmono.logdiff import NotAMorphismOfPairsError
+from logmono.poly import Polynomial
 
 from helpers import (
     P,
@@ -37,6 +36,7 @@ from helpers import (
     normal_form_corpus,
     origin,
     pair_condition_corpus,
+    plain_radical_membership,
     rank_law_corpus,
     reference_is_monomial_morphism_at,
     reference_match_spm_template,
@@ -104,7 +104,7 @@ class TestQuasiPrepared:
     def test_fitting_decision_matches_jacobian_minors(self):
         # Sing in D is decided from the top log-Fitting ideal, and only for
         # morphisms that pass the preimage test (which implies the pair
-        # condition); the reference is the radical-membership test over the
+        # condition); the reference is the plain Rabinowitsch test over the
         # ideal of plain Jacobian minors.  Every other morphism is rejected
         # by the preimage test alone.
         phis = [phi for phi, _ in normal_form_corpus()]
@@ -121,10 +121,9 @@ class TestQuasiPrepared:
                 continue
             assert pair_ok, phi
             u_prod = phi.source.divisor_product()
-            reference = radical_membership(u_prod, singular_locus_ideal(phi))
+            reference = plain_radical_membership(u_prod, singular_locus_ideal(phi))
             decided = "singular locus not contained in the divisor" not in diags
             assert decided == reference, phi
-            assert fitting_vanishing_in_divisor(phi, 2) == reference, phi
             seen.add(("preimage holds", reference))
         assert seen == {
             (p, r) for p in ("preimage fails", "preimage holds") for r in (False, True)
@@ -274,6 +273,21 @@ class TestMonomialMorphism:
         assert accepted_off_origin >= 50
 
 
+def corpus_filtrations():
+    """Each corpus morphism that has a source divisor and satisfies the pair
+    condition, with each filtration tried on it: every divisor variable
+    alone, the whole divisor, and the whole divisor over its first
+    variable."""
+    phis = [phi for phi, _ in normal_form_corpus()]
+    phis += empty_divisor_corpus() + monomial_surface_corpus() + pair_condition_corpus()
+    for phi in phis:
+        div = phi.source.divisor_vars
+        if not div or not validate_pair_condition(phi)[0]:
+            continue
+        for levels in dict.fromkeys([((w,),) for w in div] + [(div,), (div, div[:1])]):
+            yield phi, DivisorFiltration(list(levels))
+
+
 class TestLogRankAdapted:
     def chart_phi(self):
         src = ChartedPair(("v1", "u1", "u2"), ("u1", "u2"))
@@ -372,27 +386,59 @@ class TestLogRankAdapted:
     def test_sampler_mismatch_implies_exact_rejection(self):
         # The sampler can only miss a drop, so wherever it sees a wrong
         # log-rank the exact check must reject too.
-        phis = [phi for phi, _ in normal_form_corpus()]
-        phis += empty_divisor_corpus() + monomial_surface_corpus() + pair_condition_corpus()
         accepted = sampled = blind = 0
-        for phi in phis:
-            div = phi.source.divisor_vars
-            if not div or not validate_pair_condition(phi)[0]:
-                continue
+        for phi, filtration in corpus_filtrations():
             target_ideal = IdealPresentation([], phi.target.variables)
-            for levels in dict.fromkeys([((w,),) for w in div] + [(div,), (div, div[:1])]):
-                filtration = DivisorFiltration(list(levels))
-                _, diags = is_log_rank_adapted_at(
-                    phi, origin(phi.source), filtration, target_ideal
-                )
-                exact_ok = not any("log-rank" in d for d in diags)
-                seen = any(sampled_log_rank_mismatch(phi, filtration, s) for s in range(5))
-                assert not (seen and exact_ok), (phi.components, levels)
-                accepted += exact_ok
-                sampled += seen
-                blind += not (seen or exact_ok)
+            _, diags = is_log_rank_adapted_at(phi, origin(phi.source), filtration, target_ideal)
+            exact_ok = not any("log-rank" in d for d in diags)
+            seen = any(sampled_log_rank_mismatch(phi, filtration, s) for s in range(5))
+            assert not (seen and exact_ok), (phi.components, filtration.levels)
+            accepted += exact_ok
+            sampled += seen
+            blind += not (seen or exact_ok)
         # Both verdicts occur, and some drops are invisible to the sampler.
         assert accepted >= 100 and sampled >= 100 and blind >= 10
+
+    def test_top_level_stratum_has_no_rank_to_drop(self):
+        # At e = 0 condition (2) asks only that F_1 vanish on w = 0: F_0 is
+        # the unit ideal, not the zero ideal that no 0-minors would present.
+        src = ChartedPair(("u",), ("u",))
+        tgt = ChartedPair(("x",), ())
+        phi = MorphismOfPairs(src, tgt, {"x": P("u^2", src.variables)})
+        target_ideal = IdealPresentation([P("x", tgt.variables)], tgt.variables)
+        filtration = DivisorFiltration([("u",)])
+        assert is_log_rank_adapted_at(phi, origin(src), filtration, target_ideal) == (True, [])
+
+    def test_stratum_radical_tests_agree_with_plain_rabinowitsch(self, monkeypatch):
+        # Condition (2) tests the other divisor variables against the
+        # e-minors at w = 0 alone.  Both are free of w, so every answer must
+        # be the plain Rabinowitsch test against those minors plus (w).
+        calls = []
+        original = logmono.classify.radical_membership
+
+        def recording(f, J):
+            got = original(f, J)
+            calls.append((f, J, got))
+            return got
+
+        monkeypatch.setattr(logmono.classify, "radical_membership", recording)
+        verdicts, principal, combinations = set(), 0, 0
+        for phi, filtration in corpus_filtrations():
+            amb, div = phi.source.variables, phi.source.divisor_vars
+            calls.clear()
+            is_log_rank_adapted_at(
+                phi, origin(phi.source), filtration, IdealPresentation([], phi.target.variables)
+            )
+            combinations += 1
+            for f, J, got in calls:
+                (exps,) = f.terms
+                (w,) = [v for v, x in zip(amb, exps) if v in div and not x]
+                with_w = IdealPresentation(J.generators + [Polynomial.variable(w, amb)], amb)
+                assert got == plain_radical_membership(f, with_w), (phi.components, w, J)
+                verdicts.add(got)
+                principal += len(J.generators) <= 1
+        assert combinations >= 800
+        assert verdicts == {True, False} and principal >= 500
 
     def test_filtration_validation(self):
         f = DivisorFiltration([("u1",), ("u1", "u2")])

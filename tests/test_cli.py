@@ -477,13 +477,13 @@ class TestErrorHandling:
 
 
 def test_classify_decides_quasi_prepared_once(capsys, example1, monkeypatch):
-    calls = count_calls(monkeypatch, "radical_membership")
+    bases = count_calls(monkeypatch, "_minimal_records")
     code, _, _ = run(capsys, "classify", example1)
     assert code == 0
     # A generator of the top log-Fitting ideal is a monomial on the divisor,
-    # so the singular-locus check needs no radical membership; the pair and
-    # preimage checks use no ideal.
-    assert len(calls) == 0
+    # so the singular-locus radical test needs no Groebner basis; the pair
+    # and preimage checks use no ideal.
+    assert len(bases) == 0
 
 
 def test_reports_are_deterministic(capsys, example1):

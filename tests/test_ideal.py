@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import logmono.ideal
-from logmono.chart import ChartedPair, MorphismOfPairs
+from logmono.chart import ChartedPair, MorphismOfPairs, validate_pair_condition
 from logmono.classify import singular_locus_ideal
+from logmono.fitting import log_fitting_ideal
 from logmono.ideal import (
     EmptyVarietyError,
     IdealPresentation,
@@ -29,7 +30,7 @@ from logmono.ideal import (
     residual_value,
     saturation,
 )
-from logmono.poly import Polynomial
+from logmono.poly import AmbientMismatchError, Polynomial
 from logmono.rank import graph_ideal
 
 from helpers import (
@@ -40,6 +41,7 @@ from helpers import (
     monomial_surface_corpus,
     normal_form_corpus,
     pair_condition_corpus,
+    plain_radical_membership,
     random_sparse_poly,
     rank_law_corpus,
     reference_elimination,
@@ -128,28 +130,32 @@ class TestMembership:
         assert not radical_membership(P("y", amb), J)
 
 
-def plain_radical_membership(f, J):
-    """The Rabinowitsch test on J's generators as given."""
-    return contains_one(_rabinowitsch(J, f))
-
-
 def has_square_content(J):
     return any(e > 1 for g in J.generators for e in g.monomial_content().exponents)
 
 
 class TestRadicalRewrite:
-    """radical_membership lowers each generator's monomial content to its
-    radical first; that must never change the answer."""
+    """radical_membership decides a single-term f by unique factorization
+    when I has a single-term generator on f's support or at most one
+    generator, and otherwise lowers each generator's monomial content to
+    its radical first; neither may change the answer of the plain
+    Rabinowitsch test."""
 
     def test_corpora_agree_with_plain_rabinowitsch(self):
         phis = [phi for phi, _ in normal_form_corpus()]
         phis += empty_divisor_corpus() + monomial_surface_corpus() + pair_condition_corpus()
-        verdicts, rewritten = set(), 0
+        verdicts, rewritten, principal_fitting = set(), 0, 0
         for phi in phis:
             amb = phi.source.variables
             u = phi.source.divisor_product()
             cases = [(u, singular_locus_ideal(phi))]
             cases += [(u, IdealPresentation([p], amb)) for p in phi.components.values()]
+            if validate_pair_condition(phi)[0]:
+                top = min(len(amb), len(phi.target.variables))
+                fitting = [log_fitting_ideal(phi, k) for k in range(1, top + 1)]
+                principal = [F for F in fitting if len(F.generators) == 1]
+                cases += [(u, F) for F in principal]
+                principal_fitting += len(principal)
             for f, J in cases:
                 got = radical_membership(f, J)
                 assert got == plain_radical_membership(f, J), (phi, f, J)
@@ -157,6 +163,52 @@ class TestRadicalRewrite:
                 rewritten += has_square_content(J)
         assert verdicts == {True, False}
         assert rewritten >= 100
+        assert principal_fitting >= 150
+
+    @pytest.mark.parametrize(
+        "f, gens, expected",
+        [
+            # f = 1, the divisor product of an empty divisor.
+            ("1", [], False),
+            ("1", ["u*v + w"], False),
+            ("1", ["-3"], True),
+            ("1", ["u", "v + 1"], False),
+            # A nonzero constant generator, and the zero ideal.
+            ("u*v", ["2"], True),
+            ("u*v", [], False),
+            # Repeated factors: only the monomial one lies on supp(f).
+            ("u*v", ["u^3*(u + v)^2"], False),
+            ("u*v", ["5*u^3*v^2"], True),
+            ("3*u^2*v", ["u*v*(u + 1)"], False),
+            # A generator on supp(f) that is not a single term.
+            ("u*v", ["(u + v)^2"], False),
+            # A single term off supp(f).
+            ("u*v", ["u*w"], False),
+            ("u*v*w", ["u^2*w"], True),
+            # A single-term generator among several, and none.
+            ("u*v", ["(u + v)^2", "u^4"], True),
+            ("u*v", ["u + w", "v + w^2"], False),
+            ("u*v", ["u + w", "v*w"], True),
+            ("u*v", ["u + w", "v - w", "w^3"], True),
+            # f not a single term, or zero.
+            ("u + v", ["(u + v)^3"], True),
+            ("u + v", ["u*v"], False),
+            ("0", ["u + v"], True),
+        ],
+    )
+    def test_rule_cases_agree_with_plain_rabinowitsch(self, f, gens, expected):
+        amb = ("u", "v", "w")
+        J = I(gens, amb)
+        assert radical_membership(P(f, amb), J) is expected
+        assert plain_radical_membership(P(f, amb), J) is expected
+
+    @pytest.mark.parametrize("gens", [[], ["u"], ["u*v + 1"], ["u", "v"], ["u + 1", "v"]])
+    def test_mismatched_ambient_raises(self, gens):
+        # Checked before the closed-form rule, which would otherwise answer
+        # for a single-term f and a principal ideal.
+        J = I(gens, ("u", "v"))
+        with pytest.raises(AmbientMismatchError):
+            radical_membership(P("u*v", ("u", "v", "w")), J)
 
     def test_random_ideals_agree_with_plain_rabinowitsch(self):
         rng = random.Random(19)
@@ -188,8 +240,14 @@ class TestRadicalMembershipTime:
     @pytest.mark.parametrize(
         "component, bound, expected",
         [
-            # The minors 3000*u^2999*v and u^3000.
+            # The minors 3000*u^2999*v and u^3000; the minor u^3000 decides
+            # it with no basis.
             ("u^3000*v", 1.0, True),
+            # Two minors, neither a single term, each with a monomial content
+            # of degree about 3000: only dropping the content's exponents
+            # above 1 keeps the Rabinowitsch basis small.
+            ("u^3000*v + u^3000*v^2", 1.0, True),
+            ("u^3000*v^2 + 5*u^2000*v^3", 2.0, False),
             # A basis of about 1000 elements; no reduction step meets a
             # leading coefficient other than 1.
             ("7*u^1000*v - 3*v^3 + 2*v^2", 2.0, True),
