@@ -86,10 +86,6 @@ class ChartedPair:
     def free_vars(self) -> tuple[str, ...]:
         return tuple(self.variables[i] for i in self.positions[1])
 
-    @property
-    def dimension(self) -> int:
-        return len(self.variables)
-
     def divisor_product(self) -> Polynomial:
         exps = tuple(int(v in self.divisor_vars) for v in self.variables)
         return Polynomial._trusted({exps: 1}, self.variables)

@@ -10,6 +10,7 @@ from math import gcd
 from typing import Optional, Sequence
 
 from .chart import (
+    ChartedPair,
     MorphismOfPairs,
     RationalPoint,
     preimage_equality_check,
@@ -26,7 +27,7 @@ from .ideal import (
     radical_membership,
     residual_value,
 )
-from .logdiff import NotAMorphismOfPairsError, maximal_minors
+from .logdiff import NotAMorphismOfPairsError, wedge_rows
 from .rank import jacobian, log_rank_at_point, rational_matrix_rank
 from .poly import Polynomial
 
@@ -49,11 +50,17 @@ class DivisorFiltration:
 
 
 def singular_locus_ideal(phi: MorphismOfPairs) -> IdealPresentation:
-    """Ideal of maximal minors of the Jacobian (requires n >= N)."""
-    if len(phi.source.variables) < len(phi.target.variables):
+    """Ideal of maximal minors of the Jacobian (requires n >= N).
+
+    They are the coefficients of the wedge of the Jacobian's rows over the
+    source chart with an empty divisor: there every column is free, so
+    ``wedge_rows`` gives each nonzero maximal minor once, in
+    ``itertools.combinations`` order of the columns."""
+    amb = phi.source.variables
+    if len(amb) < len(phi.target.variables):
         raise ValueError("source dimension below target dimension")
-    gens = [minor for _, minor in maximal_minors(jacobian(phi))]
-    return IdealPresentation(gens, phi.source.variables)
+    wedge = wedge_rows(jacobian(phi), ChartedPair(amb, ()))
+    return IdealPresentation(list(wedge.coefficients.values()), amb)
 
 
 def is_quasi_prepared(phi: MorphismOfPairs) -> tuple[bool, list[str]]:
@@ -129,14 +136,6 @@ def _divisor_exponents(
     if any(p_exps[i] for i in outside):
         return None
     return tuple(p_exps[i] for i in inside)
-
-
-def _wedge_is_zero(a: Sequence[int], b: Sequence[int]) -> bool:
-    return all(
-        a[i] * b[j] - a[j] * b[i] == 0
-        for i in range(len(a))
-        for j in range(i + 1, len(a))
-    )
 
 
 def _match_first_component(
@@ -222,7 +221,7 @@ def match_spm_template(phi: MorphismOfPairs, a: RationalPoint) -> Optional[int]:
         if beta is not None:
             # Case 2: remainder is a pure divisor monomial not proportional
             # to alpha.
-            if k >= 2 and not _wedge_is_zero(alpha, beta):
+            if k >= 2 and rational_matrix_rank([alpha, beta]) == 2:
                 return 2
             continue
         # Case 1: remainder is u^beta * (one free variable, exponent 1).
@@ -246,7 +245,7 @@ def is_monomial_morphism_at(
         m = local_monomial([p], pt)
         if not residual_value(p, m, pt):
             return None
-        rows.append(m.exponents)
+        rows.append(m)
     if rational_matrix_rank(rows) != len(rows):
         return None
     return rows
@@ -306,9 +305,10 @@ def is_log_rank_adapted_at(
                 f"component {r + 1} is not a monomial in divisor variables"
             )
         else:
-            # Equal ideals have the same reduced Groebner basis.
+            # Equal ideals have the same reduced Groebner basis, and that of
+            # the principal ideal (p) is p made monic.
             pulled = [phi.pullback(g) for g in target_stratum_ideal.generators]
-            if IdealPresentation(pulled, amb).basis() != IdealPresentation([p], amb).basis():
+            if IdealPresentation(pulled, amb).basis() != [p.monic()]:
                 diagnostics.append(
                     "pullback of the target stratum ideal is not generated "
                     f"by component {r + 1}"

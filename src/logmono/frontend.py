@@ -430,7 +430,7 @@ def parse_problem(text: str) -> ProblemFile:
         for expected, (level, names, lineno) in enumerate(filtration_lines, start=1):
             if level != expected:
                 raise ProblemSyntaxError(
-                    f"filtration levels must be 1-based and consecutive", lineno
+                    "filtration levels must be 1-based and consecutive", lineno
                 )
             vars_ = tuple(names.split())
             for v in vars_:

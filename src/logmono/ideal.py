@@ -7,8 +7,8 @@ coprime-leading-term criterion are applied once per new basis element.
 Reduction keys each term once and pops terms from a heap, largest first.
 On top of it: membership, radical membership by unique factorization or
 the Rabinowitsch trick, elimination by block orders, Krull dimension from
-the leading-term ideal, saturation, and the locally-principal-monomial
-test with the one "unit at the point" rule (``local_monomial``).
+the leading-term ideal, and the locally-principal-monomial test with the
+one "unit at the point" rule (``local_monomial``).
 
 The kernel is fraction-free, after Bareiss's integer-preserving
 elimination (Math. Comp. 1968): basis elements are primitive integer
@@ -367,13 +367,6 @@ def _interreduced(
 # Queries
 
 
-def groebner_basis(I: IdealPresentation, order: MonomialOrder | None = None) -> IdealPresentation:
-    order = order or grevlex_order()
-    out = IdealPresentation(I.basis(order), I.ambient)
-    out._basis_cache[order.tag] = list(out.generators)
-    return out
-
-
 def ideal_membership(f: Polynomial, I: IdealPresentation) -> bool:
     if f.ambient != I.ambient:
         raise AmbientMismatchError(f"{f.ambient} vs {I.ambient}")
@@ -428,8 +421,8 @@ def radical_membership(f: Polynomial, I: IdealPresentation) -> bool:
             return False
     gens = []
     for g in I.generators:
-        excess = [e - 1 if e > 1 else 0 for e in g.monomial_content().exponents]
-        gens.append(g.divide_by_monomial(Monomial(excess)) if any(excess) else g)
+        excess = tuple(e - 1 if e > 1 else 0 for e in g.monomial_content())
+        gens.append(g.divide_by_monomial(excess) if any(excess) else g)
     return contains_one(_rabinowitsch(IdealPresentation(gens, I.ambient), f))
 
 
@@ -485,17 +478,11 @@ def dimension(I: IdealPresentation) -> int:
     return 0
 
 
-def saturation(I: IdealPresentation, f: Polynomial) -> IdealPresentation:
-    """(I : f^infinity) via the extended-variable method."""
-    if f.is_zero():
-        raise ValueError("saturation by the zero polynomial")
-    return elimination(_rabinowitsch(I, f), I.ambient)
-
-
-def local_monomial(polys: Sequence[Polynomial], point: Sequence[Fraction]) -> Monomial:
-    """The one "unit at the point" rule of the local predicates: each
-    variable that vanishes at the point, to the largest power dividing
-    every polynomial, which is its least exponent over all their terms.
+def local_monomial(polys: Sequence[Polynomial], point: Sequence[Fraction]) -> tuple[int, ...]:
+    """The one "unit at the point" rule of the local predicates: the
+    exponent tuple that gives each variable vanishing at the point the
+    largest power dividing every polynomial, which is its least exponent
+    over all their terms, and every other variable 0.
 
     Every other factor, a variable that does not vanish at the point
     included, stays in the residual p / m, and p is a unit times m near
@@ -506,12 +493,15 @@ def local_monomial(polys: Sequence[Polynomial], point: Sequence[Fraction]) -> Mo
     terms = [e for p in polys for e in p.terms]
     # Repeating the first term gives min at least two arguments.
     content = map(min, terms[0], *terms)
-    return Monomial([e if x == 0 else 0 for e, x in zip(content, point)])
+    return tuple(e if x == 0 else 0 for e, x in zip(content, point))
 
 
-def residual_value(p: Polynomial, m: Monomial, point: Sequence[Fraction]) -> int | Fraction:
-    """The value at the point of the residual p / m, for a local monomial
-    m of p (``local_monomial``), read off p's terms without dividing.
+def residual_value(
+    p: Polynomial, m: tuple[int, ...], point: Sequence[Fraction]
+) -> int | Fraction:
+    """The value at the point of the residual p / m, for the exponent
+    tuple m of a local monomial of p (``local_monomial``), read off p's
+    terms without dividing.
 
     m lives on the coordinates that vanish at the point, so a term of p / m
     survives there exactly when its exponents equal m's on them, and it
@@ -521,12 +511,11 @@ def residual_value(p: Polynomial, m: Monomial, point: Sequence[Fraction]) -> int
         raise ValueError(
             f"point of length {len(point)} for ambient of length {len(p.ambient)}"
         )
-    me = m.exponents
     nonzero = [(i, x) for i, x in enumerate(point) if x]
     zeros = [i for i, x in enumerate(point) if not x]
     total = 0
     for e, c in p.terms.items():
-        if all(e[i] == me[i] for i in zeros):
+        if all(e[i] == m[i] for i in zeros):
             for i, x in nonzero:
                 if e[i]:
                     c *= x ** e[i]
@@ -553,11 +542,11 @@ def is_principal_monomial_at(
         raise ValueError("point length does not match ambient")
     divisor = set(divisor_vars)
     m = local_monomial(I.generators, point)
-    for v, e in zip(I.ambient, m.exponents):
+    for v, e in zip(I.ambient, m):
         if e and v not in divisor:
             return None
     # m divides every generator, so (I : m) is generated by the quotients.
     for g in I.generators:
         if residual_value(g, m, point):
-            return PrincipalMonomialCertificate(m, g.divide_by_monomial(m))
+            return PrincipalMonomialCertificate(Monomial(m), g.divide_by_monomial(m))
     return None

@@ -17,12 +17,16 @@ sign of the shuffle, and no division happens.  Every minor comes from one
 determinant kernel (``_det``) whose entries are ints or polynomials: an
 int entry scales its cofactor, and a minor of integer rows alone is one
 int.  A log-Fitting ideal is generated by the minors of one log Jacobian.
+Over a chart with an empty divisor every column is free and the log basis
+is dv_1, ..., dv_n, so the wedge of the rows of the ordinary Jacobian has
+its maximal minors as coefficients: these cut out the singular locus
+(``classify.singular_locus_ideal``).
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .chart import ChartedPair, MorphismOfPairs, validate_pair_condition
 from .poly import Polynomial, canonicalise_terms
@@ -108,20 +112,6 @@ def _log_row(f: Polynomial, chart: ChartedPair) -> list[Polynomial]:
 def log_differential(f: Polynomial, chart: ChartedPair) -> LogKForm:
     """df expressed in the log basis: u*df/du against du/u, df/dv against dv."""
     return wedge_rows([_log_row(f, chart)], chart)
-
-
-def maximal_minors(
-    rows: Sequence[Sequence[int | Polynomial]],
-) -> Iterator[tuple[tuple[int, ...], int | Polynomial]]:
-    """Every nonzero maximal minor of a k x n matrix with its column subset,
-    in ``itertools.combinations`` order.  Entries are ints or polynomials
-    over one ambient (``_det``): a minor of ints alone is an int, and a
-    matrix of polynomials has polynomial minors."""
-    ncols = len(rows[0]) if rows else 0
-    for cols in combinations(range(ncols), len(rows)):
-        minor = _det([[row[j] for j in cols] for row in rows])
-        if not _is_zero(minor):
-            yield cols, minor
 
 
 def wedge_rows(rows: Sequence[Sequence[int | Polynomial]], chart: ChartedPair) -> LogKForm:

@@ -335,22 +335,23 @@ class Polynomial:
 
     # -- monomial structure ---------------------------------------------
 
-    def monomial_content(self) -> Monomial:
-        """The largest monomial dividing every term."""
+    def monomial_content(self) -> tuple[int, ...]:
+        """The exponent tuple of the largest monomial dividing every term."""
         if not self.terms:
             raise ValueError("monomial content of the zero polynomial")
         exps = None
         for e in self.terms:
             exps = e if exps is None else tuple(min(a, b) for a, b in zip(exps, e))
-        return Monomial(exps)
+        return exps
 
-    def divide_by_monomial(self, m: Monomial) -> "Polynomial":
-        me = m.exponents
+    def divide_by_monomial(self, m: tuple[int, ...]) -> "Polynomial":
+        """The quotient by the monomial with exponent tuple m, which must
+        divide every term."""
         out = {}
         for exps, c in self.terms.items():
-            if not all(map(ge, exps, me)):
-                raise ValueError(f"{m} does not divide all terms")
-            out[tuple(map(sub, exps, me))] = c
+            if not all(map(ge, exps, m)):
+                raise ValueError(f"monomial {m} does not divide all terms")
+            out[tuple(map(sub, exps, m))] = c
         return Polynomial._trusted(out, self.ambient)
 
     def leading_term(self, key=grevlex_key) -> tuple[tuple[int, ...], int | Fraction]:
@@ -381,28 +382,6 @@ class Polynomial:
                 e[p] = x
             out[tuple(e)] = c
         return Polynomial._trusted(out, new)
-
-    def restrict_ambient(self, new_ambient: Sequence[str]) -> "Polynomial":
-        """Drop variables not in ``new_ambient``; they must not occur."""
-        new = tuple(new_ambient)
-        keep = [self.ambient.index(v) for v in new]
-        dropped = [i for i in range(len(self.ambient)) if self.ambient[i] not in new]
-        out = {}
-        for exps, c in self.terms.items():
-            if any(exps[i] != 0 for i in dropped):
-                raise ValueError(
-                    f"variable {self.ambient[dropped[0]]!r} occurs; cannot restrict"
-                )
-            out[tuple(exps[i] for i in keep)] = c
-        return Polynomial._trusted(out, new)
-
-    def support_variables(self) -> set[str]:
-        out = set()
-        for exps in self.terms:
-            for v, e in zip(self.ambient, exps):
-                if e:
-                    out.add(v)
-        return out
 
     # -- printing -------------------------------------------------------
 

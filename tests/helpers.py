@@ -518,8 +518,13 @@ def reference_elimination(I: IdealPresentation, keep) -> list[Polynomial]:
     eliminated = tuple(v for v in I.ambient if v not in keep)
     ext = eliminated + keep
     gens = [g.extend_ambient(ext) for g in I.generators]
-    basis = reduced_groebner_basis(gens, block_order(len(eliminated)))
-    return [g.restrict_ambient(keep) for g in basis if g.support_variables() <= set(keep)]
+    n = len(eliminated)
+    basis = reduced_groebner_basis(gens, block_order(n))
+    return [
+        Polynomial({e[n:]: c for e, c in g.terms.items()}, keep)
+        for g in basis
+        if not any(x for e in g.terms for x in e[:n])
+    ]
 
 
 def reference_symbolic_rank(rows: list[list[Polynomial]]) -> int:
@@ -885,17 +890,17 @@ def reference_rational_matrix_rank(rows) -> int:
     return rank
 
 
-def reference_local_monomial(polys, point) -> Monomial:
+def reference_local_monomial(polys, point) -> tuple[int, ...]:
     """gcd of the polynomials' monomial contents, kept on the coordinates
     that vanish at the point."""
     content = None
     for p in polys:
-        c = p.monomial_content().exponents
+        c = p.monomial_content()
         content = c if content is None else tuple(map(min, content, c))
-    return Monomial(e if x == 0 else 0 for e, x in zip(content, point))
+    return tuple(e if x == 0 else 0 for e, x in zip(content, point))
 
 
-def reference_residual_value(p: Polynomial, m: Monomial, point) -> Fraction:
+def reference_residual_value(p: Polynomial, m: tuple[int, ...], point) -> Fraction:
     """The residual p / m built as a polynomial, then evaluated."""
     return p.divide_by_monomial(m).evaluate(point)
 
@@ -905,12 +910,12 @@ def reference_is_principal_monomial_at(I: IdealPresentation, point, divisor_vars
     dividing every generator by the local monomial until one residual is a
     unit at the point."""
     m = reference_local_monomial(I.generators, point)
-    if any(e and v not in divisor_vars for v, e in zip(I.ambient, m.exponents)):
+    if any(e and v not in divisor_vars for v, e in zip(I.ambient, m)):
         return None
     for g in I.generators:
         residual = g.divide_by_monomial(m)
         if residual.evaluate(point) != 0:
-            return PrincipalMonomialCertificate(m, residual)
+            return PrincipalMonomialCertificate(Monomial(m), residual)
     return None
 
 
@@ -924,7 +929,7 @@ def reference_is_monomial_morphism_at(phi: MorphismOfPairs, a: RationalPoint):
         m = reference_local_monomial([p], a.coordinates)
         if reference_residual_value(p, m, a.coordinates) == 0:
             return None
-        rows.append(m.exponents)
+        rows.append(m)
     if reference_rational_matrix_rank(rows) != len(rows):
         return None
     return rows

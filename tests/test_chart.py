@@ -36,7 +36,6 @@ class TestChartedPair:
         c = ChartedPair(("a", "b", "c"), ("c", "a"))
         assert c.divisor_vars == ("a", "c")
         assert c.free_vars == ("b",)
-        assert c.dimension == 3
 
     def test_invalid_divisor_variable(self):
         with pytest.raises(ValueError):

@@ -28,6 +28,7 @@ from logmono.ideal import (
 )
 from logmono.logdiff import NotAMorphismOfPairsError
 from logmono.poly import Polynomial
+from logmono.rank import jacobian
 
 from helpers import (
     P,
@@ -40,6 +41,7 @@ from helpers import (
     rank_law_corpus,
     reference_is_monomial_morphism_at,
     reference_match_spm_template,
+    reference_minors,
     sampled_log_rank_mismatch,
 )
 from test_fitting import surface_case1, surface_case2, surface_case3
@@ -53,6 +55,19 @@ class TestSingularLocus:
         phi = MorphismOfPairs(src, tgt, {"x": P("u^2", amb), "y": P("v", amb)})
         sing = singular_locus_ideal(phi)
         assert sing.basis() == [P("u", amb)]
+
+    def test_generators_are_the_reference_minors_in_order(self):
+        corpus = [phi for phi, _ in normal_form_corpus()] + pair_condition_corpus()
+        corpus += empty_divisor_corpus() + monomial_surface_corpus() + rank_law_corpus()
+        nonzero = 0
+        for phi in corpus:
+            if len(phi.source.variables) < len(phi.target.variables):
+                continue
+            rows = jacobian(phi)
+            sing = singular_locus_ideal(phi)
+            assert sing.generators == reference_minors(rows, len(rows)), phi
+            nonzero += not sing.is_zero_ideal()
+        assert nonzero >= 300
 
     def test_source_smaller_than_target_rejected(self):
         src = ChartedPair(("u",), ())
@@ -189,6 +204,22 @@ class TestStronglyPrepared:
         )
         assert match_spm_template(phi, origin(src)) is None
 
+    def test_case_2_needs_independent_exponents(self):
+        # alpha = (1, 2).  A remainder exponent beta independent of alpha
+        # gives case 2; one proportional to alpha is a power of u^alpha,
+        # so it joins the series and leaves no remainder.
+        src = ChartedPair(("u1", "u2"), ("u1", "u2"))
+        tgt = ChartedPair(("x1", "y1"), ("x1",))
+        amb = src.variables
+        for y1, case in [
+            ("u1^2*u2^4 + u1^2*u2", 2),
+            ("u1^3*u2", 2),
+            ("3*u1^2*u2^4", None),
+            ("u1*u2^2 + u1^3*u2^6", None),
+        ]:
+            phi = MorphismOfPairs(src, tgt, {"x1": P("u1*u2^2", amb), "y1": P(y1, amb)})
+            assert match_spm_template(phi, origin(src)) == case, y1
+
     def test_matcher_agrees_with_reference_matcher(self):
         # The origin and three other points, so that several strata of
         # each source chart are matched.
@@ -309,6 +340,19 @@ class TestLogRankAdapted:
         pt = RationalPoint((Fraction(1), Fraction(0), Fraction(0)))
         ok, diags = is_log_rank_adapted_at(phi, pt, filtration, target_ideal)
         assert ok, diags
+
+    def test_stratum_generator_compared_up_to_a_unit(self):
+        # The pullback of (y) is (3*u^2) = (u^2): the component 3*u^2
+        # generates it although its coefficient is not 1.
+        src = ChartedPair(("v", "u"), ("u",))
+        tgt = ChartedPair(("x", "y"), ("y",))
+        amb = src.variables
+        phi = MorphismOfPairs(src, tgt, {"x": P("v", amb), "y": P("3*u^2", amb)})
+        target_ideal = IdealPresentation([P("y", tgt.variables)], tgt.variables)
+        _, diags = is_log_rank_adapted_at(
+            phi, RationalPoint((0, 0)), DivisorFiltration([("u",)]), target_ideal
+        )
+        assert not any("target stratum ideal" in d for d in diags), diags
 
     def test_wrong_leading_component_rejected(self):
         src = ChartedPair(("v1", "u1", "u2"), ("u1", "u2"))

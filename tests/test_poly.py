@@ -208,7 +208,7 @@ class TestMonomialStructure:
     def test_content_and_division(self):
         p = P("x^2*y + x*y^2", AMB)
         c = p.monomial_content()
-        assert c.exponents == (1, 1, 0)
+        assert c == (1, 1, 0)
         assert p.divide_by_monomial(c) == P("x + y", AMB)
 
     def test_grevlex_leading_term(self):
@@ -221,9 +221,10 @@ class TestMonomialStructure:
     def test_ambient_surgery(self):
         p = P("x*z", AMB)
         big = p.extend_ambient(("w",) + AMB)
-        assert big.restrict_ambient(AMB) == p
+        assert big == P("x*z", ("w",) + AMB)
+        assert p.extend_ambient(AMB) is p
         with pytest.raises(ValueError):
-            p.restrict_ambient(("x", "y"))
+            p.extend_ambient(("x", "y"))
 
 
 class TestExactDivision:
@@ -316,7 +317,6 @@ class TestTrustedResults:
             assert_canonical(p.divide_by_monomial(m))
         big = p.extend_ambient(("w",) + AMB)
         assert_canonical(big)
-        assert_canonical(big.restrict_ambient(AMB))
         basis = [g for g in (q, q * q + p) if not g.is_zero()]
         assert_canonical(normal_form(p, basis, grevlex_order()))
         assert_canonical(normal_form(p * q, basis, grevlex_order()))
