@@ -220,10 +220,11 @@ def match_spm_template(phi: MorphismOfPairs, a: RationalPoint) -> Optional[int]:
         beta = _divisor_exponents(exps, positions)
         if beta is not None:
             # Case 2: remainder is a pure divisor monomial not proportional
-            # to alpha.
-            if k >= 2 and rational_matrix_rank([alpha, beta]) == 2:
-                return 2
-            continue
+            # to alpha.  No rank test is needed: alpha is primitive, so a
+            # proportional beta is an integer multiple of it, which
+            # _series_remainder keeps in the series (on a stratum of one
+            # variable every beta is such a multiple).
+            return 2
         # Case 1: remainder is u^beta * (one free variable, exponent 1).
         off = [i for i in positions[1] if exps[i]]
         if len(off) == 1 and exps[off[0]] == 1 and off[0] in phi.source.positions[1]:

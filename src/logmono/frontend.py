@@ -439,9 +439,10 @@ def parse_problem(text: str) -> ProblemFile:
                         f"filtration variable {v!r} is not a source divisor variable",
                         lineno,
                     )
+            if levels and not set(vars_) <= set(levels[-1]):
+                raise ProblemSyntaxError("filtration levels are not nested", lineno)
             levels.append(vars_)
         filtration = DivisorFiltration(levels)
-        filtration.validate(source.divisor_vars)
 
     target_ideal = None
     if target_ideal_line is not None:

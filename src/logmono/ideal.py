@@ -60,17 +60,13 @@ class MonomialOrder:
     descending order, so a ``heapq`` of them pops the largest first.
     """
 
-    def __init__(self, tag: str, key, heap_key):
-        self.tag = tag
+    def __init__(self, key, heap_key):
         self.key = key
         self.heap_key = heap_key
 
-    def __repr__(self):
-        return f"MonomialOrder({self.tag})"
-
 
 def grevlex_order() -> MonomialOrder:
-    return MonomialOrder("grevlex", grevlex_key, grevlex_heap_key)
+    return MonomialOrder(grevlex_key, grevlex_heap_key)
 
 
 def block_order(n_eliminated: int) -> MonomialOrder:
@@ -87,7 +83,7 @@ def block_order(n_eliminated: int) -> MonomialOrder:
         b = exps[n_eliminated:]
         return (-sum(a), a[::-1], -sum(b), b[::-1])
 
-    return MonomialOrder(f"block{n_eliminated}", key, heap_key)
+    return MonomialOrder(key, heap_key)
 
 
 # ---------------------------------------------------------------------------
@@ -105,10 +101,8 @@ class PrincipalMonomialCertificate:
 
 
 class IdealPresentation:
-    """A generator list over a fixed ambient, with a one-shot basis cache.
-
-    The cache is filled idempotently per order tag.
-    """
+    """A generator list over a fixed ambient, with its reduced grevlex
+    basis, computed on first use and cached."""
 
     def __init__(self, generators: Sequence[Polynomial], ambient: Sequence[str]):
         amb = tuple(ambient)
@@ -122,7 +116,7 @@ class IdealPresentation:
                 gens.append(g)
         self.generators = gens
         self.ambient = amb
-        self._basis_cache: dict[str, list[Polynomial]] = {}
+        self._basis: list[Polynomial] | None = None
 
     def __repr__(self):
         return f"IdealPresentation([{', '.join(map(str, self.generators))}])"
@@ -130,13 +124,10 @@ class IdealPresentation:
     def is_zero_ideal(self) -> bool:
         return not self.generators
 
-    def basis(self, order: MonomialOrder | None = None) -> list[Polynomial]:
-        order = order or grevlex_order()
-        cached = self._basis_cache.get(order.tag)
-        if cached is None:
-            cached = reduced_groebner_basis(self.generators, order)
-            self._basis_cache[order.tag] = cached
-        return cached
+    def basis(self) -> list[Polynomial]:
+        if self._basis is None:
+            self._basis = reduced_groebner_basis(self.generators, grevlex_order())
+        return self._basis
 
 
 # ---------------------------------------------------------------------------
@@ -372,8 +363,7 @@ def ideal_membership(f: Polynomial, I: IdealPresentation) -> bool:
         raise AmbientMismatchError(f"{f.ambient} vs {I.ambient}")
     if f.is_zero():
         return True
-    order = grevlex_order()
-    return normal_form(f, I.basis(order), order).is_zero()
+    return normal_form(f, I.basis(), grevlex_order()).is_zero()
 
 
 def contains_one(I: IdealPresentation) -> bool:
@@ -452,7 +442,7 @@ def elimination(I: IdealPresentation, keep: Sequence[str]) -> IdealPresentation:
     # The block order restricts to grevlex on the kept variables, so the
     # kept part of the reduced basis is the reduced grevlex basis of the
     # elimination ideal, already in grevlex order.
-    out._basis_cache[grevlex_order().tag] = kept_gens
+    out._basis = kept_gens
     return out
 
 
@@ -461,13 +451,11 @@ def dimension(I: IdealPresentation) -> int:
     n = len(I.ambient)
     if I.is_zero_ideal():
         return n
-    order = grevlex_order()
-    basis = I.basis(order)
     if contains_one(I):
         raise EmptyVarietyError("empty variety")
     lt_supports = []
-    for g in basis:
-        e, _ = g.leading_term(order.key)
+    for g in I.basis():
+        e, _ = g.leading_term()
         lt_supports.append({I.ambient[i] for i, x in enumerate(e) if x})
     # Largest variable subset meeting no leading-term support.
     for size in range(n, -1, -1):

@@ -354,16 +354,17 @@ class Polynomial:
             out[tuple(map(sub, exps, m))] = c
         return Polynomial._trusted(out, self.ambient)
 
-    def leading_term(self, key=grevlex_key) -> tuple[tuple[int, ...], int | Fraction]:
+    def leading_term(self) -> tuple[tuple[int, ...], int | Fraction]:
+        """The grevlex-largest exponent tuple and its coefficient."""
         if not self.terms:
             raise ValueError("leading term of zero polynomial")
-        e = max(self.terms, key=key)
+        e = max(self.terms, key=grevlex_key)
         return e, self.terms[e]
 
-    def monic(self, key=grevlex_key) -> "Polynomial":
+    def monic(self) -> "Polynomial":
         if not self.terms:
             return self
-        _, c = self.leading_term(key)
+        _, c = self.leading_term()
         return self * Fraction(1, c)
 
     # -- ambient surgery ------------------------------------------------

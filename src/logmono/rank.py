@@ -1,5 +1,9 @@
 """Rank invariants: pointwise rank, geometric rank, log-rank, and the
-image-dimension computation through elimination ideals."""
+image-dimension computation through elimination ideals.
+
+One fraction-free Bareiss kernel (``_bareiss_rank``) gives every rank: the
+pointwise and log ranks eliminate an integer matrix (each rational row
+with its denominators cleared), the geometric rank a polynomial one."""
 
 from __future__ import annotations
 
@@ -21,37 +25,57 @@ def jacobian(phi: MorphismOfPairs) -> list[list[Polynomial]]:
     ]
 
 
-def rational_matrix_rank(rows: Sequence[Sequence[int | Fraction]]) -> int:
-    """Rank over the rationals, by fraction-free integer elimination.
+def _degree(x: int | Polynomial) -> int:
+    """Total degree of a matrix entry, -1 for zero; an int has degree 0."""
+    if type(x) is int:
+        return 0 if x else -1
+    return x.total_degree
 
-    Scaling a row by a nonzero number keeps the rank, so each row is first
-    multiplied by the lcm of its entries' denominators (1 for an int).  The
-    integer matrix is then eliminated as in Bareiss (Math. Comp. 1968):
-    after each pivot every entry below it is a minor of the input, so
-    dividing by the previous pivot is exact and the entries stay the size
-    of those minors.
+
+def _bareiss_rank(m: list[list[int | Polynomial]]) -> int:
+    """Rank of a matrix of ints, or of polynomials over one ambient, by
+    Bareiss's fraction-free elimination (Math. Comp. 1968); ``m`` is
+    consumed.
+
+    The pivot is a nonzero entry of lowest total degree, the first in
+    (row, column) order; the rank does not depend on the choice.  After
+    each step every entry left is a minor of the input, so dividing by the
+    previous pivot is exact (``//`` for ints, ``exact_divide`` for
+    polynomials) and the entries stay the size of those minors.  The first
+    step has no previous pivot, so it divides by nothing.
     """
-    m = [_cleared_row(r) for r in rows]
+    rows = list(range(len(m)))
+    cols = list(range(len(m[0]) if m else 0))
+    prev = None
     rank = 0
-    prev = 1
-    for col in range(len(m[0]) if m else 0):
-        pivot = next((r for r in range(rank, len(m)) if m[r][col]), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        top = m[rank]
-        pv = top[col]
-        for r in range(rank + 1, len(m)):
-            low = m[r]
-            a = low[col]
-            for c in range(col + 1, len(top)):
-                low[c] = (pv * low[c] - a * top[c]) // prev
-            low[col] = 0
-        prev = pv
-        rank += 1
-        if rank == len(m):
+    while rows and cols:
+        nonzero = [(d, r, c) for r in rows for c in cols if (d := _degree(m[r][c])) >= 0]
+        if not nonzero:
             break
+        _, pr, pc = min(nonzero)
+        top = m[pr]
+        pivot = top[pc]
+        rows.remove(pr)
+        cols.remove(pc)
+        for r in rows:
+            low = m[r]
+            a = low[pc]
+            for c in cols:
+                q = low[c] * pivot - a * top[c]
+                if prev is not None:
+                    q = q // prev if type(q) is int else exact_divide(q, prev)
+                    assert q is not None, "Bareiss division must be exact"
+                low[c] = q
+        prev = pivot
+        rank += 1
     return rank
+
+
+def rational_matrix_rank(rows: Sequence[Sequence[int | Fraction]]) -> int:
+    """Rank over the rationals.  Scaling a row by a nonzero number keeps
+    the rank, so each row is first multiplied by the lcm of its entries'
+    denominators (1 for an int) and the integer matrix is eliminated."""
+    return _bareiss_rank([_cleared_row(r) for r in rows])
 
 
 def _cleared_row(row: Sequence[int | Fraction]) -> list[int]:
@@ -60,42 +84,8 @@ def _cleared_row(row: Sequence[int | Fraction]) -> list[int]:
 
 
 def symbolic_matrix_rank(rows: list[list[Polynomial]]) -> int:
-    """Rank over the fraction field via Bareiss fraction-free elimination.
-
-    The pivot is a nonzero entry of lowest total degree, the first in
-    (row, column) order; the rank does not depend on the choice, and all
-    divisions are exact.  The first step has no previous pivot, so it
-    divides by nothing.
-    """
-    m = [list(r) for r in rows]
-    if not m or not m[0]:
-        return 0
-    amb = m[0][0].ambient
-    prev = None
-    rank = 0
-    rows_left = list(range(len(m)))
-    cols_left = list(range(len(m[0])))
-    while rows_left and cols_left:
-        candidates = [
-            (r, c) for r in rows_left for c in cols_left if not m[r][c].is_zero()
-        ]
-        if not candidates:
-            break
-        pr, pc = min(candidates, key=lambda rc: m[rc[0]][rc[1]].total_degree)
-        pivot = m[pr][pc]
-        rank += 1
-        rows_left.remove(pr)
-        cols_left.remove(pc)
-        for r in rows_left:
-            for c in cols_left:
-                q = m[r][c] * pivot - m[r][pc] * m[pr][c]
-                if prev is not None:
-                    q = exact_divide(q, prev)
-                    assert q is not None, "Bareiss division must be exact"
-                m[r][c] = q
-            m[r][pc] = Polynomial.zero(amb)
-        prev = pivot
-    return rank
+    """Rank over the fraction field of the polynomial ring."""
+    return _bareiss_rank([list(r) for r in rows])
 
 
 def rank_at_point(phi: MorphismOfPairs, a: RationalPoint) -> int:

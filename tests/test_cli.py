@@ -467,6 +467,25 @@ class TestErrorHandling:
         assert code == 2 and not out
         assert err == f"error: line 1, column 1: variable name {name!r} is not an identifier\n"
 
+    @pytest.mark.parametrize(
+        "lines, line, message",
+        [
+            ("filtration one: u1\n", 6, "filtration level must be an integer"),
+            ("filtration 1: u1 u2\nfiltration 3: u1\n", 7,
+             "filtration levels must be 1-based and consecutive"),
+            ("filtration 1: u1 v1\n", 6, "filtration variable 'v1' is not a source divisor variable"),
+            ("filtration 1: u1\nfiltration 2: u2\n", 7, "filtration levels are not nested"),
+            # Levels are matched by number, not by line: level 2 comes first.
+            ("filtration 2: u1 u2\nfiltration 1: u1\n", 6, "filtration levels are not nested"),
+        ],
+    )
+    def test_filtration_errors_name_their_line(self, capsys, tmp_path, lines, line, message):
+        path = tmp_path / "filtration.problem"
+        path.write_text(EXAMPLE1 + lines + "targetideal x1\n")
+        assert run(capsys, "lradapted", str(path)) == (
+            2, "", f"error: line {line}, column 1: {message}\n"
+        )
+
     def test_bad_center(self, capsys, example1):
         code, _, err = run(capsys, "blowup", "--center", "u1", example1)
         assert code == 2

@@ -79,6 +79,31 @@ class TestMatrixRank:
             rows.append([scale * x for x in data.draw(st.sampled_from(rows))])
         assert rational_matrix_rank(rows) == reference_rational_matrix_rank(rows)
 
+    @settings(max_examples=200, deadline=None)
+    @given(integer_matrices(), st.booleans(), st.booleans())
+    def test_int_and_polynomial_matrices_share_one_kernel(self, rows, zero_row, zero_col):
+        # A zero first row or column puts the first pivot off the corner;
+        # the same matrix as constant polynomials takes the polynomial path.
+        if rows and zero_row:
+            rows[0] = [0] * len(rows[0])
+        if zero_col:
+            rows = [[0] + r[1:] if r else r for r in rows]
+        want = reference_rational_matrix_rank(rows)
+        assert rational_matrix_rank(rows) == want
+        amb = ("x", "y")
+        assert symbolic_matrix_rank([[Polynomial.constant(x, amb) for x in r] for r in rows]) == want
+
+    def test_int_matrix_never_divides_polynomials(self, monkeypatch):
+        def refuse(p, q):
+            raise AssertionError("exact_divide on an integer matrix")
+
+        monkeypatch.setattr(logmono.rank, "exact_divide", refuse)
+        rng = random.Random(5)
+        for n in range(1, 6):
+            rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+            rows.append([Fraction(x, 3) for x in rows[0]])
+            assert rational_matrix_rank(rows) == reference_rational_matrix_rank(rows)
+
     def test_symbolic_rank_oracles(self):
         amb = ("x", "y")
         x, y = P("x", amb), P("y", amb)
