@@ -5,10 +5,12 @@ Gebauer-Moeller pair installation (Gebauer & Moeller, "On an installation
 of Buchberger's algorithm", JSC 1988): the B, M and F criteria and the
 coprime-leading-term criterion are applied once per new basis element.
 Reduction keys each term once and pops terms from a heap, largest first.
-On top of it: membership, radical membership by unique factorization or
-the Rabinowitsch trick, elimination by block orders, Krull dimension from
-the leading-term ideal, and the locally-principal-monomial test with the
-one "unit at the point" rule (``local_monomial``).
+On top of it: membership, radical membership by unique factorization, by
+the supports of a monomial ideal's generators (its radical is generated by
+the square-free monomials on them, Herzog & Hibi, Monomial Ideals, Prop.
+1.2.4) or by the Rabinowitsch trick, elimination by block orders, Krull
+dimension from the leading-term ideal, and the locally-principal-monomial
+test with the one "unit at the point" rule (``local_monomial``).
 
 The kernel is fraction-free, after Bareiss's integer-preserving
 elimination (Math. Comp. 1968): basis elements are primitive integer
@@ -394,12 +396,17 @@ def radical_membership(f: Polynomial, I: IdealPresentation) -> bool:
 
     A term f = c*x^b with support S needs no basis when a generator c*x^a
     with supp(a) inside S vanishes only where f does (True), or else when I
-    has at most one generator g (False).  Q[x] is a UFD, so f^m in (g) makes
-    each irreducible factor of g a variable of S, and the zero ideal holds
-    no nonzero f (Cox, Little & O'Shea, Ch. 4).  Otherwise the answer
-    depends only on V(I), and V(m*g) = V(rad(m)*g) for a monomial m, so
-    each generator first drops its monomial content's exponents above 1: a
-    generator like u^3000*v costs no more than u*v."""
+    has at most one generator g or only single-term generators (False).
+    Q[x] is a UFD, so f^m in (g) makes each irreducible factor of g a
+    variable of S, and the zero ideal holds no nonzero f (Cox, Little &
+    O'Shea, Ch. 4).  The radical of a monomial ideal is generated by the
+    square-free monomials x^supp(a) of its generators (Herzog & Hibi,
+    Monomial Ideals, Prop. 1.2.4), and a monomial lies in a monomial ideal
+    iff a generator divides it (Cox, Little & O'Shea, Ch. 2 Sec. 4): that
+    is the support test.
+    Otherwise the answer depends only on V(I), and V(m*g) = V(rad(m)*g)
+    for a monomial m, so each generator first drops its monomial content's
+    exponents above 1: a generator like u^3000*v costs no more than u*v."""
     if f.ambient != I.ambient:
         raise AmbientMismatchError(f"{f.ambient} vs {I.ambient}")
     if len(f.terms) == 1:
@@ -407,7 +414,7 @@ def radical_membership(f: Polynomial, I: IdealPresentation) -> bool:
         for g in I.generators:
             if len(g.terms) == 1 and not any(a[i] for a in g.terms for i in off):
                 return True
-        if len(I.generators) <= 1:
+        if len(I.generators) <= 1 or all(len(g.terms) == 1 for g in I.generators):
             return False
     gens = []
     for g in I.generators:

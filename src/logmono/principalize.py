@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from operator import le, sub
 from typing import Iterable, Sequence
 
@@ -46,7 +45,7 @@ class MonomialIdeal:
     constructor trusts its caller to pass one.  Two generators of an
     antichain are incomparable, so their difference vector has a positive
     and a negative entry; the pair scan relies on this.  Frozen, so the
-    pair scan is computed once."""
+    pair scan is computed once, when the ideal is built."""
 
     variables: tuple[str, ...]
     generators: tuple[tuple[int, ...], ...]
@@ -60,11 +59,12 @@ class MonomialIdeal:
     def is_principal(self) -> bool:
         return len(self.generators) <= 1
 
-    @cached_property
-    def _pair_scan(self) -> tuple[int, tuple[int, int] | None, tuple | None, list | None]:
-        """(number of generator pairs, their minimal Euclidean weight, the
-        target pair, its difference vector), from one pass over the pairs;
-        a principal ideal gives (0, None, None, None).
+    def __post_init__(self):
+        """Set ``_pair_scan`` to (number of generator pairs, their minimal
+        Euclidean weight, the target pair, its difference vector), from one
+        pass over the pairs; a principal ideal gives (0, None, None, None).
+        A plain attribute, set once here, is read without the lock that
+        ``functools.cached_property`` takes on first access.
 
         The target pair has the minimal weight, ties going to the pair
         first in lex order, which is the order of the scan.  Each
@@ -88,7 +88,7 @@ class MonomialIdeal:
                 if weight is None or key < weight:
                     weight, pair, diff = key, (g, h), d
         n = len(gens)
-        return n * (n - 1) // 2, weight, pair, diff
+        object.__setattr__(self, "_pair_scan", (n * (n - 1) // 2, weight, pair, diff))
 
     def transform(self, distinguished: str, absorbed: Sequence[str]) -> "MonomialIdeal":
         """Blowup chart action: the distinguished exponent absorbs the

@@ -4,6 +4,7 @@ import pytest
 
 import logmono.classify
 import logmono.fitting
+import logmono.ideal
 import logmono.logdiff
 from logmono.chart import (
     ChartedPair,
@@ -483,6 +484,40 @@ class TestLogRankAdapted:
                 principal += len(J.generators) <= 1
         assert combinations >= 800
         assert verdicts == {True, False} and principal >= 500
+
+    def test_groebner_work_over_the_corpora_is_pinned(self, monkeypatch):
+        # Every corpus morphism at the origin, with the zero target stratum
+        # ideal and each filtration below; a raised exception is an outcome
+        # too.  Condition (1) builds no basis for a zero pulled-back ideal
+        # and condition (2) settles monomial ideals by their supports, so
+        # few Buchberger runs remain.  The bound only tightens.
+        calls = []
+        original = logmono.ideal._minimal_records
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(logmono.ideal, "_minimal_records", counting)
+        phis = [phi for phi, _ in normal_form_corpus()]
+        phis += empty_divisor_corpus() + monomial_surface_corpus() + pair_condition_corpus()
+        combinations = 0
+        for phi in phis:
+            div = phi.source.divisor_vars
+            filtrations = [[(v,)] for v in div]
+            if len(div) > 1:
+                filtrations += [[div], [div, div[:1]]]
+            target_ideal = IdealPresentation([], phi.target.variables)
+            for levels in filtrations:
+                combinations += 1
+                try:
+                    is_log_rank_adapted_at(
+                        phi, origin(phi.source), DivisorFiltration(levels), target_ideal
+                    )
+                except NotAMorphismOfPairsError:
+                    pass
+        assert combinations == 1116
+        assert len(calls) <= 6
 
     def test_filtration_validation(self):
         f = DivisorFiltration([("u1",), ("u1", "u2")])

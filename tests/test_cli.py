@@ -505,6 +505,27 @@ def test_classify_decides_quasi_prepared_once(capsys, example1, monkeypatch):
     assert len(bases) == 0
 
 
+def test_monomial_top_fitting_ideal_needs_no_basis(capsys, tmp_path, monkeypatch):
+    # F_2 = (-4*u1^3*u2^2*v1^2, 2*u1^3*u2^2*v1): every generator is a single
+    # term and each involves v1, off the divisor, so u1*u2 is not in its
+    # radical, read off the supports with no basis.
+    bases = count_calls(monkeypatch, "_minimal_records")
+    path = tmp_path / "v1sq.problem"
+    path.write_text(
+        "source vars u1 u2 v1 divisor u1 u2\n"
+        "target vars x1 y1 divisor x1\n"
+        "map x1 = u1*u2^2\n"
+        "map y1 = u1^3*u2^2*v1^2 - 2*u1*u2^2\n"
+        "point 0,0,0\n"
+    )
+    code, data = run_json(capsys, "classify", str(path))
+    assert code == 1
+    assert data["pair_condition"] is True
+    assert data["quasi_prepared"] is False
+    assert data["diagnostics"] == ["singular locus not contained in the divisor"]
+    assert bases == []
+
+
 def test_reports_are_deterministic(capsys, example1):
     _, first = run_json(capsys, "classify", example1)
     _, second = run_json(capsys, "classify", example1)

@@ -133,11 +133,13 @@ def has_square_content(J):
 
 
 class TestRadicalRewrite:
-    """radical_membership decides a single-term f by unique factorization
-    when I has a single-term generator on f's support or at most one
-    generator, and otherwise lowers each generator's monomial content to
-    its radical first; neither may change the answer of the plain
-    Rabinowitsch test."""
+    """radical_membership decides a single-term f with no basis when I has
+    a single-term generator on f's support (True), or else when I has at
+    most one generator or only single-term generators (False): the radical
+    of a monomial ideal is generated by its generators' square-free parts.
+    Otherwise it lowers each generator's monomial content to its radical
+    first.  None of this may change the answer of the plain Rabinowitsch
+    test."""
 
     def test_corpora_agree_with_plain_rabinowitsch(self):
         phis = [phi for phi, _ in normal_form_corpus()]
@@ -192,6 +194,11 @@ class TestRadicalRewrite:
             ("u + v", ["(u + v)^3"], True),
             ("u + v", ["u*v"], False),
             ("0", ["u + v"], True),
+            # Only single-term generators: True iff one lies on supp(f).
+            ("u*v", ["u*w", "v*w"], False),
+            ("u*v", ["-2*u^3*w", "5*v*w^2", "w^4"], False),
+            ("u", ["v", "w"], False),
+            ("u^2*v", ["v*w", "3*u^4", "w^2"], True),
         ],
     )
     def test_rule_cases_agree_with_plain_rabinowitsch(self, f, gens, expected):
@@ -229,6 +236,33 @@ class TestRadicalRewrite:
             rewritten += has_square_content(J)
         assert 10 <= sum(verdicts) <= 70  # both verdicts occur
         assert rewritten >= 40
+
+    def test_random_monomial_ideals_agree_with_plain_rabinowitsch(self):
+        # A single-term f against one to four single-term generators:
+        # whenever no generator lies on supp(f) and there are two or more,
+        # the answer is False with no basis.
+        rng = random.Random(25)
+        amb = ("u", "v", "w")
+
+        def term():
+            exps = (rng.randint(0, 3) for _ in amb)
+            coeff = rng.choice([-3, -2, -1, 1, 2, 5])
+            return Polynomial({tuple(exps): coeff}, amb)
+
+        verdicts, by_supports = [], 0
+        for _ in range(1500):
+            f = term()
+            J = IdealPresentation([term() for _ in range(rng.randint(1, 4))], amb)
+            got = radical_membership(f, J)
+            assert got == plain_radical_membership(f, J), (f, J)
+            verdicts.append(got)
+            (b,) = f.terms
+            on_support = any(
+                not any(x and not y for x, y in zip(a, b)) for g in J.generators for a in g.terms
+            )
+            by_supports += len(J.generators) >= 2 and not on_support
+        assert 300 <= sum(verdicts) <= 1200  # both verdicts occur
+        assert by_supports >= 300
 
 
 class TestRadicalMembershipTime:
