@@ -143,6 +143,32 @@ def reference_transform(ideal: MonomialIdeal, distinguished, absorbed) -> Monomi
 
 
 # ---------------------------------------------------------------------------
+# Blowup chart maps as polynomial substitutions, composed with
+# ``Polynomial.substitute`` as ``BlowupTree.expand`` did before it
+# multiplied integer matrices.
+
+
+def reference_chart_substitution(amb, center, c) -> dict[str, Polynomial]:
+    """The chart map of the blowup at ``center`` in the chart of ``c``:
+    every other center variable w becomes c*w, the rest stay."""
+    amb = tuple(amb)
+    out = {}
+    for v in amb:
+        p = Polynomial.variable(v, amb)
+        out[v] = Polynomial.variable(c, amb) * p if v in center and v != c else p
+    return out
+
+
+def reference_expand(substitution, amb, center) -> list[dict[str, Polynomial]]:
+    """Each child's substitution from the root, in center order: the
+    parent's ``substitution`` followed by the child's chart map."""
+    return [
+        {v: substitution[v].substitute(reference_chart_substitution(amb, center, c)) for v in amb}
+        for c in center
+    ]
+
+
+# ---------------------------------------------------------------------------
 # Quasi-prepared corpus in and around the three surface normal forms
 
 

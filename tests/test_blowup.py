@@ -1,3 +1,4 @@
+import random
 from itertools import permutations
 
 import pytest
@@ -12,7 +13,18 @@ from logmono.chart import ChartedPair, MorphismOfPairs
 from logmono.classify import is_quasi_prepared
 from logmono.poly import Polynomial
 
-from helpers import P, assert_canonical
+from helpers import (
+    P,
+    assert_canonical,
+    empty_divisor_corpus,
+    monomial_surface_corpus,
+    normal_form_corpus,
+    pair_condition_corpus,
+    random_sparse_poly,
+    rank_law_corpus,
+    reference_det,
+    reference_expand,
+)
 from test_fitting import surface_case1
 
 
@@ -219,3 +231,62 @@ class TestBlowupTree:
         tree.expand(tree.root, ("u", "v"))
         with pytest.raises(ValueError):
             tree.expand(tree.root, ("u", "v"))
+
+
+def random_tree(rng, chart):
+    """A seeded tree of depth at most 3 with centers of 2 and 3 variables,
+    and each node paired with its substitution from ``reference_expand``."""
+    amb = chart.variables
+    tree = BlowupTree(chart)
+    identity = {v: Polynomial.variable(v, amb) for v in amb}
+    nodes = []
+    stack = [(tree.root, identity, 0)]
+    while stack:
+        node, sub, depth = stack.pop()
+        nodes.append((node, sub))
+        if depth == 3 or (depth and rng.random() < 0.3):
+            continue
+        center = tuple(rng.sample(amb, rng.choice([k for k in (2, 3) if k <= len(amb)])))
+        children = tree.expand(node, center)
+        for child, child_sub in zip(children, reference_expand(sub, amb, center)):
+            stack.append((child, child_sub, depth + 1))
+    return nodes
+
+
+class TestMatrixTrees:
+    """Node matrices against the polynomial chart maps they replace."""
+
+    @staticmethod
+    def morphisms_by_chart():
+        phis = [phi for phi, _ in normal_form_corpus()] + empty_divisor_corpus()
+        phis += monomial_surface_corpus() + pair_condition_corpus() + rank_law_corpus()
+        rng = random.Random(4)
+        src = ChartedPair(("a", "b", "c", "d"), ("a", "c"))
+        tgt = ChartedPair(("x1", "y1"), ())
+        for _ in range(20):
+            comps = {x: random_sparse_poly(src.variables, rng, max_terms=3) for x in tgt.variables}
+            phis.append(MorphismOfPairs(src, tgt, comps))
+        groups = {}
+        for phi in phis:
+            if len(phi.source.variables) >= 2:
+                groups.setdefault(phi.source, []).append(phi)
+        return groups
+
+    def test_seeded_trees_match_composed_substitutions(self):
+        rng = random.Random(2005)
+        nodes = transports = 0
+        for chart, phis in self.morphisms_by_chart().items():
+            amb = chart.variables
+            for _ in range(4):
+                for node, sub in random_tree(rng, chart):
+                    assert node.substitution == sub
+                    entries = [[Polynomial.constant(x, amb) for x in row] for row in node.matrix]
+                    assert reference_det(entries) == Polynomial.constant(1, amb)
+                    for phi in rng.sample(phis, min(len(phis), 10)):
+                        got = transform_morphism(phi, node).components
+                        for x, p in phi.components.items():
+                            assert_canonical(got[x])
+                            assert got[x] == p.substitute(node.substitution)
+                        transports += 1
+                    nodes += 1
+        assert nodes > 400 and transports > 4000

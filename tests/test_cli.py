@@ -13,6 +13,8 @@ import logmono.cli
 from logmono.cli import build_parser, main
 from logmono.frontend import parse_problem
 
+import cli_corpus
+
 EXAMPLE1 = """\
 source vars u1 u2 v1 divisor u1 u2
 target vars x1 y1 divisor x1
@@ -326,6 +328,31 @@ class TestBlowupCommands:
         code, _, err = run(capsys, "monomialize", example1)
         assert code == 2
         assert "monomial" in err
+
+    # Principalizing (v^600 + w) * u takes 600 blowups along one branch.
+    DEEP = """\
+source vars u v w divisor u v w
+target vars x y divisor x
+map x = u
+map y = v^600 + w
+"""
+
+    @pytest.mark.parametrize(
+        "argv, code, line",
+        [
+            (["--max-depth", "1000"], 0, "depth: 600\n"),
+            ([], 2, "error: blowup depth exceeded 64\n"),
+        ],
+        ids=["max-depth-1000", "default-max-depth"],
+    )
+    def test_deep_tree_depth(self, capsys, tmp_path, argv, code, line):
+        # The tree's depth is read without recursion, so a tree deeper
+        # than the interpreter's recursion limit still reports.
+        path = tmp_path / "deep.problem"
+        path.write_text(self.DEEP)
+        got, out, err = run(capsys, *argv, "principalize", str(path))
+        assert got == code
+        assert line in (out if code == 0 else err)
 
 
 class TestErrorHandling:
@@ -810,6 +837,26 @@ def test_readme_outputs(capsys, tmp_path, monkeypatch):
         prompt, _, expected = block.partition("\n")
         argv = prompt.removeprefix("$ logmono ").split()
         assert run(capsys, *argv) == (0, expected.rstrip("\n") + "\n", "")
+
+
+# The whole output of the subcommands in cli_corpus.COMMANDS over the 509
+# corpus morphisms, in text and JSON.  A change that moves a byte of it
+# re-pins the digest and says which subcommands moved and why.
+CORPUS_DIGEST = "672487131aae406824a54a577a3309e34ed6352a3843289c4f589d2058540587"
+CORPUS_EXITS = {
+    "blowup": {0: 946, 2: 72},
+    "principalize": {0: 230, 2: 788},
+    "monomialize": {0: 116, 2: 902},
+}
+
+
+def test_corpus_outputs_are_pinned(tmp_path):
+    phis = cli_corpus.corpus_morphisms()
+    assert len(phis) == 509
+    digest, exits = cli_corpus.run_commands(phis, cli_corpus.write_problems(phis, tmp_path))
+    assert not any(counts[3] for counts in exits.values())
+    assert exits == CORPUS_EXITS
+    assert digest == CORPUS_DIGEST
 
 
 # Fuzzing: valid problem files with a few random splices.  Most results no
