@@ -4,7 +4,7 @@ Buchberger's algorithm over the rationals with sugar selection and
 Gebauer-Moeller pair installation (Gebauer & Moeller, "On an installation
 of Buchberger's algorithm", JSC 1988): the B, M and F criteria and the
 coprime-leading-term criterion are applied once per new basis element.
-Reduction keys each term once and pops terms from a heap, largest first.
+Reduction queues each term once and pops terms from a heap, largest first.
 On top of it: membership, radical membership by unique factorization, by
 the supports of a monomial ideal's generators (its radical is generated by
 the square-free monomials on them, Herzog & Hibi, Monomial Ideals, Prop.
@@ -29,6 +29,25 @@ Groebner basis whose leading term is free of the eliminated variables are
 free of them in every term and generate the elimination ideal, and a
 leading term that involves an eliminated variable divides no term of
 theirs, so the other elements would be reduced only to be thrown away.
+
+Inside the kernel a monomial is one int, its packed exponent vector
+(Monagan & Pearce, "Polynomial division using dynamic arrays, heaps, and
+packed exponent vectors", CASC 2007).  A ``MonomialOrder`` is a 0/1
+weight matrix, and the int of an exponent tuple e over n variables has
+2n fields of B bits: from the lowest, e_0, ..., e_(n-1), and then the
+weighted sums of e, the matrix's top row highest.  The top bit of each
+field is a guard that no packed monomial sets.  Packing is linear, so a
+product of monomials is the sum of their ints; the weight fields make int
+order the monomial order, so the heap holds plain ints; and x^lt divides
+x^e iff P(e) - P(lt) sets no guard bit (the lowest field that goes
+negative borrows into its guard), the difference being the shift
+P(e - lt).  B is the narrowest of 8, 16, 32, ... bits whose fields hold
+four times the input's largest degree.  Every sum of exponents is checked
+against the guard bits; one that sets any abandons the computation, which
+reruns from its inputs at twice the width, so results are exact for any
+exponent.  Exponent tuples appear only at the boundary: the inputs are
+packed, the outputs unpacked, and each basis element's leading exponent
+is also kept as a tuple for the lcms of its pairs.
 """
 
 from __future__ import annotations
@@ -38,14 +57,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations
 from math import gcd, lcm
-from operator import add, ge, le, sub
+from operator import mul
 from typing import Sequence
 
 from .poly import (
     AmbientMismatchError,
     Monomial,
     Polynomial,
-    grevlex_heap_key,
     grevlex_key,
 )
 
@@ -55,20 +73,31 @@ from .poly import (
 
 
 class MonomialOrder:
-    """A total order on exponent tuples.
+    """A total order on exponent tuples: grevlex within each of two blocks
+    of variables, the first ``split`` variables and the rest, and the
+    first block compared first.
 
     ``key`` sorts ascending: a larger key is a larger monomial.
-    ``heap_key`` runs the other way: ascending heap keys list exponents in
-    descending order, so a ``heapq`` of them pops the largest first.
+    ``weights(n)`` is the same order on n variables as a 0/1 weight
+    matrix, top row first: per block [lo, hi), its degree and then the
+    partial sums e_lo + ... + e_(k-1) for k = hi - 1 down to lo + 1.  Two
+    exponent tuples compare as their vectors of weighted sums,
+    lexicographically.
     """
 
-    def __init__(self, key, heap_key):
+    def __init__(self, key, split: int):
         self.key = key
-        self.heap_key = heap_key
+        self.split = split
+
+    def weights(self, n: int) -> list[tuple[int, ...]]:
+        rows = []
+        for lo, hi in ((0, self.split), (self.split, n)):
+            rows += [tuple(int(lo <= i < k) for i in range(n)) for k in range(hi, lo, -1)]
+        return rows
 
 
 def grevlex_order() -> MonomialOrder:
-    return MonomialOrder(grevlex_key, grevlex_heap_key)
+    return MonomialOrder(grevlex_key, 0)
 
 
 def block_order(n_eliminated: int) -> MonomialOrder:
@@ -77,17 +106,7 @@ def block_order(n_eliminated: int) -> MonomialOrder:
     def key(exps):
         return (grevlex_key(exps[:n_eliminated]), grevlex_key(exps[n_eliminated:]))
 
-    def heap_key(exps):
-        # The two blocks' grevlex heap keys, flattened: the first block's
-        # reversed exponents all have the same length, so this is the
-        # order of the pair of keys, built from one tuple.
-        a = exps[:n_eliminated]
-        b = exps[n_eliminated:]
-        return (-sum(a), a[::-1], -sum(b), b[::-1])
-
-    return MonomialOrder(key, heap_key)
-
-
+    return MonomialOrder(key, n_eliminated)
 # ---------------------------------------------------------------------------
 # Presentation
 
@@ -133,31 +152,104 @@ class IdealPresentation:
 
 
 # ---------------------------------------------------------------------------
+# Packed exponent vectors (see the module docstring)
+
+
+class _Overflow(Exception):
+    """A sum of exponents outgrew the packing's fields."""
+
+
+class _Packing:
+    """Exponent tuples over n variables, packed for an order with fields
+    of ``width`` bits: the int of e is ``sum(map(mul, e, units))``."""
+
+    def __init__(self, order: MonomialOrder, n: int, width: int):
+        rows = order.weights(n)
+        top = n + len(rows)
+        self.units = tuple(
+            (1 << i * width) + sum(row[i] << (top - 1 - r) * width for r, row in enumerate(rows))
+            for i in range(n)
+        )
+        self.guard = sum(1 << (f + 1) * width - 1 for f in range(top))
+        self.n = n
+        self.width = width
+        self.unpackers = {}
+        self.unpack = self.unpacker(0)
+
+    def pack(self, exps) -> int:
+        """The int of ``exps``, checked against the guard bits.  The check
+        is exact while every field stays below 2^width, as it does for an
+        input (``_packed_run`` picks the width from their largest degree)
+        and for the lcm of two packed monomials (each of its fields is at
+        most the sum of theirs)."""
+        p = sum(map(mul, exps, self.units))
+        if p & self.guard:
+            raise _Overflow
+        return p
+
+    def unpacker(self, cut: int):
+        """The map from a packed monomial to its exponents of the variables
+        from the ``cut``-th on."""
+        unpack = self.unpackers.get(cut)
+        if unpack is None:
+            n, width = self.n, self.width
+            mask = (1 << width) - 1
+            shifts = range(cut * width, n * width, width)
+            unpack = lambda p: tuple([p >> s & mask for s in shifts])
+            self.unpackers[cut] = unpack
+        return unpack
+
+
+# One packing per order split, variable count and width, built on first use.
+_PACKINGS: dict[tuple[int, int, int], _Packing] = {}
+
+
+def _packed_run(run, order: MonomialOrder, n: int, polys: Sequence[Polynomial]):
+    """``run(packing)`` at the narrowest width for ``polys``, widened until
+    no sum of exponents overflows."""
+    degree = max([max(map(sum, p.terms)) for p in polys], default=0)
+    width = 8
+    while degree >> width - 3:
+        width *= 2
+    while True:
+        packing = _PACKINGS.get((order.split, n, width))
+        if packing is None:
+            packing = _PACKINGS[order.split, n, width] = _Packing(order, n, width)
+        try:
+            return run(packing)
+        except _Overflow:
+            width *= 2
+
+
+# ---------------------------------------------------------------------------
 # Core Buchberger machinery
 #
 # A divisor record (lt, lc, tail) stands for the primitive integer
-# polynomial lc*x^lt + tail: lc > 0, tail is a list of (exponent, int)
-# pairs below lt, and the coefficients have no common factor.  Records are
-# integer throughout.  ``_reduce`` returns a remainder together with the
-# multiplier M it carries: the remainder is M times the one that monic
-# rational division takes through the same steps.  Rationals appear only
-# in outputs, one division by M (and by what was cleared from the input)
-# per coefficient.
+# polynomial lc*x^lt + tail: lt is packed, lc > 0, tail is a list of
+# (packed exponent, int) pairs below lt, and the coefficients have no
+# common factor.  Records are integer throughout.  ``_reduce`` returns a
+# remainder together with the multiplier M it carries: the remainder is M
+# times the one that monic rational division takes through the same
+# steps.  Rationals appear only in outputs, one division by M (and by
+# what was cleared from the input) per coefficient.
 
 
-def _cleared(terms: dict) -> tuple[dict, int]:
-    """``terms`` times the lcm D of their denominators, as ints, and D."""
+def _packed(terms: dict, packing: _Packing) -> tuple[dict, int]:
+    """``terms`` times the lcm D of their denominators, as ints keyed by
+    packed exponents, and D."""
+    pack = packing.pack
     d = lcm(*(c.denominator for c in terms.values()))
     if d == 1:
-        return dict(terms), 1
-    return {e: c.numerator * (d // c.denominator) for e, c in terms.items()}, d
+        return {pack(e): c for e, c in terms.items()}, 1
+    return {pack(e): c.numerator * (d // c.denominator) for e, c in terms.items()}, d
 
 
-def _divided(terms: dict, d: int) -> dict:
-    """The int ``terms`` divided by d > 0, with canonical coefficients."""
+def _unpacked(terms: dict, d: int, unpack) -> dict:
+    """The int ``terms`` divided by d > 0, with canonical coefficients and
+    keyed by exponent tuples."""
     if d == 1:
-        return terms
-    return {e: c // d if not c % d else Fraction(c, d) for e, c in terms.items()}
+        return {unpack(e): c for e, c in terms.items()}
+    return {unpack(e): c // d if not c % d else Fraction(c, d) for e, c in terms.items()}
 
 
 def _primitive_record(lt, terms: dict) -> tuple:
@@ -171,34 +263,36 @@ def _primitive_record(lt, terms: dict) -> tuple:
     return lt, terms[lt] // content, tail
 
 
-def _record(g: Polynomial, heap_key) -> tuple:
-    return _primitive_record(min(g.terms, key=heap_key), _cleared(g.terms)[0])
+def _record(g: Polynomial, packing: _Packing) -> tuple:
+    terms = _packed(g.terms, packing)[0]
+    return _primitive_record(max(terms), terms)
 
 
-def _reduce(work: dict, divisors: Sequence, heap_key) -> tuple[dict, int]:
+def _reduce(work: dict, divisors: Sequence, guard: int) -> tuple[dict, int]:
     """Fully reduce the int term dict ``work`` (consumed) by the divisor
     records; return the remainder, largest term first, and its
     multiplier M.
 
-    Each term of ``work`` is keyed once, when it first enters, and queued
-    on a heap that pops the largest first.  A step that removes the term
-    c*x^e with the record (lt, a, tail) sets work to
+    Each term of ``work`` is queued once, when it first enters, on a heap
+    that pops the largest first.  A step that removes the term c*x^e with
+    the record (lt, a, tail) sets work to
     (a/g)*work - (c/g)*x^(e-lt)*tail, g = gcd(a, c), and multiplies M by
     a/g.  It writes only terms below e, so a popped exponent never comes
     back.  A term that cancels stays in ``work`` at zero and is skipped
     when its entry surfaces.  A remainder term is stored with the
     multiplier of its time and scaled up to the final M at the end."""
-    heap = [(heap_key(e), e) for e in work]
+    heap = [-e for e in work]
     heapq.heapify(heap)
     out = []
     m = 1
     while heap:
-        e = heapq.heappop(heap)[1]
+        e = -heapq.heappop(heap)
         c = work.pop(e)
         if not c:
             continue
         for lt, a, tail in divisors:
-            if all(map(ge, e, lt)):
+            shift = e - lt
+            if not shift & guard:
                 if a != 1:
                     g = gcd(a, c)
                     c //= g
@@ -207,13 +301,14 @@ def _reduce(work: dict, divisors: Sequence, heap_key) -> tuple[dict, int]:
                         m *= f
                         for k, v in work.items():
                             work[k] = v * f
-                shift = tuple(map(sub, e, lt))
                 for te, tc in tail:
-                    ne = tuple(map(add, te, shift))
+                    ne = te + shift
+                    if ne & guard:
+                        raise _Overflow
                     s = work.get(ne)
                     if s is None:
                         work[ne] = -c * tc
-                        heapq.heappush(heap, (heap_key(ne), ne))
+                        heapq.heappush(heap, -ne)
                     else:
                         work[ne] = s - c * tc
                 break
@@ -228,10 +323,14 @@ def normal_form(f: Polynomial, basis: Sequence[Polynomial], order: MonomialOrder
     it."""
     if f.is_zero() or not basis:
         return f
-    divisors = [_record(g, order.heap_key) for g in basis]
-    work, d = _cleared(f.terms)
-    rem, m = _reduce(work, divisors, order.heap_key)
-    return Polynomial._trusted(_divided(rem, m * d), f.ambient)
+
+    def run(packing):
+        divisors = [_record(g, packing) for g in basis]
+        work, d = _packed(f.terms, packing)
+        rem, m = _reduce(work, divisors, packing.guard)
+        return Polynomial._trusted(_unpacked(rem, m * d, packing.unpack), f.ambient)
+
+    return _packed_run(run, order, len(f.ambient), [f, *basis])
 
 
 def reduced_groebner_basis(
@@ -241,120 +340,132 @@ def reduced_groebner_basis(
     gens = [g for g in generators if not g.is_zero()]
     if not gens:
         return []
-    return _interreduced(_minimal_records(gens, order), order.heap_key, gens[0].ambient)
+    ambient = gens[0].ambient
+
+    def run(packing):
+        return _interreduced(_minimal_records(gens, packing), packing, ambient)
+
+    return _packed_run(run, order, len(ambient), gens)
 
 
-def _minimal_records(gens: Sequence[Polynomial], order: MonomialOrder) -> list:
+def _minimal_records(gens: Sequence[Polynomial], packing: _Packing) -> list:
     """The records of a minimal Groebner basis of the nonzero ``gens``,
-    sorted by ``order``, smallest leading term first.
+    sorted by the packing's order, smallest leading term first.
 
     Buchberger's algorithm with sugar selection and the Gebauer-Moeller
     installation: each new element prunes the pending pairs (criterion B)
     and its own new pairs (criteria M and F, and coprime leading terms)
     once, when it enters the basis."""
-    heap_key = order.heap_key
-    # Per element: leading exponent, primitive record and sugar.  Every
-    # record reduces, oldest first.  New pairs are formed only with the
-    # active elements, those whose leading term no later element's leading
-    # term divides.
-    lts: list[tuple[int, ...]] = []
+    guard = packing.guard
+    # Per element: packed leading exponent, the same as a tuple (for lcms,
+    # degrees and supports), primitive record and sugar.  Every record
+    # reduces, oldest first.  New pairs are formed only with the active
+    # elements, those whose leading term no later element's leading term
+    # divides.
+    lts: list[int] = []
+    exps: list[tuple[int, ...]] = []
     records: list = []
     sugars: list[int] = []
     active: list[int] = []
-    # Pending pairs (i, j), i > j, mapped to the lcm of their leading terms.
-    # The heap pops them in (sugar, (i, j)) order; a pair deleted from
-    # ``live`` is skipped when it surfaces.
-    live: dict[tuple[int, int], tuple[int, ...]] = {}
+    # Pending pairs (i, j), i > j, mapped to the lcm of their leading terms,
+    # packed and as a tuple.  The heap pops them in (sugar, (i, j)) order;
+    # a pair deleted from ``live`` is skipped when it surfaces.
+    live: dict[tuple[int, int], tuple[int, tuple[int, ...]]] = {}
     pairs: list = []
 
     def install(record, sugar):
         lt = record[0]
+        e = packing.unpack(lt)
         k = len(lts)
         lts.append(lt)
+        exps.append(e)
         records.append(record)
         sugars.append(sugar)
         # B: drop a pending pair whose lcm lt divides, unless lt shares
         # that lcm with one of the pair's elements.
-        for (i, j), l in list(live.items()):
+        for (i, j), (l, le) in list(live.items()):
             if (
-                all(map(le, lt, l))
-                and tuple(map(max, lts[i], lt)) != l
-                and tuple(map(max, lts[j], lt)) != l
+                not (l - lt) & guard
+                and tuple(map(max, exps[i], e)) != le
+                and tuple(map(max, exps[j], e)) != le
             ):
                 del live[i, j]
         # M and F: of the new pairs, keep one per minimal lcm, preferring a
         # coprime pair; then drop the coprime ones, whose S-polynomials
         # reduce to zero.
-        new = [(tuple(map(max, lts[m], lt)), m) for m in active]
+        new = []
+        for m in active:
+            le = tuple(map(max, exps[m], e))
+            new.append((packing.pack(le), le, m))
         kept = []
         while new:
-            l, m = new.pop()
-            if not any(map(min, lts[m], lt)) or not any(
-                all(map(le, l2, l)) for l2, _ in chain(new, kept)
+            l, le, m = new.pop()
+            if not any(map(min, exps[m], e)) or not any(
+                not (l - l2) & guard for l2, _, _ in chain(new, kept)
             ):
-                kept.append((l, m))
-        for l, m in kept:
-            if any(map(min, lts[m], lt)):
-                d = sum(l)
-                live[k, m] = l
+                kept.append((l, le, m))
+        for l, le, m in kept:
+            if any(map(min, exps[m], e)):
+                d = sum(le)
+                live[k, m] = l, le
                 heapq.heappush(
                     pairs,
-                    (max(sugar + d - sum(lt), sugars[m] + d - sum(lts[m])), (k, m)),
+                    (max(sugar + d - sum(e), sugars[m] + d - sum(exps[m])), (k, m)),
                 )
-        active[:] = [m for m in active if not all(map(ge, lts[m], lt))] + [k]
+        active[:] = [m for m in active if (lts[m] - lt) & guard] + [k]
 
     for g in gens:
-        install(_record(g, heap_key), g.total_degree)
+        install(_record(g, packing), max(map(sum, g.terms)))
 
     while pairs:
         sugar, (i, j) = heapq.heappop(pairs)
-        l = live.pop((i, j), None)
-        if l is None:
+        pair = live.pop((i, j), None)
+        if pair is None:
             continue
         # With cofactors lc_j/g and lc_i/g, g = gcd(lc_i, lc_j), the
         # leading terms cancel, so the S-polynomial is the difference of
         # the two scaled tails, each shifted up to the lcm.
+        l = pair[0]
         _, ai, tail_i = records[i]
         _, aj, tail_j = records[j]
         g = gcd(ai, aj)
         ci, cj = aj // g, ai // g
-        si = tuple(map(sub, l, lts[i]))
-        work = {tuple(map(add, te, si)): ci * tc for te, tc in tail_i}
-        sj = tuple(map(sub, l, lts[j]))
+        si = l - lts[i]
+        work = {te + si: ci * tc for te, tc in tail_i}
+        sj = l - lts[j]
         for te, tc in tail_j:
-            ne = tuple(map(add, te, sj))
+            ne = te + sj
             work[ne] = work.get(ne, 0) - cj * tc
-        rem, _ = _reduce(work, records, heap_key)
+        if any(map(guard.__and__, work)):
+            raise _Overflow
+        rem, _ = _reduce(work, records, guard)
         if rem:
             install(_primitive_record(next(iter(rem)), rem), sugar)
 
     # Minimalize: active leading terms are distinct, so drop each that
     # another divides.
     minimal = [
-        k
-        for k in active
-        if not any(m != k and all(map(ge, lts[k], lts[m])) for m in active)
+        k for k in active if not any(m != k and not (lts[k] - lts[m]) & guard for m in active)
     ]
-    minimal.sort(key=lambda k: order.key(lts[k]))
+    minimal.sort(key=lts.__getitem__)
     return [records[k] for k in minimal]
 
 
 def _interreduced(
-    records: list, heap_key, ambient: tuple[str, ...], cut: int = 0
+    records: list, packing: _Packing, ambient: tuple[str, ...], cut: int = 0
 ) -> list[Polynomial]:
     """The reduced basis of a minimal one: each record's tail reduced by
     the other records, made monic (a tail coefficient c with multiplier M
     becomes c/(M*lc)) and written over ``ambient``.  ``cut`` drops that
     many leading exponents of every term, which must all be zero there."""
+    unpack = packing.unpacker(cut)
     reduced = []
     for k, (lt, lc, tail) in enumerate(records):
-        rem, m = _reduce(dict(tail), records[:k] + records[k + 1:], heap_key)
-        terms = {lt[cut:]: 1}
-        for e, c in _divided(rem, m * lc).items():
-            terms[e[cut:]] = c
+        rem, m = _reduce(dict(tail), records[:k] + records[k + 1:], packing.guard)
+        terms = {unpack(lt): 1}
+        terms.update(_unpacked(rem, m * lc, unpack))
         reduced.append(Polynomial._trusted(terms, ambient))
     return reduced
-
 
 # ---------------------------------------------------------------------------
 # Queries
@@ -441,10 +552,15 @@ def elimination(I: IdealPresentation, keep: Sequence[str]) -> IdealPresentation:
     eliminated = tuple(v for v in I.ambient if v not in keep)
     ext = eliminated + keep
     n = len(eliminated)
-    order = block_order(n)
-    records = _minimal_records([g.extend_ambient(ext) for g in I.generators], order)
-    kept = [r for r in records if not any(r[0][:n])]
-    kept_gens = _interreduced(kept, order.heap_key, keep, n)
+    gens = [g.extend_ambient(ext) for g in I.generators]
+
+    def run(packing):
+        # The eliminated variables' exponents are the lowest n fields.
+        low = (1 << n * packing.width) - 1
+        kept = [r for r in _minimal_records(gens, packing) if not r[0] & low]
+        return _interreduced(kept, packing, keep, n)
+
+    kept_gens = _packed_run(run, block_order(n), len(ext), gens)
     out = IdealPresentation(kept_gens, keep)
     # The block order restricts to grevlex on the kept variables, so the
     # kept part of the reduced basis is the reduced grevlex basis of the

@@ -11,7 +11,7 @@ the digest does not depend on where the files are written.
 
 A command maps a morphism to the arguments that follow the global options
 and precede the problem path; extend ``COMMANDS`` to pin another
-subcommand.
+subcommand, or ``GROEBNER_COMMANDS`` for one that builds bases.
 """
 
 from __future__ import annotations
@@ -41,10 +41,25 @@ def _first_two_source_variables(phi: MorphismOfPairs) -> list[str]:
     return ["blowup", "--center", ",".join(phi.source.variables[:2])]
 
 
+def _top_form_degree(phi: MorphismOfPairs) -> list[str]:
+    top = min(len(phi.source.variables), len(phi.target.variables))
+    return ["fitting", "--k", str(top)]
+
+
 COMMANDS = {
     "blowup": _first_two_source_variables,
     "principalize": lambda phi: ["principalize"],
     "monomialize": lambda phi: ["monomialize"],
+}
+
+# The subcommands whose output rests on Groebner bases, radical tests and
+# eliminations (``ideal``): pinned by a digest of their own.
+GROEBNER_COMMANDS = {
+    "grk": lambda phi: ["grk"],
+    "imagedim": lambda phi: ["imagedim"],
+    "quasiprepared": lambda phi: ["quasiprepared"],
+    "fitting --k 1": lambda phi: ["fitting", "--k", "1"],
+    "fitting --k top": _top_form_degree,
 }
 
 FORMATS = ([], ["--json"])

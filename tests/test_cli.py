@@ -859,6 +859,26 @@ def test_corpus_outputs_are_pinned(tmp_path):
     assert digest == CORPUS_DIGEST
 
 
+# The same for cli_corpus.GROEBNER_COMMANDS, whose output rests on the
+# Groebner kernel: reduced bases, radical tests and eliminations.
+GROEBNER_DIGEST = "fbcefab98adcc391117343b6b1cd8faac830773401d13c1ed41bfe2ea181fe9e"
+GROEBNER_EXITS = {
+    "grk": {0: 1018},
+    "imagedim": {0: 1018},
+    "quasiprepared": {0: 196, 1: 742, 2: 80},
+    "fitting --k 1": {0: 694, 2: 324},
+    "fitting --k top": {0: 694, 2: 324},
+}
+
+
+def test_groebner_outputs_are_pinned(tmp_path):
+    phis = cli_corpus.corpus_morphisms()
+    paths = cli_corpus.write_problems(phis, tmp_path)
+    digest, exits = cli_corpus.run_commands(phis, paths, cli_corpus.GROEBNER_COMMANDS)
+    assert exits == GROEBNER_EXITS
+    assert digest == GROEBNER_DIGEST
+
+
 # Fuzzing: valid problem files with a few random splices.  Most results no
 # longer parse; the rest are valid problems of about the same size.
 FUZZ_SEEDS = [EXAMPLE1, EXAMPLE3, NOT_QP, EXAMPLE1 + "filtration 1: u1\ntargetideal x1\n"]

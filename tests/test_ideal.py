@@ -677,13 +677,101 @@ class TestReduction:
         assert normal_form(f, basis, order) == P("4*y", amb)
         assert max_scan_normal_form(f, basis, order) == P("4*y", amb)
 
+
+# Exponents up to 42 in three variables: degrees up to 126, so the 8-bit
+# fields are filled to their guard bits.
+wide_exps3 = st.tuples(*(st.integers(0, 42) for _ in AMB3))
+
+
+class TestPackedMonomials:
+    """The kernel's packed exponent vectors: int order is the monomial
+    order, a difference without guard bits is divisibility, and a sum that
+    outgrows the fields widens them without changing any result."""
+
     @settings(max_examples=200, deadline=None)
-    @given(st.sampled_from(ORDERS), st.lists(exps3, max_size=12))
-    def test_heap_key_reverses_key(self, order, exponents):
-        # Ascending heap keys list exponents in descending order.
-        assert sorted(exponents, key=order.heap_key) == sorted(
-            exponents, key=order.key, reverse=True
+    @given(st.sampled_from(ORDERS), st.sampled_from([8, 16]), st.lists(wide_exps3, max_size=12))
+    def test_packed_order_is_key_order(self, order, width, exponents):
+        packing = logmono.ideal._Packing(order, len(AMB3), width)
+        assert sorted(exponents, key=packing.pack) == sorted(exponents, key=order.key)
+
+    @pytest.mark.parametrize("order", ORDERS)
+    def test_divisibility_at_field_boundaries(self, order):
+        # Every pair of exponent tuples with entries at the bottom and the
+        # top of an 8-bit field, many of them equal in one field while a
+        # neighbouring field borrows.
+        packing = logmono.ideal._Packing(order, len(AMB3), 8)
+        values = (0, 1, 41, 42)
+        grid = [(a, b, c) for a in values for b in values for c in values]
+        divisible = 0
+        for e in grid:
+            for lt in grid:
+                shift = packing.pack(e) - packing.pack(lt)
+                want = all(a >= b for a, b in zip(e, lt))
+                assert (not shift & packing.guard) == want, (e, lt)
+                if want:
+                    assert shift == packing.pack(tuple(a - b for a, b in zip(e, lt)))
+                    divisible += 1
+        assert divisible == 10**3
+
+    def test_divisibility_with_full_fields(self):
+        # One variable: the exponent and the degree field both at 127, the
+        # largest value below the guard bit.
+        packing = logmono.ideal._Packing(grevlex_order(), 1, 8)
+        top, below = packing.pack((127,)), packing.pack((126,))
+        assert not (top - top) & packing.guard
+        assert not (top - below) & packing.guard
+        assert (below - top) & packing.guard
+        with pytest.raises(logmono.ideal._Overflow):
+            packing.pack((128,))
+
+    @pytest.mark.parametrize("power", [40, 70])
+    def test_huge_exponents_match_sympy(self, power):
+        # 64-bit fields for u^(2^40), which one Struct call reads, and
+        # 128-bit fields for u^(2^70), which are shifted out.  sympy's
+        # sparse ring: its dense Poly would allocate 2^power entries.
+        sympy = pytest.importorskip("sympy")
+        from sympy.polys.groebnertools import groebner
+        from sympy.polys.orderings import grevlex
+        from sympy.polys.rings import ring
+
+        amb = ("u", "v", "w")
+        gens = [P(f"u^{2**power}*v - w", amb), P("v^2 - u", amb)]
+        R, *_ = ring(",".join(amb), sympy.QQ, grevlex)
+        theirs = groebner([R({e: sympy.QQ(c) for e, c in g.terms.items()}) for g in gens], R)
+        basis = reduced_groebner_basis(gens, grevlex_order())
+        assert set(basis) == {
+            Polynomial({e: Fraction(int(c.numerator), int(c.denominator)) for e, c in p.items()}, amb)
+            for p in theirs
+        }
+        assert P(f"u^{2**power + 1} - v*w", amb) in basis
+        f = P(f"u^{2**power + 3}*v^3 + w^2*v", amb)
+        assert normal_form(f, basis, grevlex_order()) == max_scan_normal_form(
+            f, basis, grevlex_order()
         )
+
+    def test_overflow_widens_and_keeps_the_basis(self, monkeypatch):
+        # The input's degree 31 starts at 8-bit fields, but eliminating t
+        # from t - x^31 and t^5 - y brings x^155 - y, past their guard bits.
+        widths = []
+        original = logmono.ideal._minimal_records
+
+        def recording(gens, packing):
+            widths.append(packing.width)
+            return original(gens, packing)
+
+        monkeypatch.setattr(logmono.ideal, "_minimal_records", recording)
+        amb = ("t", "x", "y")
+        gens = [P("t - x^31", amb), P("t^5 - y", amb)]
+        basis = _assert_sympy_basis(gens, amb, block_order(1), _sympy_block_order(1))
+        assert widths == [8, 16]
+        assert P("x^155 - y", amb) in basis
+        eliminated = elimination(IdealPresentation(gens, amb), ("x", "y"))
+        assert eliminated.generators == [P("x^155 - y", ("x", "y"))]
+        # Dividing t^9 by t - x^31 carries x^279 past an 8-bit field within
+        # one reduction.
+        f, basis = P("t^9 + y", amb), [P("t - x^31", amb)]
+        assert normal_form(f, basis, block_order(1)) == P("x^279 + y", amb)
+        assert max_scan_normal_form(f, basis, block_order(1)) == P("x^279 + y", amb)
 
 
 # Small generator lists with rational coefficients for the sympy oracle.
@@ -722,11 +810,11 @@ class TestFractionFreeKernel:
     def test_every_divisor_record_is_primitive(self, gens, order):
         reduce = logmono.ideal._reduce
 
-        def checking(work, divisors, heap_key):
+        def checking(work, divisors, guard):
             assert all(type(c) is int for c in work.values())
             for record in divisors:
                 assert _is_primitive(record), record
-            return reduce(work, divisors, heap_key)
+            return reduce(work, divisors, guard)
 
         with mock.patch.object(logmono.ideal, "_reduce", checking):
             reduced_groebner_basis(gens, order)
