@@ -2,19 +2,27 @@
 blowups, and the monomialisation driver for monomial morphisms onto a
 surface.
 
-A monomial ideal is its antichain of minimal exponent tuples, and every
-step works on those tuples: one pass over the generator pairs gives the
-termination measure and the center, and a chart transform builds each new
-tuple once.  The blowup tree's child charts are built trusted from their
-validated parents, and all leaf certificates of one tree share one
-residual witness, the constant 1.
+A monomial ideal is its antichain of minimal exponent tuples, checked
+once where they enter (``MonomialIdeal.from_exponents`` and the root of
+``goward_principalize``), and every step works on those tuples.  One pass
+over the generator pairs gives the termination measure and the center; a
+pair whose weight already exceeds the best one's is not counted.  The
+chart action works on positions: each step reads the center's two
+positions once, and a child's tuples are the parent's with one entry
+absorbing the other.  That map is unimodular, hence injective, so the new
+tuples need a sort and the minimal-element filter but no dedupe.  Leaf
+certificates wrap the checked tuples without revalidating them.  The
+blowup tree's child charts are built trusted from their validated
+parents, and all leaf certificates of one tree share one residual
+witness, the constant 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import le, sub
+from itertools import combinations
+from operator import index, le, sub
 from typing import Iterable, Sequence
 
 from .blowup import BlowupTree, transform_morphism
@@ -36,6 +44,9 @@ class NonMonomialInputError(ValueError):
     """Input outside the monomial subclass handled combinatorially."""
 
 
+_PRINCIPAL_SCAN = (0, None, None, None)
+
+
 @dataclass(frozen=True)
 class MonomialIdeal:
     """Minimal monomial generators over a fixed variable tuple.
@@ -54,7 +65,11 @@ class MonomialIdeal:
     def from_exponents(
         cls, variables: Sequence[str], exponents: Sequence[Sequence[int]]
     ) -> "MonomialIdeal":
-        return cls(tuple(variables), _antichain(map(tuple, exponents)))
+        """The ideal of the given exponent tuples, each checked to hold one
+        non-negative int per variable (ValueError naming the tuple)."""
+        variables = tuple(variables)
+        n = len(variables)
+        return cls(variables, _antichain(_checked(e, n) for e in exponents))
 
     def is_principal(self) -> bool:
         return len(self.generators) <= 1
@@ -71,48 +86,68 @@ class MonomialIdeal:
         difference d is computed once.  In an antichain max(d) is the
         largest positive entry a and min(d) the negative entry -b of
         largest magnitude, and the weight is (a + b, number of entries
-        equal to a or -b).  Blowing up the center pairing an entry at a
-        with one at -b replaces that entry by a value strictly inside
-        (-b, a), so in each chart the replaced entry leaves its extremal
-        class and never joins the other one: the weight strictly
-        lex-decreases unless the pair turns comparable.
+        equal to a or -b); a pair whose a + b exceeds the best weight's
+        cannot win, so its entries are not counted.  Blowing up the center
+        pairing an entry at a with one at -b replaces that entry by a value
+        strictly inside (-b, a), so in each chart the replaced entry leaves
+        its extremal class and never joins the other one: the weight
+        strictly lex-decreases unless the pair turns comparable.
         """
         gens = self.generators
-        weight = pair = diff = None
-        for i, g in enumerate(gens, 1):
-            for h in gens[i:]:
-                d = list(map(sub, g, h))
-                a = max(d)
-                b = min(d)
-                key = (a - b, d.count(a) + d.count(b))
-                if weight is None or key < weight:
-                    weight, pair, diff = key, (g, h), d
         n = len(gens)
+        if n < 2:
+            object.__setattr__(self, "_pair_scan", _PRINCIPAL_SCAN)
+            return
+        weight = pair = diff = None
+        for g, h in combinations(gens, 2):
+            d = list(map(sub, g, h))
+            a = max(d)
+            b = min(d)
+            if weight is not None and a - b > weight[0]:
+                continue
+            key = (a - b, d.count(a) + d.count(b))
+            if weight is None or key < weight:
+                weight, pair, diff = key, (g, h), d
         object.__setattr__(self, "_pair_scan", (n * (n - 1) // 2, weight, pair, diff))
 
-    def transform(self, distinguished: str, absorbed: Sequence[str]) -> "MonomialIdeal":
-        """Blowup chart action: the distinguished exponent absorbs the
-        exponents of the other center variables.  Each new generator is
-        built as one tuple and goes straight to the antichain reduction."""
-        c = self.variables.index(distinguished)
-        idx = [self.variables.index(v) for v in absorbed]
-        new = []
-        for e in self.generators:
-            x = e[c]
-            for i in idx:
-                x += e[i]
-            new.append(e[:c] + (x,) + e[c + 1:])
-        return MonomialIdeal(self.variables, _antichain(new))
+    def transform(self, c: int, j: int) -> "MonomialIdeal":
+        """The ideal in chart c of the blowup at the center of positions
+        c and j: exponent c absorbs exponent j.  The chart map is
+        unimodular, so it is injective on exponent vectors and the images
+        of distinct generators are distinct; they are sorted and go
+        straight to the minimal-element filter."""
+        new = [e[:c] + (e[c] + e[j],) + e[c + 1:] for e in self.generators]
+        new.sort()
+        return MonomialIdeal(self.variables, _minimal(new))
+
+
+def _checked(e: Iterable[int], n: int) -> tuple[int, ...]:
+    """e as a tuple of n non-negative ints; ValueError naming e if it is
+    not one."""
+    try:
+        exps = tuple(map(index, e))
+    except TypeError:
+        raise ValueError(f"non-integral exponent in {e}") from None
+    if len(exps) != n:
+        raise ValueError(f"exponent tuple {exps} has length {len(exps)}, not {n}")
+    if n and min(exps) < 0:
+        raise ValueError(f"negative exponent in {exps}")
+    return exps
 
 
 def _antichain(gens: Iterable[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
-    """The minimal exponents under divisibility, in lex order.
+    """The minimal exponents under divisibility, in lex order."""
+    return _minimal(sorted(set(gens)))
+
+
+def _minimal(ordered: list[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
+    """The minimal elements of distinct exponents in lex order.
 
     A proper divisor precedes its multiples in lex order, and dividing is
     transitive, so a candidate is tested only against the minima kept
     before it."""
     keep = []
-    for g in sorted(set(gens)):
+    for g in ordered:
         for h in keep:
             if all(map(le, h, g)):
                 break
@@ -125,8 +160,9 @@ def _antichain(gens: Iterable[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
 # Center selection and the termination measure
 
 
-def choose_center(ideal: MonomialIdeal, divisor_vars: Sequence[str]) -> tuple[str, str]:
-    """Codimension-two center resolving the target pair.
+def choose_center(ideal: MonomialIdeal, divisor_vars: Sequence[str]) -> tuple[int, int]:
+    """Codimension-two center resolving the target pair, as the positions
+    of its two variables.
 
     For the target pair with difference vector d, take the coordinate of
     maximal positive difference against the coordinate of maximal
@@ -148,7 +184,7 @@ def choose_center(ideal: MonomialIdeal, divisor_vars: Sequence[str]) -> tuple[st
         raise NonMonomialInputError(
             f"generators differ on non-divisor variable {names[k]!r}"
         )
-    return names[d.index(max(d))], names[d.index(min(d))]
+    return d.index(max(d)), d.index(min(d))
 
 
 def termination_measure(ideal: MonomialIdeal) -> tuple:
@@ -178,22 +214,31 @@ def goward_principalize(
     the ideal is principal in every chart.
 
     The ideal's generators must be an antichain (see ``MonomialIdeal``).
-    The termination measure must strictly decrease on every non-principal
-    child; a violation raises TerminationMeasureError.  Each expanded
-    chart's ideal is measured once: a non-principal child when it is
-    compared with its parent, and that value is its ``before`` when it is
-    expanded in turn; only the root is measured when it is expanded.  The
-    zero ideal has no generator to certify and raises ValueError.
+    The root loop checks that each holds one non-negative int per
+    variable, which the dataclass constructor does not, and only divisor
+    variables.  The termination measure must strictly decrease on every
+    non-principal child; a violation raises TerminationMeasureError.  Each
+    expanded chart's ideal is measured once: a non-principal child when it
+    is compared with its parent, and that value is its ``before`` when it
+    is expanded in turn; only the root is measured when it is expanded.
+    The zero ideal has no generator to certify and raises ValueError.
 
-    Every leaf certificate holds the same witness, one constant 1 built
-    per call, and every child chart is built trusted from its validated
-    parent (``blowup.blowup_chart``).
+    Each step reads the center's positions once, from ``choose_center``,
+    and transforms both children by position (``MonomialIdeal.transform``);
+    the names are looked up only for ``BlowupTree.expand``.  A leaf's
+    certificate wraps its generator tuple, which the root loop checked
+    and the chart maps kept non-negative ints of the same length, in a
+    ``Monomial`` without revalidating it.  Every leaf certificate holds
+    the same witness, one constant 1 built per call, and every child
+    chart is built trusted from its validated parent
+    (``blowup.blowup_chart``).
     """
-    if ideal.variables != chart.variables:
+    names = chart.variables
+    if ideal.variables != names:
         raise ValueError("ideal variables must match the chart")
     divisor = set(chart.divisor_vars)
     for e in ideal.generators:
-        for v, x in zip(ideal.variables, e):
+        for v, x in zip(names, _checked(e, len(names))):
             if x and v not in divisor:
                 raise NonMonomialInputError(
                     f"generator exponent on non-divisor variable {v!r}"
@@ -202,32 +247,34 @@ def goward_principalize(
         raise ValueError("zero ideal cannot be principalized")
     # Every chart has the root's names and polynomials are immutable, so
     # all leaves share one residual witness.
-    witness = Polynomial.constant(1, chart.variables)
+    witness = Polynomial.constant(1, names)
     tree = BlowupTree(chart, ideal)
     worklist = [(tree.root, 0, None)]
     while worklist:
         node, depth, before = worklist.pop()
         current: MonomialIdeal = node.payload
-        if current.is_principal():
-            node.certificate = PrincipalMonomialCertificate(
-                Monomial(current.generators[0]), witness
-            )
+        gens = current.generators
+        if len(gens) < 2:
+            monomial = Monomial.__new__(Monomial)
+            monomial.exponents = gens[0]
+            node.certificate = PrincipalMonomialCertificate(monomial, witness)
             continue
         if depth >= max_depth:
             raise DepthLimitError(f"blowup depth exceeded {max_depth}")
-        ci, cj = choose_center(current, node.chart.divisor_vars)
+        i, j = choose_center(current, node.chart.divisor_vars)
         if before is None:
             before = termination_measure(current)
-        # The children come in center order: chart ci absorbs cj, and back.
-        for child, absorbed in zip(tree.expand(node, (ci, cj)), ((cj,), (ci,))):
-            child.payload = current.transform(child.distinguished, absorbed)
+        # The children come in center order: chart i absorbs j, and back.
+        center = names[i], names[j]
+        for child, (c, k) in zip(tree.expand(node, center), ((i, j), (j, i))):
+            child.payload = transformed = current.transform(c, k)
             after = None
-            if not child.payload.is_principal():
-                after = termination_measure(child.payload)
+            if len(transformed.generators) > 1:
+                after = termination_measure(transformed)
                 if not after < before:
                     raise TerminationMeasureError(
                         f"measure did not decrease: {before} -> {after} "
-                        f"(center {ci},{cj})"
+                        f"(center {center[0]},{center[1]})"
                     )
             worklist.append((child, depth + 1, after))
     return tree

@@ -4,6 +4,7 @@ Each test covers one numbered criterion and prints a single pass/fail
 line (to the real stdout, so it survives pytest capture).
 """
 
+import hashlib
 import random
 import sys
 import time
@@ -253,12 +254,22 @@ def _reverify_leaves(tree):
         assert cert.generator_monomial.exponents == ideal.generators[0]
 
 
+def _hash_tree(digest, tree):
+    """Feed the tree's shape and every leaf's chart matrix and generators,
+    in ``leaves()`` order, to the digest."""
+    leaves = tuple((leaf.matrix, leaf.payload.generators) for leaf in tree.leaves())
+    digest.update(repr((tree.step_count(), tree.depth(), leaves)).encode())
+
+
 def test_criterion_6_principalization_terminates():
     """Exhaustive two-variable family (exponents <= 6) within depth 12,
     plus random three-variable ideals, with leaf re-verification.  The
-    termination measure assertion runs inside the expansion loop."""
+    termination measure assertion runs inside the expansion loop.  One
+    sha256 over every tree's step count, depth and leaves pins the trees
+    themselves, so a faster step must build the same tree."""
     passed = True
     try:
+        digest = hashlib.sha256()
         chart2 = ChartedPair(("u", "v"), ("u", "v"))
         count = 0
         for gens in two_var_antichains(6):
@@ -266,6 +277,7 @@ def test_criterion_6_principalization_terminates():
             tree = goward_principalize(ideal, chart2, max_depth=12)
             assert tree.depth() <= 12
             _reverify_leaves(tree)
+            _hash_tree(digest, tree)
             count += 1
         assert count >= 3000
         chart3 = ChartedPair(("u", "v", "w"), ("u", "v", "w"))
@@ -278,6 +290,10 @@ def test_criterion_6_principalization_terminates():
             ideal = MonomialIdeal.from_exponents(chart3.variables, gens)
             tree = goward_principalize(ideal, chart3)
             _reverify_leaves(tree)
+            _hash_tree(digest, tree)
+        assert digest.hexdigest() == (
+            "01ed9e97434964216d0ac536d058202e97963ab062aa7841f99293e73dc8fd85"
+        ), digest.hexdigest()
     except AssertionError:
         passed = False
         raise

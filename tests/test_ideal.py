@@ -773,6 +773,27 @@ class TestPackedMonomials:
         assert normal_form(f, basis, block_order(1)) == P("x^279 + y", amb)
         assert max_scan_normal_form(f, basis, block_order(1)) == P("x^279 + y", amb)
 
+    def test_s_polynomial_term_past_the_guard_widens(self, monkeypatch):
+        # Degree 31 starts at 8-bit fields.  Buchberger's loop reaches
+        # t^3*x^3 - c*t^2*x^73 and t^2*x^112 - c'*t^2*x^3; their
+        # S-polynomial shifts the tail term t^2*x^73 up to the lcm
+        # t^3*x^112, giving t^2*x^182, past the guard of the x field.  No
+        # pair lcm and no reduction shift crosses a guard before it, so the
+        # check on S-polynomial terms is the one that widens the fields.
+        widths = []
+        original = logmono.ideal._minimal_records
+
+        def recording(gens, packing):
+            widths.append(packing.width)
+            return original(gens, packing)
+
+        monkeypatch.setattr(logmono.ideal, "_minimal_records", recording)
+        amb = ("t", "x")
+        gens = [P("2*t^19*x^12 - 3*t^2*x^3", amb), P("2*t^6*x^10 - 3*t^20*x^11", amb)]
+        basis = _assert_sympy_basis(gens, amb, block_order(1), _sympy_block_order(1))
+        assert widths == [8, 16]
+        assert {max(g.terms, key=block_order(1).key) for g in basis} == {(3, 3), (2, 112)}
+
 
 # Small generator lists with rational coefficients for the sympy oracle.
 rational_generators = st.lists(
