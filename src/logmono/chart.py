@@ -58,7 +58,7 @@ class ChartedPair:
         object.__setattr__(
             self,
             "divisor_vars",
-            tuple(v for v in self.variables if v in divisor),
+            tuple(filter(divisor.__contains__, self.variables)),
         )
 
     @classmethod
@@ -110,6 +110,15 @@ class RationalPoint:
             "coordinates",
             tuple(c if type(c) is Fraction else Fraction(c) for c in self.coordinates),
         )
+
+    @classmethod
+    def _trusted(cls, coordinates: tuple[Fraction, ...]) -> "RationalPoint":
+        """Wrap a tuple of ``Fraction``s without the coercion pass (the
+        model is ``ChartedPair._trusted``).  ``frontend.parse_point`` builds
+        each coordinate as a ``Fraction`` itself."""
+        point = object.__new__(cls)
+        object.__setattr__(point, "coordinates", coordinates)
+        return point
 
     def __len__(self):
         return len(self.coordinates)

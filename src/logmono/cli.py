@@ -48,12 +48,17 @@ class InputError(Exception):
 
 
 def _load(args) -> tuple:
+    # Unbuffered bytes and one UTF-8 decode, whatever the locale: the file
+    # is read whole, so text mode's buffer and incremental decoder only add
+    # cost.  splitlines in parse_problem takes \r\n and \r line ends as
+    # text mode's newline translation did.  A bad byte raises the codec's
+    # UnicodeDecodeError, a ValueError (exit 2).
     try:
-        with open(args.problem) as fh:
-            text = fh.read()
+        with open(args.problem, "rb", buffering=0) as fh:
+            data = fh.read()
     except OSError as e:
         raise InputError(str(e))
-    return parse_problem(text)
+    return parse_problem(data.decode())
 
 
 def _point_from(args, problem) -> RationalPoint:

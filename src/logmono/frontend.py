@@ -9,6 +9,8 @@ File grammar (line oriented, ``#`` comments):
     filtration <level>: <name>*            optional, nested, 1-based
     targetideal <expression>(,<expression>)*   optional, at most once
 
+A line's keyword ends at its first whitespace character, a tab as well as
+a space, and the rest of a line splits on any whitespace.
 Each ``source``/``target`` line appears once and names each variable once,
 in ``vars`` and in ``divisor``.  A name is an identifier (``IDENTIFIER``: a
 letter, then letters, digits and ``_``), the same pattern expressions use,
@@ -25,13 +27,17 @@ then ``*``, then ``+``/``-``.  A rational literal is one atom, so ``1/2*u`` is h
 error.  This is how ``ProblemFile.render`` writes coefficients.  A point
 coordinate is such an integer or rational literal with an optional sign.
 
-An expression is tokenized in one scan and parsed by recursive descent
-straight to terms: a single term is an exponent tuple and a coefficient,
+An expression is scanned once (``_TOKEN.findall``); a token's first
+character tells its kind.  One loop (``_sum``) builds each sum of products
+straight to terms: a single term stays an exponent tuple and a coefficient,
 so a product or power of single terms is one exponent addition or scaling.
-Only parentheses produce several terms, and those are multiplied with
-``Polynomial`` arithmetic.  The finished term dict becomes one
-``Polynomial._trusted``.  Nesting depth and the ``MAX_TERMS`` budget are
-checked before anything is computed.
+The loop recurses only into parentheses, which alone make several terms;
+those are multiplied with ``Polynomial`` arithmetic, and the finished term
+dict becomes one ``Polynomial._trusted``.  Nesting depth and the
+``MAX_TERMS`` budget are checked before anything is computed.  Only a
+failed parse scans again (``_SCAN.finditer``) for its column.  A stray
+character, one outside every token, is reported before anything is
+computed: the tokens then fall short of the expression's non-blank text.
 """
 
 from __future__ import annotations
@@ -43,6 +49,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 from operator import add
+from string import ascii_letters
 from typing import Optional
 
 from .chart import ChartedPair, MorphismOfPairs, RationalPoint
@@ -68,19 +75,18 @@ IDENTIFIER = re.compile(r"[a-zA-Z][a-zA-Z0-9_]*")
 # ASCII only, though ``int`` and ``\d`` take other scripts' digits too.
 _DIGITS = "[0-9]+"
 
-# One scan of the whole expression.  The groups are, in order: rational
-# literal, integer literal, name, operator, and a catch-all for any other
-# non-blank character, which is an error at its own column.
-_TOKEN = re.compile(
-    rf"\s*(?:({_DIGITS}/{_DIGITS})|({_DIGITS})|({IDENTIFIER.pattern})|([-+*^()])|(\S))"
-)
-_KINDS = ("rational", "int", "name")
-_OP, _STRAY = 4, 5
-# Past the last token; its kind matches no operator.
-_END = (None, "", 1)
+# One scan of the whole expression: a rational literal, an integer literal,
+# a name, or an operator.  A token's first character tells its kind.
+_TOKEN = re.compile(rf"{_DIGITS}(?:/{_DIGITS})?|{IDENTIFIER.pattern}|[-+*^()]")
+# The same scan with any other non-blank character as a token of its own:
+# one that begins with none of ``_TOKEN_START`` is a stray character, an
+# error at its own column.
+_SCAN = re.compile(rf"{_TOKEN.pattern}|\S")
+_LITERAL_START = frozenset("0123456789")
+_TOKEN_START = _LITERAL_START | frozenset(ascii_letters + "+-*^()")
 
-# Each parenthesis level costs four stack frames of the recursive-descent
-# parser; the cap keeps deep nesting well inside Python's recursion limit.
+# Each parenthesis level costs one stack frame of the parser; the cap keeps
+# deep nesting well inside Python's recursion limit.
 MAX_NESTING = 100
 
 # A product or power is refused, before it is computed, when its result
@@ -92,178 +98,168 @@ MAX_TERMS = 500
 
 @lru_cache(maxsize=64)
 def _unit_exponents(ambient: tuple[str, ...]):
-    """The exponent tuple of each ambient variable, and of the constant 1."""
+    """The exponent tuple of each ambient variable that is a name, and of
+    the constant 1."""
     n = len(ambient)
-    units = {v: (0,) * i + (1,) + (0,) * (n - i - 1) for i, v in enumerate(ambient)}
+    units = {
+        v: (0,) * i + (1,) + (0,) * (n - i - 1)
+        for i, v in enumerate(ambient)
+        if IDENTIFIER.fullmatch(v)
+    }
     return units, (0,) * n
+
+
+class _Fail(Exception):
+    """A syntax error: (message, index of the token it is reported at)."""
+
+
+def _wrap(terms: dict, ambient: tuple[str, ...]) -> Polynomial:
+    # ``terms`` is a dict the parser built; integral products and sums of
+    # Fractions become ints in place.
+    return Polynomial._trusted(canonicalise_terms(terms), ambient)
+
+
+def _polynomial(value, ambient: tuple[str, ...]) -> Polynomial:
+    return _wrap(dict((value,)), ambient) if type(value) is tuple else value
 
 
 def _count(value) -> int:
     return 1 if type(value) is tuple else len(value.terms)
 
 
-class _ExprParser:
-    """Recursive descent straight to terms.
+def _check_terms(what: str, bound: int, at: int) -> None:
+    if bound > MAX_TERMS:
+        message = f"{what} may have {bound} terms, over the budget of MAX_TERMS = {MAX_TERMS}"
+        raise _Fail(message, at)
 
-    A parsed value is either one nonzero term ``(exponents, coefficient)``,
-    whose coefficient is an ``int`` or a ``Fraction``, or a ``Polynomial``
-    for zero and for several terms; a coefficient is canonical once the
-    value is wrapped (see ``poly``).  Products and powers of single terms
-    add and scale exponent tuples; only parentheses make several terms,
-    and those go through ``Polynomial.__mul__`` and ``__pow__``.  Each sum
-    collects its terms in one dict, and the expression ends in one
-    ``Polynomial._trusted``.
+
+def _sum(tokens: list[str], i: int, depth: int, units: dict, one: tuple, ambient: tuple):
+    """The sum of products that starts at token i, as a term dict, and the
+    index of the token after it.
+
+    A factor is one nonzero term ``(exponents, coefficient)``, whose
+    coefficient is an ``int`` or a ``Fraction``, or a ``Polynomial`` for
+    zero and for several terms.  Products and powers of single terms add
+    and scale exponent tuples; only parentheses, the one place this
+    recurses, make several terms, and those go through
+    ``Polynomial.__mul__`` and ``__pow__``.  Each finished product is added
+    into one dict: adding Polynomials would copy the running sum on every
+    sign and make parsing quadratic in the term count.
     """
-
-    def __init__(self, text: str, ambient: tuple[str, ...], line: int):
-        self.ambient = ambient = tuple(ambient)
-        self.line = line
-        self.units, self.one = _unit_exponents(ambient)
-        tokens = []
-        for m in _TOKEN.finditer(text):
-            g = m.lastindex
-            tok = m.group(g)
-            if g == _STRAY:
-                raise ProblemSyntaxError(
-                    f"unexpected character {tok!r}", line, m.start(g) + 1
-                )
-            # An operator's kind is the operator itself.
-            tokens.append((tok if g == _OP else _KINDS[g - 1], tok, m.start(g) + 1))
-        tokens.append(_END)
-        self.tokens = tokens
-        self.i = 0
-        self.depth = 0
-
-    def next(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.i]
-        if tok is _END:
-            raise ProblemSyntaxError("unexpected end of expression", self.line)
-        self.i += 1
-        return tok
-
-    def parse(self) -> Polynomial:
-        terms = self.sum()
-        tok = self.tokens[self.i]
-        if tok is not _END:
-            raise ProblemSyntaxError(f"unexpected token {tok[1]!r}", self.line, tok[2])
-        return self.wrap(terms)
-
-    def wrap(self, terms: dict) -> Polynomial:
-        # ``terms`` is a dict this parser built; integral products and sums
-        # of Fractions become ints in place.
-        return Polynomial._trusted(canonicalise_terms(terms), self.ambient)
-
-    def as_polynomial(self, value) -> Polynomial:
-        return self.wrap(dict((value,))) if type(value) is tuple else value
-
-    def sum(self) -> dict:
-        # Accumulate into one dict: adding Polynomials would copy the running
-        # sum on every sign and make parsing quadratic in the term count.
-        terms: dict = {}
-        kind = self.tokens[self.i][0]
-        negate = kind == "-"
-        if negate or kind == "+":
-            self.i += 1
-        while True:
-            value = self.product()
-            for e, c in (value,) if type(value) is tuple else value.terms.items():
-                if negate:
-                    c = -c
-                s = terms.get(e)
-                if s is None:
-                    terms[e] = c
-                else:
-                    s += c
-                    if s:
-                        terms[e] = s
-                    else:
-                        del terms[e]
-            kind = self.tokens[self.i][0]
-            if kind != "+" and kind != "-":
-                return terms
-            self.i += 1
-            negate = kind == "-"
-
-    def product(self):
-        p = self.power()
-        while True:
-            tok = self.tokens[self.i]
-            if tok[0] != "*":
-                return p
-            self.i += 1
-            q = self.power()
-            if type(p) is tuple and type(q) is tuple:
-                # One term times one term: within any budget.
-                p = (tuple(map(add, p[0], q[0])), p[1] * q[1])
+    terms: dict = {}
+    tok = tokens[i]
+    negate = tok == "-"
+    if negate or tok == "+":
+        i += 1
+    p = None  # the product so far
+    while True:
+        tok = tokens[i]
+        i += 1
+        q = units.get(tok)
+        if q is not None:
+            q = (q, 1)
+        elif tok[:1] in _LITERAL_START:
+            if "/" in tok:
+                num, den = map(int, tok.split("/"))
+                if not den:
+                    raise _Fail(f"zero denominator in {tok!r}", i - 1)
+                c = Fraction(num, den)
             else:
-                self.check_terms("product", _count(p) * _count(q), tok)
-                p = self.as_polynomial(p) * self.as_polynomial(q)
+                c = int(tok)
+            q = (one, c) if c else _wrap({}, ambient)
+        elif tok == "(":
+            if depth == MAX_NESTING:
+                raise _Fail(f"parentheses nested deeper than {MAX_NESTING}", i - 1)
+            inner, i = _sum(tokens, i, depth + 1, units, one, ambient)
+            if tokens[i] != ")":
+                raise _Fail("expected ')'", i)
+            i += 1
+            q = next(iter(inner.items())) if len(inner) == 1 else _wrap(inner, ambient)
+        elif IDENTIFIER.match(tok):
+            raise _Fail(f"undeclared variable {tok!r}", i - 1)
+        else:
+            raise _Fail(f"unexpected token {tok!r}", i - 1)
+        tok = tokens[i]
+        if tok == "^":
+            k = tokens[i + 1]
+            if not (k.isascii() and k.isdigit()):
+                raise _Fail("exponent must be an integer", i + 1)
+            k = int(k)
+            if type(q) is tuple:
+                # A power of one term is one term: within any budget.
+                q = (tuple([e * k for e in q[0]]), q[1] ** k)
+            else:
+                t = len(q.terms)
+                if k:
+                    # The count is at least t; skip computing it for huge bases.
+                    _check_terms("power", comb(t + k - 1, k) if t <= MAX_TERMS else t, i)
+                q = q**k
+            i += 2
+            tok = tokens[i]
+        if p is None:
+            p = q
+        elif type(p) is tuple and type(q) is tuple:
+            # One term times one term: within any budget.
+            p = (tuple(map(add, p[0], q[0])), p[1] * q[1])
+        else:
+            _check_terms("product", _count(p) * _count(q), star)
+            p = _polynomial(p, ambient) * _polynomial(q, ambient)
+        if tok == "*":
+            star = i
+            i += 1
+            continue
+        for e, c in (p,) if type(p) is tuple else p.terms.items():
+            if negate:
+                c = -c
+            s = terms.get(e)
+            if s is None:
+                terms[e] = c
+            else:
+                s += c
+                if s:
+                    terms[e] = s
+                else:
+                    del terms[e]
+        if tok != "+" and tok != "-":
+            return terms, i
+        negate = tok == "-"
+        i += 1
+        p = None
 
-    def power(self):
-        p = self.atom()
-        tok = self.tokens[self.i]
-        if tok[0] != "^":
-            return p
-        self.i += 1
-        etok = self.next()
-        if etok[0] != "int":
-            raise ProblemSyntaxError("exponent must be an integer", self.line, etok[2])
-        k = int(etok[1])
-        if type(p) is tuple:
-            # A power of one term is one term: within any budget.
-            return (tuple([e * k for e in p[0]]), p[1] ** k)
-        t = len(p.terms)
-        if k:
-            # The count is at least t; skip computing it for huge bases.
-            self.check_terms("power", comb(t + k - 1, k) if t <= MAX_TERMS else t, tok)
-        return p**k
 
-    def check_terms(self, what: str, bound: int, tok: tuple[str, str, int]) -> None:
-        if bound > MAX_TERMS:
-            raise ProblemSyntaxError(
-                f"{what} may have {bound} terms, over the budget of "
-                f"MAX_TERMS = {MAX_TERMS}",
-                self.line,
-                tok[2],
-            )
-
-    def atom(self):
-        tok = self.next()
-        kind = tok[0]
-        if kind == "name":
-            e = self.units.get(tok[1])
-            if e is None:
-                raise ProblemSyntaxError(
-                    f"undeclared variable {tok[1]!r}", self.line, tok[2]
-                )
-            return (e, 1)
-        if kind == "int" or kind == "rational":
-            try:
-                c = int(tok[1]) if kind == "int" else Fraction(tok[1])
-            except ZeroDivisionError:
-                raise ProblemSyntaxError(
-                    f"zero denominator in {tok[1]!r}", self.line, tok[2]
-                )
-            return (self.one, c) if c else self.wrap({})
-        if kind == "(":
-            if self.depth == MAX_NESTING:
-                raise ProblemSyntaxError(
-                    f"parentheses nested deeper than {MAX_NESTING}", self.line, tok[2]
-                )
-            self.depth += 1
-            terms = self.sum()
-            self.depth -= 1
-            close = self.next()
-            if close[1] != ")":
-                raise ProblemSyntaxError("expected ')'", self.line, close[2])
-            if len(terms) == 1:
-                return next(iter(terms.items()))
-            return self.wrap(terms)
-        raise ProblemSyntaxError(f"unexpected token {tok[1]!r}", self.line, tok[2])
+def _syntax_error(text: str, line: int, message: str, at: int) -> ProblemSyntaxError:
+    """The error for a parse that failed at token ``at``, with its column
+    from a second scan.  A stray character anywhere comes first (``at`` is
+    -1 when one was found), and a failure past the last token is the end
+    of the expression."""
+    column = None
+    for index, m in enumerate(_SCAN.finditer(text)):
+        tok = m.group()
+        if tok[0] not in _TOKEN_START:
+            return ProblemSyntaxError(f"unexpected character {tok!r}", line, m.start() + 1)
+        if index == at:
+            column = m.start() + 1
+    if column is None:
+        return ProblemSyntaxError("unexpected end of expression", line)
+    return ProblemSyntaxError(message, line, column)
 
 
 def parse_expression(text: str, ambient: tuple[str, ...], line: int = 1) -> Polynomial:
-    return _ExprParser(text, ambient, line).parse()
+    ambient = tuple(ambient)
+    units, one = _unit_exponents(ambient)
+    tokens = _TOKEN.findall(text)
+    if len("".join(tokens)) != len("".join(text.split())):
+        # A non-blank character outside every token: a stray, reported
+        # before anything is computed.
+        raise _syntax_error(text, line, "", -1)
+    tokens.append("")  # past the last token; no token is empty
+    try:
+        terms, i = _sum(tokens, 0, 0, units, one, ambient)
+        if tokens[i]:
+            raise _Fail(f"unexpected token {tokens[i]!r}", i)
+    except _Fail as e:
+        raise _syntax_error(text, line, *e.args) from None
+    return _wrap(terms, ambient)
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +319,7 @@ def parse_point(text: str, n: int) -> RationalPoint:
         coords.append(Fraction(int(num), int(den)) if den else Fraction(int(num)))
     if len(coords) != n:
         raise ValueError(f"point has {len(coords)} coordinates for {n} variables")
-    return RationalPoint(tuple(coords))
+    return RationalPoint._trusted(tuple(coords))
 
 
 def _parse_chart_line(rest: str, line: int) -> ChartedPair:
@@ -333,10 +329,9 @@ def _parse_chart_line(rest: str, line: int) -> ChartedPair:
         raise ProblemSyntaxError("expected 'vars'", line)
     if words[0] != "vars":
         raise ProblemSyntaxError("expected 'vars' after the chart keyword", line)
-    try:
-        div_at = words.index("divisor")
-    except ValueError:
+    if "divisor" not in words:
         raise ProblemSyntaxError("expected 'divisor'", line)
+    div_at = words.index("divisor")
     names = words[1:div_at]
     if not names:
         raise ProblemSyntaxError("chart needs at least one variable", line)
@@ -358,10 +353,13 @@ def parse_problem(text: str) -> ProblemFile:
     target_ideal_line: Optional[tuple[str, int]] = None
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        lineup = raw.split("#", 1)[0].strip()
+        if "#" in raw:
+            raw = raw[: raw.index("#")]
+        lineup = raw.strip()
         if not lineup:
             continue
-        keyword, _, rest = lineup.partition(" ")
+        keyword = lineup.split(None, 1)[0]
+        rest = lineup[len(keyword) + 1 :]
         if keyword == "source":
             if source is not None:
                 raise ProblemSyntaxError("duplicate source declaration", lineno)

@@ -170,7 +170,8 @@ def choose_center(ideal: MonomialIdeal, divisor_vars: Sequence[str]) -> tuple[in
     ties to the earliest variable).  The pair's Euclidean weight drops
     in every chart, and a comparable pair stays comparable under the
     chart transforms, which makes the strategy terminate.  d is the one
-    the pair scan kept.
+    the pair scan kept; a d nonzero off ``divisor_vars`` raises
+    NonMonomialInputError.
     """
     d = ideal._pair_scan[3]
     assert d, "principal ideal needs no center"
@@ -184,6 +185,11 @@ def choose_center(ideal: MonomialIdeal, divisor_vars: Sequence[str]) -> tuple[in
         raise NonMonomialInputError(
             f"generators differ on non-divisor variable {names[k]!r}"
         )
+    return _center_positions(d)
+
+
+def _center_positions(d: tuple[int, ...]) -> tuple[int, int]:
+    """The first position of d's largest entry and of its smallest."""
     return d.index(max(d)), d.index(min(d))
 
 
@@ -223,12 +229,17 @@ def goward_principalize(
     is expanded in turn; only the root is measured when it is expanded.
     The zero ideal has no generator to certify and raises ValueError.
 
-    Each step reads the center's positions once, from ``choose_center``,
-    and transforms both children by position (``MonomialIdeal.transform``);
-    the names are looked up only for ``BlowupTree.expand``.  A leaf's
-    certificate wraps its generator tuple, which the root loop checked
-    and the chart maps kept non-negative ints of the same length, in a
-    ``Monomial`` without revalidating it.  Every leaf certificate holds
+    Each step reads the center's positions once, off the difference
+    vector the pair scan kept, by ``choose_center``'s rule without its
+    off-divisor check, which cannot fire here: the root loop checked that
+    every generator lives on the divisor, a chart map moves exponent only
+    between the center's two (divisor) positions, and a child's divisor
+    keeps the parent's.  Both children are transformed by position
+    (``MonomialIdeal.transform``); the names are looked up only for
+    ``BlowupTree.expand``.  A leaf's certificate wraps its generator
+    tuple, which the root loop checked and the chart maps kept
+    non-negative ints of the same length, in a ``Monomial`` without
+    revalidating it.  Every leaf certificate holds
     the same witness, one constant 1 built per call, and every child
     chart is built trusted from its validated parent
     (``blowup.blowup_chart``).
@@ -261,7 +272,7 @@ def goward_principalize(
             continue
         if depth >= max_depth:
             raise DepthLimitError(f"blowup depth exceeded {max_depth}")
-        i, j = choose_center(current, node.chart.divisor_vars)
+        i, j = _center_positions(current._pair_scan[3])
         if before is None:
             before = termination_measure(current)
         # The children come in center order: chart i absorbs j, and back.

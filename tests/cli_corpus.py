@@ -11,7 +11,8 @@ the digest does not depend on where the files are written.
 
 A command maps a morphism to the arguments that follow the global options
 and precede the problem path; extend ``COMMANDS`` to pin another
-subcommand, or ``GROEBNER_COMMANDS`` for one that builds bases.
+subcommand, ``GROEBNER_COMMANDS`` for one that builds bases, or
+``POINT_COMMANDS`` for one that reads the problem's ``point`` line.
 """
 
 from __future__ import annotations
@@ -60,6 +61,15 @@ GROEBNER_COMMANDS = {
     "quasiprepared": lambda phi: ["quasiprepared"],
     "fitting --k 1": lambda phi: ["fitting", "--k", "1"],
     "fitting --k top": _top_form_degree,
+}
+
+# The subcommands that read the problem's point (the origin here): the
+# classification report, the two ranks there and the monomiality check.
+POINT_COMMANDS = {
+    "classify": lambda phi: ["classify"],
+    "logrank": lambda phi: ["logrank"],
+    "rank": lambda phi: ["rank"],
+    "verify-monomial": lambda phi: ["verify-monomial"],
 }
 
 FORMATS = ([], ["--json"])

@@ -693,9 +693,9 @@ _REFERENCE_KINDS = ("rational", "int", "name", "op")
 
 
 class _ReferenceExprParser:
-    """The expression parser that ``frontend._ExprParser`` replaced: every
-    literal and name becomes a validated ``Polynomial`` and products, powers
-    and sums use general polynomial arithmetic.  Kept only as the
+    """The expression parser that ``frontend``'s term-building parser
+    replaced: every literal and name becomes a validated ``Polynomial`` and
+    products, powers and sums use general polynomial arithmetic.  Kept only as the
     differential oracle for results, error messages and columns."""
 
     def __init__(self, text: str, ambient: tuple[str, ...], line: int):

@@ -360,6 +360,48 @@ class TestErrorHandling:
         code, _, err = run(capsys, "fitting", "--k", "2", "/nonexistent.problem")
         assert code == 2 and err.startswith("error:")
 
+    def test_non_utf8_byte_exits_2_with_the_codec_message(self, capsys, tmp_path):
+        # The byte sits past the first 8 KiB: its position is in the file.
+        head = (EXAMPLE1 + "#" * 9000 + "\n").encode()
+        path = tmp_path / "latin1.problem"
+        path.write_bytes(head + b"# caf\xe9\n")
+        code, out, err = run(capsys, "classify", str(path))
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: 'utf-8' codec can't decode byte 0xe9 in position {len(head) + 5}: "
+            "invalid continuation byte\n"
+        )
+
+    @pytest.mark.parametrize("name", ["missing.problem", "."])
+    def test_unreadable_path_exits_2_with_the_os_error(self, capsys, tmp_path, name):
+        path = str(tmp_path / name)
+        with pytest.raises(OSError) as e:
+            open(path, "rb")
+        assert run(capsys, "classify", path) == (2, "", f"error: {e.value}\n")
+
+    @pytest.mark.parametrize(
+        "argv", [["classify"], ["--json", "classify"], ["fitting", "--k", "2"], ["grk"]]
+    )
+    @pytest.mark.parametrize("extra", ["", "map x1 = u1\n"])
+    def test_crlf_file_prints_what_its_lf_twin_prints(self, capsys, tmp_path, argv, extra):
+        # With a repeated map line the twins fail alike, at the same line.
+        text = EXAMPLE1 + extra
+        lf, crlf = tmp_path / "lf.problem", tmp_path / "crlf.problem"
+        lf.write_bytes(text.encode())
+        crlf.write_bytes(text.replace("\n", "\r\n").encode())
+        got = run(capsys, *argv, str(crlf))
+        assert got == run(capsys, *argv, str(lf))
+        assert got[0] == (2 if extra else 0)
+
+    def test_empty_file_is_missing_its_source(self, capsys, tmp_path):
+        path = tmp_path / "empty.problem"
+        path.write_bytes(b"")
+        assert run(capsys, "classify", str(path)) == (
+            2,
+            "",
+            "error: line 1, column 1: missing source declaration\n",
+        )
+
     def test_syntax_error_exit_2(self, capsys, tmp_path):
         path = tmp_path / "broken.problem"
         path.write_text("source vars u divisor u\n")
@@ -877,6 +919,44 @@ def test_groebner_outputs_are_pinned(tmp_path):
     digest, exits = cli_corpus.run_commands(phis, paths, cli_corpus.GROEBNER_COMMANDS)
     assert exits == GROEBNER_EXITS
     assert digest == GROEBNER_DIGEST
+
+
+# The same for cli_corpus.POINT_COMMANDS, which read each problem's point
+# line (the origin): classify, logrank, rank and verify-monomial.
+POINT_DIGEST = "e78d8e8d2000740b2376fec34e0d605239e5fafca83cd1e3bf1db66ccfbd15ec"
+POINT_EXITS = {
+    "classify": {0: 196, 1: 742, 2: 80},
+    "logrank": {0: 694, 2: 324},
+    "rank": {0: 1018},
+    "verify-monomial": {0: 324, 1: 694},
+}
+
+
+def test_point_outputs_are_pinned(tmp_path):
+    phis = cli_corpus.corpus_morphisms()
+    paths = cli_corpus.write_problems(phis, tmp_path)
+    digest, exits = cli_corpus.run_commands(phis, paths, cli_corpus.POINT_COMMANDS)
+    assert exits == POINT_EXITS
+    assert digest == POINT_DIGEST
+
+
+# classify alone over the same files, as written by ProblemFile.render.
+CLASSIFY_DIGEST = "18e38767f2a7cad48aeac173cf96dd8b09d3a9ab64576c0874e32c555b986c86"
+
+
+def test_classify_ignores_line_ends_comments_blanks_and_tabs(tmp_path):
+    """Each corpus file rewritten with CRLF line ends, a blank line between
+    lines, a comment after every line and a tab after each keyword gives
+    the digest of the rendered files."""
+    phis = cli_corpus.corpus_morphisms()
+    paths = cli_corpus.write_problems(phis, tmp_path)
+    for path in paths:
+        lines = [line.replace(" ", "\t", 1) + " # note" for line in path.read_text().splitlines()]
+        path.write_bytes(("\r\n\r\n".join(lines) + "\r\n").encode())
+    classify = {"classify": cli_corpus.POINT_COMMANDS["classify"]}
+    digest, exits = cli_corpus.run_commands(phis, paths, classify)
+    assert exits == {"classify": POINT_EXITS["classify"]}
+    assert digest == CLASSIFY_DIGEST
 
 
 # Fuzzing: valid problem files with a few random splices.  Most results no

@@ -127,6 +127,23 @@ class TestExpressionParser:
         assert e.value.column == 3
         assert "column 3: unexpected character '/'" in str(e.value)
 
+    @pytest.mark.parametrize(
+        "text, column",
+        [
+            # A power that would take minutes, and a literal over int()'s
+            # 4300-digit limit: the stray is reported before either is read.
+            ("3^99999999 $", 12),
+            ("7" * 5000 + " $", 5002),
+            ("3^99999999 _", 12),
+            ("3^99999999*u2/3", 14),
+        ],
+    )
+    def test_stray_character_before_arithmetic(self, text, column):
+        with pytest.raises(ProblemSyntaxError) as e:
+            parse_expression(text, ("u", "v"), 4)
+        stray = text[column - 1]
+        assert str(e.value) == f"line 4, column {column}: unexpected character {stray!r}"
+
 
 EXPR_AMBIENT = ("u", "v", "w_1")
 LITERALS = st.one_of(
@@ -306,6 +323,37 @@ class TestProblemParser:
         with pytest.raises(ProblemSyntaxError) as e:
             parse_problem(text)
         assert str(e.value) == f"line {lineno}, column 1: variable name {bad!r} is not an identifier"
+
+    @pytest.mark.parametrize(
+        "rest, message",
+        [
+            ("", "expected 'vars'"),
+            ("u1 u2 v1 divisor u1", "expected 'vars'"),
+            ("u1 vars u2 v1 divisor", "expected 'vars' after the chart keyword"),
+            ("vars u1 u2 v1", "expected 'divisor'"),
+            ("vars divisor u1", "chart needs at least one variable"),
+            ("vars u1 u-2 v1 divisor", "variable name 'u-2' is not an identifier"),
+            ("vars u1 u1 divisor", "duplicate variable declaration"),
+            ("vars u1 u2 divisor w", "divisor variable 'w' not declared"),
+        ],
+    )
+    def test_chart_line_diagnostics(self, rest, message):
+        line = f"source {rest}".rstrip()
+        text = EXAMPLE.replace("source vars u1 u2 v1 divisor u1 u2", line)
+        with pytest.raises(ProblemSyntaxError) as e:
+            parse_problem(text)
+        assert str(e.value) == f"line 2, column 1: {message}"
+
+    @pytest.mark.parametrize(
+        "keyword", ["source", "target", "map", "point", "filtration", "targetideal"]
+    )
+    def test_tab_after_keyword(self, keyword):
+        # The keyword ends at its first whitespace character, a tab
+        # included, as every later word of a line does.
+        text = EXAMPLE + "filtration 1: u1\ntargetideal x1, y1\n"
+        tabbed = text.replace(f"\n{keyword} ", f"\n{keyword}\t")
+        assert tabbed != text
+        assert parse_problem(tabbed).render() == parse_problem(text).render()
 
     def test_point_length_mismatch(self):
         text = EXAMPLE.replace("point 0,0,0", "point 0,0")
