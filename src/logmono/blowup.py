@@ -135,16 +135,17 @@ class BlowupTree:
     def __init__(self, root_chart: ChartedPair, payload: object = None):
         self.root = BlowupNode(root_chart, _identity(len(root_chart.variables)), payload)
 
-    def leaves(self) -> list[BlowupNode]:
-        out = []
-        stack = [self.root]
+    def _walk(self):
+        """Each node with its depth, in pre-order: a node before its
+        children, and children in order."""
+        stack = [(self.root, 0)]
         while stack:
-            node = stack.pop()
-            if node.is_leaf:
-                out.append(node)
-            else:
-                stack.extend(reversed(node.children))
-        return out
+            node, d = stack.pop()
+            yield node, d
+            stack.extend((child, d + 1) for child in reversed(node.children))
+
+    def leaves(self) -> list[BlowupNode]:
+        return [node for node, _ in self._walk() if node.is_leaf]
 
     def expand(self, node: BlowupNode, center: Sequence[str]) -> list[BlowupNode]:
         """Blow up a leaf at a coordinate center, attaching one child per
@@ -158,20 +159,8 @@ class BlowupTree:
         return node.children
 
     def depth(self) -> int:
-        deepest = 0
-        stack = [(self.root, 0)]
-        while stack:
-            node, d = stack.pop()
-            deepest = max(deepest, d)
-            stack.extend((child, d + 1) for child in node.children)
-        return deepest
+        return max(d for _, d in self._walk())
 
     def step_count(self) -> int:
-        count = 0
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            if node.children:
-                count += 1
-                stack.extend(node.children)
-        return count
+        """The number of blown-up charts: nodes with children."""
+        return sum(1 for node, _ in self._walk() if node.children)

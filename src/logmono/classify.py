@@ -101,15 +101,15 @@ def is_strongly_prepared_at(
     phi: MorphismOfPairs, a: RationalPoint
 ) -> Optional[PrincipalMonomialCertificate]:
     """Semantic test: the top log-Fitting ideal is locally principal
-    monomial at the point.  Requires a surface target and quasi-prepared."""
+    monomial at the point.  Requires a surface target and quasi-prepared,
+    which makes that ideal nonzero: the divisor product lies in its
+    radical, and no monomial lies in the radical of (0)."""
     if len(phi.target.variables) != 2:
         raise ValueError("strongly prepared is defined for surface targets only")
     ok, diags = is_quasi_prepared(phi)
     if not ok:
         raise ValueError("morphism is not quasi-prepared: " + "; ".join(diags))
     F = top_fitting_ideal(phi)
-    if F.is_zero_ideal():
-        return None
     return is_principal_monomial_at(F, a.coordinates, phi.source.divisor_vars)
 
 

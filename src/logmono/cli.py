@@ -30,7 +30,6 @@ from .fitting import log_fitting_ideal
 from .frontend import Report, parse_point, parse_problem
 from .principalize import (
     DepthLimitError,
-    TerminationMeasureError,
     goward_principalize,
     monomial_ideal_from_presentation,
     monomialize_monomial_morphism,
@@ -243,28 +242,25 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, **kwargs):
+    def add(name, fn, at=False, **kwargs):
         p = sub.add_parser(name, **kwargs)
         p.set_defaults(fn=fn)
         p.add_argument("problem", help="path to a problem file")
+        if at:
+            p.add_argument("--at", help="comma separated rational coordinates")
         return p
 
     p = add("fitting", cmd_fitting, help="log-Fitting ideal at a form degree")
     p.add_argument("--k", type=int, required=True, help="form degree")
 
-    p = add("logrank", cmd_logrank, help="log-rank at a point")
-    p.add_argument("--at", help="comma separated rational coordinates")
-
-    p = add("rank", cmd_rank, help="Jacobian rank at a point")
-    p.add_argument("--at", help="comma separated rational coordinates")
-
+    add("logrank", cmd_logrank, at=True, help="log-rank at a point")
+    add("rank", cmd_rank, at=True, help="Jacobian rank at a point")
     add("grk", cmd_grk, help="geometric (generic Jacobian) rank")
     add("imagedim", cmd_imagedim, help="dimension of the image closure")
     add("classify", cmd_classify, help="full classification report")
     add("quasiprepared", cmd_quasiprepared, help="quasi-prepared predicate")
 
-    p = add("lradapted", cmd_lradapted, help="log-rank-adapted verification")
-    p.add_argument("--at", help="comma separated rational coordinates")
+    add("lradapted", cmd_lradapted, at=True, help="log-rank-adapted verification")
 
     p = add("blowup", cmd_blowup, help="blow up the source chart at a center")
     p.add_argument(
@@ -282,12 +278,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="monomialize a monomial morphism onto a surface",
     )
 
-    p = add(
+    add(
         "verify-monomial",
         cmd_verify_monomial,
+        at=True,
         help="check the morphism is monomial of full exponent rank at a point",
     )
-    p.add_argument("--at", help="comma separated rational coordinates")
 
     return parser
 
@@ -297,7 +293,7 @@ def main(argv=None) -> int:
     try:
         report = args.fn(_load(args), args)
         out = report.render_json() if args.json else report.render_text()
-    except (InputError, DepthLimitError, TerminationMeasureError, ValueError) as e:
+    except (InputError, DepthLimitError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except Exception as e:

@@ -34,10 +34,11 @@ so a product or power of single terms is one exponent addition or scaling.
 The loop recurses only into parentheses, which alone make several terms;
 those are multiplied with ``Polynomial`` arithmetic, and the finished term
 dict becomes one ``Polynomial._trusted``.  Nesting depth and the
-``MAX_TERMS`` budget are checked before anything is computed.  Only a
-failed parse scans again (``_SCAN.finditer``) for its column.  A stray
-character, one outside every token, is reported before anything is
-computed: the tokens then fall short of the expression's non-blank text.
+``MAX_TERMS`` and ``MAX_COEFFICIENT_BITS`` budgets are checked before
+anything is computed.  Only a failed parse scans again
+(``_SCAN.finditer``) for its column.  A stray character, one outside every
+token, is reported before anything is computed: the tokens then fall short
+of the expression's non-blank text.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, lcm
 from operator import add
 from string import ascii_letters
 from typing import Optional
@@ -55,7 +56,7 @@ from typing import Optional
 from .chart import ChartedPair, MorphismOfPairs, RationalPoint
 from .classify import DivisorFiltration
 from .ideal import IdealPresentation
-from .poly import Polynomial, canonicalise_terms
+from .poly import Polynomial, add_terms, canonicalise_terms
 
 
 class ProblemSyntaxError(ValueError):
@@ -95,6 +96,12 @@ MAX_NESTING = 100
 # one.  The worst power the cap admits, (u+1)^499, takes under a second.
 MAX_TERMS = 500
 
+# A power is refused, before it is computed, when a coefficient of its
+# result could need more bits than this (``_check_bits``); ``str`` of an
+# int stops at 4300 digits, about 14000 bits.  The worst power both caps
+# admit, (524287*u + 524287)^499, takes under 2 s.
+MAX_COEFFICIENT_BITS = 10_000
+
 
 @lru_cache(maxsize=64)
 def _unit_exponents(ambient: tuple[str, ...]):
@@ -133,6 +140,21 @@ def _check_terms(what: str, bound: int, at: int) -> None:
         raise _Fail(message, at)
 
 
+def _check_bits(coefficients, k: int, at: int) -> None:
+    """Refuse the k-th power of a base with these coefficients when its
+    coefficients could need more than MAX_COEFFICIENT_BITS bits.  With L
+    the lcm of the denominators and h the larger of L and L times the sum
+    of the |coefficients|, the power is a polynomial with integer
+    coefficients of at most h^k, over L^k, so no numerator or denominator
+    exceeds h^k."""
+    L = lcm(*[c.denominator for c in coefficients])
+    h = max(L, sum([abs(c.numerator) * (L // c.denominator) for c in coefficients]))
+    bits = k * (h - 1).bit_length()
+    if bits > MAX_COEFFICIENT_BITS:
+        message = f"power may have a coefficient of {bits} bits, over the budget of"
+        raise _Fail(f"{message} MAX_COEFFICIENT_BITS = {MAX_COEFFICIENT_BITS}", at)
+
+
 def _sum(tokens: list[str], i: int, depth: int, units: dict, one: tuple, ambient: tuple):
     """The sum of products that starts at token i, as a term dict, and the
     index of the token after it.
@@ -142,11 +164,12 @@ def _sum(tokens: list[str], i: int, depth: int, units: dict, one: tuple, ambient
     zero and for several terms.  Products and powers of single terms add
     and scale exponent tuples; only parentheses, the one place this
     recurses, make several terms, and those go through
-    ``Polynomial.__mul__`` and ``__pow__``.  Each finished product is added
-    into one dict: adding Polynomials would copy the running sum on every
-    sign and make parsing quadratic in the term count.
+    ``Polynomial.__mul__`` and ``__pow__``.  The terms of the finished
+    products, signed, are added into one dict at the end (``poly.add_terms``):
+    adding Polynomials would copy the running sum on every sign and make
+    parsing quadratic in the term count.
     """
-    terms: dict = {}
+    terms: list = []
     tok = tokens[i]
     negate = tok == "-"
     if negate or tok == "+":
@@ -186,13 +209,18 @@ def _sum(tokens: list[str], i: int, depth: int, units: dict, one: tuple, ambient
                 raise _Fail("exponent must be an integer", i + 1)
             k = int(k)
             if type(q) is tuple:
-                # A power of one term is one term: within any budget.
-                q = (tuple([e * k for e in q[0]]), q[1] ** k)
+                # A power of one term is one term: within any term budget.
+                # Its coefficient grows unless it is 1, as for a variable.
+                c = q[1]
+                if c != 1:
+                    _check_bits((c,), k, i)
+                q = (tuple([e * k for e in q[0]]), c**k)
             else:
                 t = len(q.terms)
                 if k:
                     # The count is at least t; skip computing it for huge bases.
                     _check_terms("power", comb(t + k - 1, k) if t <= MAX_TERMS else t, i)
+                    _check_bits(q.terms.values(), k, i)
                 q = q**k
             i += 2
             tok = tokens[i]
@@ -208,20 +236,12 @@ def _sum(tokens: list[str], i: int, depth: int, units: dict, one: tuple, ambient
             star = i
             i += 1
             continue
-        for e, c in (p,) if type(p) is tuple else p.terms.items():
-            if negate:
-                c = -c
-            s = terms.get(e)
-            if s is None:
-                terms[e] = c
-            else:
-                s += c
-                if s:
-                    terms[e] = s
-                else:
-                    del terms[e]
+        if type(p) is tuple:
+            terms.append((p[0], -p[1]) if negate else p)
+        else:
+            terms += [(e, -c) for e, c in p.terms.items()] if negate else p.terms.items()
         if tok != "+" and tok != "-":
-            return terms, i
+            return add_terms({}, terms), i
         negate = tok == "-"
         i += 1
         p = None

@@ -487,9 +487,8 @@ def contains_one(I: IdealPresentation) -> bool:
 def _rabinowitsch(I: IdealPresentation, f: Polynomial) -> IdealPresentation:
     """I + (1 - t*f) over (t,) + the ambient, t a fresh variable.  Its
     variety is the part of V(I) where f does not vanish, and eliminating t
-    gives (I : f^infinity)."""
-    if f.ambient != I.ambient:
-        raise AmbientMismatchError(f"{f.ambient} vs {I.ambient}")
+    gives (I : f^infinity).  Its one caller, ``radical_membership``, has
+    checked that f and I share an ambient."""
     t, k = "_t", 0
     while t in I.ambient:
         k += 1
@@ -580,13 +579,13 @@ def dimension(I: IdealPresentation) -> int:
     for g in I.basis():
         e, _ = g.leading_term()
         lt_supports.append({I.ambient[i] for i, x in enumerate(e) if x})
-    # Largest variable subset meeting no leading-term support.
+    # Largest variable subset containing no leading-term support; the empty
+    # set is one, as no leading term is constant (contains_one).
     for size in range(n, -1, -1):
         for S in combinations(I.ambient, size):
             s = set(S)
             if all(not sup <= s for sup in lt_supports):
                 return size
-    return 0
 
 
 def local_monomial(polys: Sequence[Polynomial], point: Sequence[Fraction]) -> tuple[int, ...]:

@@ -25,6 +25,11 @@ result is already canonical: ``terms`` is a dict whose keys are tuples of
 ints of the ambient's length and whose values are nonzero canonical
 coefficients, and ``ambient`` is a tuple.  The dict passed in is owned by
 the result and must not be mutated afterwards.
+
+Each rule is written once.  ``add_terms`` adds terms into a term dict and
+drops the zero sums, for ``+``, ``*``, ``substitute`` and the expression
+parser's sums; ``_factors`` writes a monomial for ``Monomial.as_string``
+and ``str``.
 """
 
 from __future__ import annotations
@@ -53,6 +58,25 @@ def canonical_coefficient(c):
     """An ``int`` or ``Fraction`` as its canonical coefficient: the
     ``int`` when the value is integral, else ``c`` itself."""
     return c.numerator if c.denominator == 1 else c
+
+
+def add_terms(out: dict, items: Iterable) -> dict:
+    """Add each ``(exponents, coefficient)`` of ``items`` into the term
+    dict ``out``, in place, dropping a term whose sum is zero; returns
+    ``out``.  The one rule behind every sum of terms: ``+``, ``*``,
+    ``substitute`` and the expression parser's sums."""
+    get = out.get
+    for e, c in items:
+        s = get(e)
+        if s is None:
+            out[e] = c
+        else:
+            s += c
+            if s:
+                out[e] = s
+            else:
+                del out[e]
+    return out
 
 
 def canonicalise_terms(terms: dict) -> dict:
@@ -87,13 +111,13 @@ class Monomial:
         return f"Monomial({self.exponents})"
 
     def as_string(self, ambient: Sequence[str]) -> str:
-        factors = []
-        for v, e in zip(ambient, self.exponents):
-            if e == 1:
-                factors.append(v)
-            elif e > 1:
-                factors.append(f"{v}^{e}")
-        return "*".join(factors) if factors else "1"
+        return _factors(ambient, self.exponents) or "1"
+
+
+def _factors(ambient: Sequence[str], exps: tuple[int, ...]) -> str:
+    """The monomial with exponent tuple ``exps`` written ``v*w^2``, empty
+    for the constant 1."""
+    return "*".join([v if e == 1 else f"{v}^{e}" for v, e in zip(ambient, exps) if e > 0])
 
 
 def grevlex_key(exps: tuple[int, ...]):
@@ -199,17 +223,7 @@ class Polynomial:
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         self._check_ambient(other)
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            s = terms.get(e)
-            if s is None:
-                terms[e] = c
-            else:
-                s += c
-                if s:
-                    terms[e] = s
-                else:
-                    del terms[e]
+        terms = add_terms(dict(self.terms), other.terms.items())
         return Polynomial._trusted(canonicalise_terms(terms), self.ambient)
 
     def __neg__(self) -> "Polynomial":
@@ -227,20 +241,11 @@ class Polynomial:
                 self.ambient,
             )
         self._check_ambient(other)
-        out: dict[tuple[int, ...], int | Fraction] = {}
         right = other.terms.items()
-        for e1, c1 in self.terms.items():
-            for e2, c2 in right:
-                e = tuple(map(add, e1, e2))
-                s = out.get(e)
-                if s is None:
-                    out[e] = c1 * c2
-                else:
-                    s += c1 * c2
-                    if s:
-                        out[e] = s
-                    else:
-                        del out[e]
+        products = [
+            (tuple(map(add, e1, e2)), c1 * c2) for e1, c1 in self.terms.items() for e2, c2 in right
+        ]
+        out = add_terms({}, products)
         return Polynomial._trusted(canonicalise_terms(out), self.ambient)
 
     __rmul__ = __mul__
@@ -320,17 +325,7 @@ class Polynomial:
                     f = img**e
                     term = f if term is None else term * f
             items = ((one, 1),) if term is None else term.terms.items()
-            for te, tc in items:
-                tc *= c
-                s = out.get(te)
-                if s is None:
-                    out[te] = tc
-                else:
-                    s += tc
-                    if s:
-                        out[te] = s
-                    else:
-                        del out[te]
+            add_terms(out, [(te, tc * c) for te, tc in items])
         return Polynomial._trusted(canonicalise_terms(out), target)
 
     # -- monomial structure ---------------------------------------------
@@ -395,20 +390,15 @@ class Polynomial:
         parts = []
         for exps in sorted(self.terms, key=grevlex_key, reverse=True):
             c = self.terms[exps]
-            factors = []
-            for v, e in zip(self.ambient, exps):
-                if e == 1:
-                    factors.append(v)
-                elif e > 1:
-                    factors.append(f"{v}^{e}")
+            factors = _factors(self.ambient, exps)
             if not factors:
                 body = str(c)
             elif c == 1:
-                body = "*".join(factors)
+                body = factors
             elif c == -1:
-                body = "-" + "*".join(factors)
+                body = "-" + factors
             else:
-                body = str(c) + "*" + "*".join(factors)
+                body = str(c) + "*" + factors
             parts.append(body)
         s = parts[0]
         for p in parts[1:]:

@@ -108,22 +108,22 @@ def log_rank_at_point(phi: MorphismOfPairs, a: RationalPoint) -> int:
 
 
 def restrict_morphism(phi: MorphismOfPairs, D: Sequence[str]) -> MorphismOfPairs:
-    """Restrict to the stratum where the variables in D vanish."""
+    """Restrict to the stratum where the variables in D vanish: a term with
+    a positive exponent on one of them vanishes, and every other term drops
+    its exponents on them, all zero, so distinct terms stay distinct."""
     D = tuple(D)
     for v in D:
         if v not in phi.source.divisor_vars:
             raise ValueError(f"{v!r} is not a source divisor variable")
-    remaining = tuple(v for v in phi.source.variables if v not in set(D))
-    sub = {}
-    for v in phi.source.variables:
-        if v in set(D):
-            sub[v] = Polynomial.zero(remaining)
-        else:
-            sub[v] = Polynomial.variable(v, remaining)
-    new_source = ChartedPair(
-        remaining, tuple(v for v in phi.source.divisor_vars if v not in set(D))
-    )
-    comps = {x: p.substitute(sub) for x, p in phi.components.items()}
+    amb = phi.source.variables
+    keep = [i for i, v in enumerate(amb) if v not in D]
+    drop = [i for i, v in enumerate(amb) if v in D]
+    rest = tuple(amb[i] for i in keep)
+    new_source = ChartedPair(rest, tuple(v for v in phi.source.divisor_vars if v not in D))
+    comps = {}
+    for x, p in phi.components.items():
+        kept = (e for e in p.terms if not any(e[i] for i in drop))
+        comps[x] = Polynomial._trusted({tuple(e[i] for i in keep): p.terms[e] for e in kept}, rest)
     return MorphismOfPairs(new_source, phi.target, comps)
 
 

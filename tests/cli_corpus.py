@@ -13,6 +13,11 @@ A command maps a morphism to the arguments that follow the global options
 and precede the problem path; extend ``COMMANDS`` to pin another
 subcommand, ``GROEBNER_COMMANDS`` for one that builds bases, or
 ``POINT_COMMANDS`` for one that reads the problem's ``point`` line.
+
+``lradapted`` needs a filtration and a target ideal in the file, so
+``write_lradapted_problems`` writes each morphism once per filtration of
+its source divisor, with the ideal of its target divisor variables, and
+``LRADAPTED_COMMANDS`` runs it off the origin (``--at``).
 """
 
 from __future__ import annotations
@@ -25,8 +30,11 @@ from collections import Counter
 from pathlib import Path
 
 from logmono.chart import MorphismOfPairs
+from logmono.classify import DivisorFiltration
 from logmono.cli import main
 from logmono.frontend import ProblemFile
+from logmono.ideal import IdealPresentation
+from logmono.poly import Polynomial
 
 from helpers import (
     empty_divisor_corpus,
@@ -72,6 +80,14 @@ POINT_COMMANDS = {
     "verify-monomial": lambda phi: ["verify-monomial"],
 }
 
+# lradapted at the point with first coordinate 1 and every other 0: off
+# the origin, and off the divisor component of the first variable.
+LRADAPTED_COMMANDS = {
+    "lradapted": lambda phi: [
+        "lradapted", "--at", ",".join(["1"] + ["0"] * (len(phi.source.variables) - 1))
+    ],
+}
+
 FORMATS = ([], ["--json"])
 
 
@@ -90,6 +106,39 @@ def write_problems(phis, directory: Path) -> list[Path]:
         path.write_text(ProblemFile(phi, origin(phi.source)).render())
         paths.append(path)
     return paths
+
+
+def _filtrations(phi: MorphismOfPairs) -> list[list[tuple[str, ...]]]:
+    """Each source divisor variable alone, and for two or more the whole
+    divisor in one level and over its first variable; one empty level
+    for an empty divisor."""
+    div = phi.source.divisor_vars
+    if not div:
+        return [[()]]
+    levels = [[(v,)] for v in div]
+    if len(div) > 1:
+        levels += [[div], [div, div[:1]]]
+    return levels
+
+
+def write_lradapted_problems(phis, directory: Path):
+    """(morphisms, paths): one problem file per morphism and filtration,
+    at the origin, with the ideal of the target divisor variables (the
+    zero ideal for an empty target divisor).  Each morphism is listed once
+    per file it was written to."""
+    listed, paths = [], []
+    for phi in phis:
+        tgt = phi.target.variables
+        ideal = IdealPresentation(
+            [Polynomial.variable(x, tgt) for x in phi.target.divisor_vars], tgt
+        )
+        for levels in _filtrations(phi):
+            path = directory / f"{len(paths)}.problem"
+            problem = ProblemFile(phi, origin(phi.source), DivisorFiltration(levels), ideal)
+            path.write_text(problem.render())
+            listed.append(phi)
+            paths.append(path)
+    return listed, paths
 
 
 def run_commands(phis, paths, commands=COMMANDS):

@@ -6,12 +6,12 @@ import random
 import re
 from fractions import Fraction
 from itertools import combinations, permutations
-from math import comb, gcd
+from math import comb, gcd, lcm
 from typing import Optional
 
 from logmono.chart import ChartedPair, MorphismOfPairs, RationalPoint
 from logmono.classify import is_quasi_prepared
-from logmono.frontend import MAX_NESTING, MAX_TERMS, ProblemSyntaxError
+from logmono.frontend import MAX_COEFFICIENT_BITS, MAX_NESTING, MAX_TERMS, ProblemSyntaxError
 from logmono.ideal import (
     IdealPresentation,
     PrincipalMonomialCertificate,
@@ -782,6 +782,7 @@ class _ReferenceExprParser:
             if k:
                 # The count is at least t; skip computing it for huge bases.
                 self.check_terms("power", comb(t + k - 1, k) if t <= MAX_TERMS else t, tok)
+                self.check_bits(p, k, tok)
             return p ** k
         return p
 
@@ -790,6 +791,20 @@ class _ReferenceExprParser:
             raise ProblemSyntaxError(
                 f"{what} may have {bound} terms, over the budget of "
                 f"MAX_TERMS = {MAX_TERMS}",
+                self.line,
+                tok[2],
+            )
+
+    def check_bits(self, p: Polynomial, k: int, tok: tuple[str, str, int]) -> None:
+        # p^k is a polynomial with integer coefficients over L^k, L the lcm
+        # of p's denominators; both sides are at most (L * sum |c|)^k.
+        L = lcm(*[c.denominator for c in p.terms.values()])
+        scaled = sum(abs(c * L) for c in p.terms.values())
+        bits = k * (int(max(scaled, L)) - 1).bit_length()
+        if bits > MAX_COEFFICIENT_BITS:
+            raise ProblemSyntaxError(
+                f"power may have a coefficient of {bits} bits, over the budget of "
+                f"MAX_COEFFICIENT_BITS = {MAX_COEFFICIENT_BITS}",
                 self.line,
                 tok[2],
             )

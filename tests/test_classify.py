@@ -369,6 +369,23 @@ class TestLogRankAdapted:
         assert not ok
         assert any("free source variable" in d for d in diags)
 
+    def test_repeated_free_variable_rejected(self):
+        # The log-rank is 2, so components 1 and 2 must be two distinct
+        # free variables.
+        src = ChartedPair(("v1", "v2"), ())
+        tgt = ChartedPair(("x", "y", "z"), ())
+        amb = src.variables
+        phi = MorphismOfPairs(
+            src, tgt, {"x": P("v1", amb), "y": P("v1", amb), "z": P("v2", amb)}
+        )
+        target_ideal = IdealPresentation([], tgt.variables)
+        ok, diags = is_log_rank_adapted_at(phi, origin(src), DivisorFiltration([]), target_ideal)
+        assert not ok
+        assert diags == [
+            "component 2 repeats the variable v1",
+            "component 3 is not a monomial in divisor variables",
+        ]
+
     def test_stratum_log_rank_mismatch_detected(self):
         # Constant log-Jacobian rows keep the log-rank at 2 on every
         # stratum, so a nonempty filtration level must be flagged.
@@ -521,6 +538,8 @@ class TestLogRankAdapted:
 
     def test_filtration_validation(self):
         f = DivisorFiltration([("u1",), ("u1", "u2")])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="not nested"):
             f.validate(("u1", "u2"))
+        with pytest.raises(ValueError, match=r"filtration level \('v1',\) not inside the divisor"):
+            DivisorFiltration([("v1",)]).validate(("u1", "u2"))
         DivisorFiltration([("u1", "u2"), ("u1",)]).validate(("u1", "u2"))

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import logmono.cli
+import logmono.principalize
 from logmono.cli import build_parser, main
 from logmono.frontend import parse_problem
 
@@ -483,6 +484,18 @@ class TestErrorHandling:
         assert code == 2 and not out
         assert "line 4" in err and "budget of MAX_TERMS" in err
 
+    @pytest.mark.parametrize(
+        "expr", ["3^4000000*u", "(" + "7" * 1000 + "*u + 1)^100"]
+    )
+    def test_coefficient_budget_exit_2(self, capsys, tmp_path, expr):
+        path = tmp_path / "huge.problem"
+        path.write_text(NOT_QP.replace("map y = v^2", f"map y = {expr}"))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "classify", str(path))
+        assert time.perf_counter() - start < 0.5
+        assert code == 2 and not out
+        assert "line 4" in err and "budget of MAX_COEFFICIENT_BITS" in err
+
     @pytest.mark.parametrize("expr", ["1/0", "u1/2"])
     def test_bad_rational_literal_exit_2(self, capsys, tmp_path, expr):
         path = tmp_path / "rational.problem"
@@ -540,6 +553,7 @@ class TestErrorHandling:
         "lines, line, message",
         [
             ("filtration one: u1\n", 6, "filtration level must be an integer"),
+            ("filtration 1 u1\n", 6, "expected ':' in filtration line"),
             ("filtration 1: u1 u2\nfiltration 3: u1\n", 7,
              "filtration levels must be 1-based and consecutive"),
             ("filtration 1: u1 v1\n", 6, "filtration variable 'v1' is not a source divisor variable"),
@@ -559,9 +573,14 @@ class TestErrorHandling:
         code, _, err = run(capsys, "blowup", "--center", "u1", example1)
         assert code == 2
 
-    def test_lradapted_requires_sections(self, capsys, example1):
+    def test_lradapted_requires_sections(self, capsys, example1, tmp_path):
         code, _, err = run(capsys, "lradapted", example1)
         assert code == 2 and "filtration" in err
+        path = tmp_path / "no_ideal.problem"
+        path.write_text(EXAMPLE1 + "filtration 1: u1\n")
+        assert run(capsys, "lradapted", str(path)) == (
+            2, "", "error: lradapted needs a targetideal in the problem file\n"
+        )
 
 
 def test_classify_decides_quasi_prepared_once(capsys, example1, monkeypatch):
@@ -641,6 +660,21 @@ def test_internal_error_exit_3(capsys, example1, monkeypatch):
     code, out, err = run(capsys, "grk", example1)
     assert code == 3 and not out
     assert err == "internal error: RuntimeError: boom\n"
+
+
+def test_termination_measure_failure_exit_3(capsys, tmp_path, monkeypatch):
+    # A measure that does not decrease breaks the proof that the blowup
+    # loop ends: an internal error, not malformed input.
+    path = tmp_path / "steps.problem"
+    path.write_text(
+        "source vars u v w divisor u v w\ntarget vars x y divisor x\n"
+        "map x = u\nmap y = v^2 + w\n"
+    )
+    assert run(capsys, "principalize", str(path))[0] == 0
+    monkeypatch.setattr(logmono.principalize, "termination_measure", lambda ideal: (0,))
+    code, out, err = run(capsys, "principalize", str(path))
+    assert code == 3 and not out
+    assert err.startswith("internal error: TerminationMeasureError: measure did not decrease")
 
 
 # Full reports pinned byte for byte: refactors below the CLI must not move
@@ -938,6 +972,21 @@ def test_point_outputs_are_pinned(tmp_path):
     digest, exits = cli_corpus.run_commands(phis, paths, cli_corpus.POINT_COMMANDS)
     assert exits == POINT_EXITS
     assert digest == POINT_DIGEST
+
+
+# The same for cli_corpus.LRADAPTED_COMMANDS: lradapted off the origin, over
+# each morphism once per filtration of its source divisor, with the ideal of
+# its target divisor variables.
+LRADAPTED_DIGEST = "c897e8536a24a3476b94a5d1f0e9301a21f917614c86742962b39d4f75c28f0b"
+LRADAPTED_EXITS = {"lradapted": {0: 300, 1: 1610, 2: 686}}
+
+
+def test_lradapted_outputs_are_pinned(tmp_path):
+    phis, paths = cli_corpus.write_lradapted_problems(cli_corpus.corpus_morphisms(), tmp_path)
+    assert len(paths) == 1298
+    digest, exits = cli_corpus.run_commands(phis, paths, cli_corpus.LRADAPTED_COMMANDS)
+    assert exits == LRADAPTED_EXITS
+    assert digest == LRADAPTED_DIGEST
 
 
 # classify alone over the same files, as written by ProblemFile.render.

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from logmono.chart import ChartedPair, MorphismOfPairs, RationalPoint
 from logmono.classify import DivisorFiltration
 from logmono.frontend import (
+    MAX_COEFFICIENT_BITS,
     MAX_NESTING,
     MAX_TERMS,
     ProblemFile,
@@ -74,6 +75,40 @@ class TestExpressionParser:
             parse_expression(wide + "*(v^2+v+1)", amb)
         # Powers of a monomial have one term whatever the exponent.
         assert parse_expression("u^100000", amb).total_degree == 100000
+
+    @pytest.mark.parametrize(
+        "text, bits, column",
+        [
+            ("3^4000000*u", 8000000, 2),
+            ("(" + "7" * 1000 + "*u + 1)^100", 332200, 1009),
+            ("(" + "7" * 1000 + "*u + 1)^200", 664400, 1009),
+        ],
+    )
+    def test_coefficient_budget(self, text, bits, column):
+        # Refused at the '^' before the power is computed: each took from
+        # 0.7 s to over a minute to compute.
+        start = time.perf_counter()
+        with pytest.raises(ProblemSyntaxError) as e:
+            parse_expression(text, ("u", "v"))
+        assert time.perf_counter() - start < 0.5
+        assert str(e.value) == (
+            f"line 1, column {column}: power may have a coefficient of {bits} bits, "
+            f"over the budget of MAX_COEFFICIENT_BITS = {MAX_COEFFICIENT_BITS}"
+        )
+
+    def test_coefficient_budget_bounds_numerators_and_denominators(self):
+        amb = ("u", "v")
+        # (c*u + 1)^k with c = 2^100 - 1 is charged 100 bits a factor, and
+        # (1/2)^k k bits, for its denominator.
+        c = 2**100 - 1
+        k = MAX_COEFFICIENT_BITS // 100
+        assert len(parse_expression(f"({c}*u + 1)^{k}", amb).terms) == k + 1
+        assert parse_expression(f"(1/2)^{MAX_COEFFICIENT_BITS}", amb).terms
+        for text in (f"({c}*u + 1)^{k + 1}", f"(1/2)^{MAX_COEFFICIENT_BITS + 1}"):
+            with pytest.raises(ProblemSyntaxError, match="MAX_COEFFICIENT_BITS"):
+                parse_expression(text, amb)
+        # Units and zero stay small under any power.
+        assert parse_expression("(-1)^99999999*0^99999999 + 1", amb) == P("1", amb)
 
     def test_long_sum_parses_in_linear_time(self):
         amb = ("u", "v")
@@ -285,6 +320,7 @@ class TestProblemParser:
         "extra, message",
         [
             ("point 1,1,1\n", "line 7, column 1: duplicate point declaration"),
+            ("target vars x1 divisor x1\n", "line 7, column 1: duplicate target declaration"),
             (
                 "targetideal x1\ntargetideal y1\n",
                 "line 8, column 1: duplicate targetideal declaration",

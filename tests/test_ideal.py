@@ -561,6 +561,20 @@ class TestGroebnerOracle:
                 ]
                 _assert_sympy_basis(gens, amb, grevlex_order(), "grevlex")
 
+    def test_rabinowitsch_variable_is_fresh(self):
+        # t is the first of _t, _t1, _t2, ... not in the ambient.
+        amb = ("_t", "_t1", "u")
+        t, t1, u = (Polynomial.variable(v, amb) for v in amb)
+        f = u + t
+        I = IdealPresentation([f * f, t1], amb)
+        ext = _rabinowitsch(I, f)
+        assert ext.ambient == ("_t2",) + amb
+        t2 = Polynomial.variable("_t2", ext.ambient)
+        one = Polynomial.constant(1, ext.ambient)
+        assert ext.generators[-1] == one - t2 * f.extend_ambient(ext.ambient)
+        assert radical_membership(f, I)
+        assert not radical_membership(u + t1, IdealPresentation([u], amb))
+
     def test_rabinowitsch_bases_match_sympy(self):
         # The extensions I + (1 - t*f) that radical_membership decides.
         rng = random.Random(12)

@@ -137,8 +137,23 @@ class TestPullback:
             pullback_basis_form(phi, ("x",), ("y",))
 
     def test_degree_zero_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="form degree must be at least 1"):
             pullback_basis_form(surface_morphism(), (), ())
+
+    @pytest.mark.parametrize(
+        "I, J, message",
+        [
+            (("y1",), (), "I_target must consist of target divisor variables"),
+            ((), ("x1",), "J_target must consist of target free variables"),
+        ],
+    )
+    def test_basis_form_indices_checked(self, I, J, message):
+        with pytest.raises(ValueError, match=message):
+            pullback_basis_form(surface_morphism(), I, J)
+
+    def test_log_differential_needs_chart_ambient(self):
+        with pytest.raises(ValueError, match="polynomial not in chart variables"):
+            log_differential(P("u", ("u", "w")), ChartedPair(("u", "v"), ("u",)))
 
 
 class TestLogJacobian:

@@ -249,6 +249,11 @@ class TestPrincipalize:
         )
         assert tree.root.certificate.generator_monomial.exponents == (2, 1)
 
+    def test_ideal_variables_must_match_chart(self):
+        I = MonomialIdeal.from_exponents(("v", "u"), [(2, 0), (0, 3)])
+        with pytest.raises(ValueError, match="ideal variables must match the chart"):
+            goward_principalize(I, UV)
+
     def test_zero_ideal_rejected(self):
         # The zero ideal is not the unit ideal: no generator certifies it.
         with pytest.raises(ValueError, match="zero ideal cannot be principalized"):

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import logmono.rank
@@ -21,6 +22,7 @@ from logmono.rank import (
 
 from helpers import (
     P,
+    assert_canonical,
     empty_divisor_corpus,
     monomial_surface_corpus,
     normal_form_corpus,
@@ -210,6 +212,34 @@ class TestRestriction:
         assert r.source.variables == ("v",)
         assert r.components["x"].is_zero()
         assert r.components["y"].is_zero()
+
+    def test_restriction_is_substitution_of_zero(self):
+        # Projecting exponent tuples agrees with substituting 0 for each
+        # variable of D and itself for every other variable.
+        phis = [phi for phi, _ in normal_form_corpus()] + pair_condition_corpus()
+        restricted = 0
+        for phi in phis:
+            div = phi.source.divisor_vars
+            for D in [div[:1], div[1:], div]:
+                if len(D) == len(phi.source.variables):
+                    continue
+                rest = tuple(v for v in phi.source.variables if v not in D)
+                images = {
+                    v: Polynomial.zero(rest) if v in D else Polynomial.variable(v, rest)
+                    for v in phi.source.variables
+                }
+                r = restrict_morphism(phi, D)
+                assert r.source.variables == rest
+                assert r.source.divisor_vars == tuple(v for v in div if v not in D)
+                for x, p in phi.components.items():
+                    assert r.components[x] == p.substitute(images)
+                    assert_canonical(r.components[x])
+                restricted += bool(D)
+        assert restricted == 644
+
+    def test_restriction_to_a_free_variable_rejected(self):
+        with pytest.raises(ValueError, match="'v' is not a source divisor variable"):
+            restrict_morphism(simple_phi(), ("v",))
 
     def test_restricted_geometric_rank(self):
         phi = simple_phi()
