@@ -18,6 +18,8 @@ subcommand, ``GROEBNER_COMMANDS`` for one that builds bases, or
 ``write_lradapted_problems`` writes each morphism once per filtration of
 its source divisor, with the ideal of its target divisor variables, and
 ``LRADAPTED_COMMANDS`` runs it off the origin (``--at``).
+``OFF_ORIGIN_COMMANDS`` runs ``logrank``, ``rank`` and ``verify-monomial``
+at that same point on the files of ``write_problems``.
 """
 
 from __future__ import annotations
@@ -80,12 +82,23 @@ POINT_COMMANDS = {
     "verify-monomial": lambda phi: ["verify-monomial"],
 }
 
-# lradapted at the point with first coordinate 1 and every other 0: off
-# the origin, and off the divisor component of the first variable.
+
+def _off_origin(phi: MorphismOfPairs) -> str:
+    """The point with first coordinate 1 and every other 0: off the
+    origin, and off the divisor component of the first variable."""
+    return ",".join(["1"] + ["0"] * (len(phi.source.variables) - 1))
+
+
+# lradapted at that point.
 LRADAPTED_COMMANDS = {
-    "lradapted": lambda phi: [
-        "lradapted", "--at", ",".join(["1"] + ["0"] * (len(phi.source.variables) - 1))
-    ],
+    "lradapted": lambda phi: ["lradapted", "--at", _off_origin(phi)],
+}
+
+# The two ranks and the monomiality check at the same point, given with
+# --at, which overrides each file's point line (the origin).
+OFF_ORIGIN_COMMANDS = {
+    name: (lambda phi, name=name: [name, "--at", _off_origin(phi)])
+    for name in ("logrank", "rank", "verify-monomial")
 }
 
 FORMATS = ([], ["--json"])

@@ -989,6 +989,25 @@ def test_lradapted_outputs_are_pinned(tmp_path):
     assert digest == LRADAPTED_DIGEST
 
 
+# The same for cli_corpus.OFF_ORIGIN_COMMANDS: logrank, rank and
+# verify-monomial at lradapted's point, given with --at over each file's
+# point line.
+OFF_ORIGIN_DIGEST = "32c38d118e89412819ee8b94069f78789b232af58ad73a31821f12692c673160"
+OFF_ORIGIN_EXITS = {
+    "logrank": {0: 694, 2: 324},
+    "rank": {0: 1018},
+    "verify-monomial": {0: 136, 1: 882},
+}
+
+
+def test_off_origin_outputs_are_pinned(tmp_path):
+    phis = cli_corpus.corpus_morphisms()
+    paths = cli_corpus.write_problems(phis, tmp_path)
+    digest, exits = cli_corpus.run_commands(phis, paths, cli_corpus.OFF_ORIGIN_COMMANDS)
+    assert exits == OFF_ORIGIN_EXITS
+    assert digest == OFF_ORIGIN_DIGEST
+
+
 # classify alone over the same files, as written by ProblemFile.render.
 CLASSIFY_DIGEST = "18e38767f2a7cad48aeac173cf96dd8b09d3a9ab64576c0874e32c555b986c86"
 
