@@ -125,7 +125,7 @@ def transform_morphism(phi: MorphismOfPairs, node: BlowupNode) -> MorphismOfPair
         x: Polynomial._trusted({_times(e, cols): c for e, c in p.terms.items()}, p.ambient)
         for x, p in phi.components.items()
     }
-    return MorphismOfPairs(node.chart, phi.target, comps)
+    return MorphismOfPairs._trusted(node.chart, phi.target, comps)
 
 
 class BlowupTree:

@@ -141,9 +141,25 @@ class MorphismOfPairs:
                     f"component {name!r} has ambient {p.ambient}, "
                     f"expected {source.variables}"
                 )
+        self._fields(source, target, {v: components[v] for v in target.variables})
+
+    @classmethod
+    def _trusted(
+        cls, source: ChartedPair, target: ChartedPair, components: dict[str, Polynomial]
+    ) -> "MorphismOfPairs":
+        """Wrap components that already cover exactly the target variables,
+        in their order, each over the source's ambient, without checking
+        them (the model is ``ChartedPair._trusted``).  ``parse_problem``,
+        ``blowup.transform_morphism`` and ``rank.restrict_morphism`` build
+        their morphisms this way."""
+        phi = object.__new__(cls)
+        phi._fields(source, target, components)
+        return phi
+
+    def _fields(self, source, target, components) -> None:
         self.source = source
         self.target = target
-        self.components = {v: components[v] for v in target.variables}
+        self.components = components
         # Two caches: classify.is_quasi_prepared keeps its verdict in
         # _quasi_prepared, and fitting.log_fitting_ideal keeps each form
         # degree's ideal (with its Groebner basis cache) in _log_fitting.

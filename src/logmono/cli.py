@@ -7,13 +7,28 @@ to an exit code.  Exit codes: 0 on success (and for predicates that hold),
 1 for predicates that fail or computations yielding a negative verdict
 (``Report.ok`` false), 2 for malformed input or violated preconditions, 3
 for an internal error.
+
+The command line is ``logmono [--json] [--max-depth N] <subcommand>
+[options] <problem>``.  ``COMMANDS`` declares each subcommand once: its
+function, its one-line help and its options, with their value types and
+which are required.  ``Parser.parse_args`` reads argv against that table in
+one left-to-right scan, and the usage line and ``--help`` are written from
+it too.  A subcommand's options and the problem path come in any order.  An
+option's value follows it (``--k 2``) or joins it with ``=`` (``--k=2``),
+and it is taken whatever it starts with, so ``--at -1,0`` is a point.  The
+last of a repeated option wins, ``--`` ends the subcommand's options, and
+options are never abbreviated.  A usage error writes the usage line and
+``logmono: error: <message>`` to stderr, nothing to stdout, and raises
+``SystemExit(2)``; ``-h``/``--help``, before or after the subcommand,
+prints the help and exits 0.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
+import re
 import sys
+from typing import Callable, NamedTuple, Optional
 
 from .blowup import blowup_chart, transform_morphism
 from .chart import RationalPoint, validate_pair_condition
@@ -225,67 +240,209 @@ def cmd_verify_monomial(problem, args) -> Report:
 
 
 # ---------------------------------------------------------------------------
+# The command line: one table, one scan
+
+
+class Option(NamedTuple):
+    """A ``--name`` option: the ``Args`` field it sets, the type its value
+    is read with (``None`` for a flag, which takes no value), the value's
+    name in the help, whether it is required, and its help."""
+
+    dest: str
+    type: Optional[Callable[[str], object]]
+    metavar: str = ""
+    required: bool = False
+    help: str = ""
+
+
+class Command(NamedTuple):
+    """A subcommand: its function, its one-line help and its options."""
+
+    fn: Callable
+    help: str
+    options: dict
+
+
+class Args:
+    """A parsed command line; a field the line does not set keeps its
+    class default."""
+
+    json = False
+    max_depth = 64
+    command = fn = problem = at = k = center = None
+
+
+_AT = {"--at": Option("at", str, "AT", help="comma separated rational coordinates")}
+
+# Every subcommand, declared once.
+COMMANDS = {
+    "fitting": Command(
+        cmd_fitting,
+        "log-Fitting ideal at a form degree",
+        {"--k": Option("k", int, "K", True, "form degree")},
+    ),
+    "logrank": Command(cmd_logrank, "log-rank at a point", _AT),
+    "rank": Command(cmd_rank, "Jacobian rank at a point", _AT),
+    "grk": Command(cmd_grk, "geometric (generic Jacobian) rank", {}),
+    "imagedim": Command(cmd_imagedim, "dimension of the image closure", {}),
+    "classify": Command(cmd_classify, "full classification report", {}),
+    "quasiprepared": Command(cmd_quasiprepared, "quasi-prepared predicate", {}),
+    "lradapted": Command(cmd_lradapted, "log-rank-adapted verification", _AT),
+    "blowup": Command(
+        cmd_blowup,
+        "blow up the source chart at a center",
+        {"--center": Option("center", str, "CENTER", True, "comma separated center variables")},
+    ),
+    "principalize": Command(
+        cmd_principalize, "principalize the top log-Fitting monomial ideal", {}
+    ),
+    "monomialize": Command(
+        cmd_monomialize, "monomialize a monomial morphism onto a surface", {}
+    ),
+    "verify-monomial": Command(
+        cmd_verify_monomial,
+        "check the morphism is monomial of full exponent rank at a point",
+        _AT,
+    ),
+}
+
+# The options that come before the subcommand.
+GLOBAL_OPTIONS = {
+    "--json": Option("json", None, help="emit JSON reports"),
+    "--max-depth": Option(
+        "max_depth", int, "N", help=f"blowup tree depth cap (default {Args.max_depth})"
+    ),
+}
+
+_HELP = Option("help", None, help="show this help and exit")
+# A negative number starts with "-" but is an argument, as in argparse.
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
+
+
+def _word(key: str, opt: Option) -> str:
+    return key if opt.type is None else f"{key} {opt.metavar}"
+
+
+def _spelled(options: dict) -> str:
+    return " ".join(_word(k, o) if o.required else f"[{_word(k, o)}]" for k, o in options.items())
+
+
+def _rows(rows) -> str:
+    return "".join(f"  {left:<16}  {text}\n" for left, text in rows)
+
+
+class Parser:
+    """One left-to-right scan of argv over a command table, in the
+    language the module docstring gives.  A token that starts with ``-``
+    but is no option (``-``, a negative number, one containing a space) is
+    an argument, as in argparse.  A bad or missing value and an unknown
+    subcommand fail where they stand; an unknown option and a surplus
+    argument fail after the scan, so a later ``-h`` still prints the help.
+    """
+
+    def __init__(self, commands: dict, global_options: dict):
+        self.commands = commands
+        self.global_options = global_options
+        helps = {"-h": _HELP, "--help": _HELP}
+        self._scope = {None: {**helps, **global_options}}
+        for name, command in commands.items():
+            self._scope[name] = {**helps, **command.options}
+
+    def parse_args(self, argv=None) -> Args:
+        args = Args()
+        name = None
+        options = self._scope[None]
+        unknown = []
+        ended = False
+        tokens = iter(sys.argv[1:] if argv is None else argv)
+        for tok in tokens:
+            if tok[:1] == "-" and not ended:
+                if tok == "--" and name is not None:
+                    ended = True
+                    continue
+                key, eq, value = tok.partition("=")
+                opt = options.get(key)
+                if opt is not None:
+                    if opt.type is None:
+                        if eq:
+                            self.error(name, f"argument {key}: ignored explicit argument {value!r}")
+                        if opt is _HELP:
+                            sys.stdout.write(self.format_help(name))
+                            raise SystemExit(0)
+                        setattr(args, opt.dest, True)
+                        continue
+                    if not eq:
+                        value = next(tokens, None)
+                        if value is None:
+                            self.error(name, f"argument {key}: expected one argument")
+                    try:
+                        setattr(args, opt.dest, opt.type(value))
+                    except ValueError:
+                        self.error(name, f"argument {key}: invalid {opt.type.__name__} value: {value!r}")
+                    continue
+                if tok not in ("-", "--") and " " not in tok and not _NEGATIVE_NUMBER.match(tok):
+                    unknown.append(tok)
+                    continue
+            if name is None:
+                command = self.commands.get(tok)
+                if command is None:
+                    choices = ", ".join(map(repr, self.commands))
+                    self.error(None, f"argument command: invalid choice: {tok!r} (choose from {choices})")
+                name = args.command = tok
+                args.fn = command.fn
+                options = self._scope[name]
+            elif args.problem is None:
+                args.problem = tok
+            else:
+                unknown.append(tok)
+        if name is None:
+            self.error(None, "the following arguments are required: command")
+        missing = [] if args.problem is not None else ["problem"]
+        for key, opt in options.items():
+            if opt.required and getattr(args, opt.dest) is None:
+                missing.append(key)
+        if missing:
+            self.error(name, "the following arguments are required: " + ", ".join(missing))
+        if unknown:
+            self.error(name, "unrecognized arguments: " + " ".join(unknown))
+        return args
+
+    def usage(self, name=None) -> str:
+        spelled = _spelled(self.global_options)
+        if name is None:
+            return f"usage: logmono [-h] {spelled} COMMAND [-h] [options] problem\n"
+        tail = _spelled(self.commands[name].options)
+        return f"usage: logmono {spelled} {name} [-h] {tail + ' ' if tail else ''}problem\n"
+
+    def format_help(self, name=None) -> str:
+        helps = [("-h, --help", _HELP.help)]
+        if name is not None:
+            command = self.commands[name]
+            rows = [("problem", "path to a problem file")]
+            rows += [(_word(key, opt), opt.help) for key, opt in command.options.items()]
+            return f"{self.usage(name)}\n{command.help}\n\narguments:\n{_rows(rows + helps)}"
+        rows = [(_word(key, opt), opt.help) for key, opt in self.global_options.items()]
+        return (
+            f"{self.usage()}\n"
+            "Log differential forms, log-Fitting ideals, and combinatorial\n"
+            "principalization for morphisms of charted pairs.\n\n"
+            f"commands:\n{_rows((n, c.help) for n, c in self.commands.items())}\n"
+            f"options before the command:\n{_rows(helps + rows)}\n"
+            "An option's value follows it (--k 2) or joins it with = (--k=2).\n"
+            "-- ends a command's options; logmono COMMAND -h lists them.\n"
+        )
+
+    def error(self, name, message: str):
+        """Print the usage line and the message to stderr; exit 2."""
+        sys.stderr.write(f"{self.usage(name)}logmono: error: {message}\n")
+        raise SystemExit(2)
 
 
 # Built once per process: callers such as test suites and benchmarks run
 # ``main`` many times in one interpreter.
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="logmono",
-        description="Log differential forms, log-Fitting ideals, and "
-        "combinatorial principalization for morphisms of charted pairs.",
-    )
-    parser.add_argument("--json", action="store_true", help="emit JSON reports")
-    parser.add_argument(
-        "--max-depth", type=int, default=64, help="blowup tree depth cap"
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, fn, at=False, **kwargs):
-        p = sub.add_parser(name, **kwargs)
-        p.set_defaults(fn=fn)
-        p.add_argument("problem", help="path to a problem file")
-        if at:
-            p.add_argument("--at", help="comma separated rational coordinates")
-        return p
-
-    p = add("fitting", cmd_fitting, help="log-Fitting ideal at a form degree")
-    p.add_argument("--k", type=int, required=True, help="form degree")
-
-    add("logrank", cmd_logrank, at=True, help="log-rank at a point")
-    add("rank", cmd_rank, at=True, help="Jacobian rank at a point")
-    add("grk", cmd_grk, help="geometric (generic Jacobian) rank")
-    add("imagedim", cmd_imagedim, help="dimension of the image closure")
-    add("classify", cmd_classify, help="full classification report")
-    add("quasiprepared", cmd_quasiprepared, help="quasi-prepared predicate")
-
-    add("lradapted", cmd_lradapted, at=True, help="log-rank-adapted verification")
-
-    p = add("blowup", cmd_blowup, help="blow up the source chart at a center")
-    p.add_argument(
-        "--center", required=True, help="comma separated center variables"
-    )
-
-    add(
-        "principalize",
-        cmd_principalize,
-        help="principalize the top log-Fitting monomial ideal",
-    )
-    add(
-        "monomialize",
-        cmd_monomialize,
-        help="monomialize a monomial morphism onto a surface",
-    )
-
-    add(
-        "verify-monomial",
-        cmd_verify_monomial,
-        at=True,
-        help="check the morphism is monomial of full exponent rank at a point",
-    )
-
-    return parser
+def build_parser() -> Parser:
+    return Parser(COMMANDS, GLOBAL_OPTIONS)
 
 
 def main(argv=None) -> int:

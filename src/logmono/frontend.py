@@ -431,7 +431,7 @@ def parse_problem(text: str) -> ProblemFile:
         if name not in target.variables:
             raise ProblemSyntaxError(f"map for undeclared variable {name!r}", lineno)
 
-    morphism = MorphismOfPairs(source, target, components)
+    morphism = MorphismOfPairs._trusted(source, target, components)
 
     point = None
     if point_line is not None:

@@ -242,10 +242,9 @@ class Polynomial:
             )
         self._check_ambient(other)
         right = other.terms.items()
-        products = [
-            (tuple(map(add, e1, e2)), c1 * c2) for e1, c1 in self.terms.items() for e2, c2 in right
-        ]
-        out = add_terms({}, products)
+        out = add_terms(
+            {}, ((tuple(map(add, e1, e2)), c1 * c2) for e1, c1 in self.terms.items() for e2, c2 in right)
+        )
         return Polynomial._trusted(canonicalise_terms(out), self.ambient)
 
     __rmul__ = __mul__

@@ -124,7 +124,7 @@ def restrict_morphism(phi: MorphismOfPairs, D: Sequence[str]) -> MorphismOfPairs
     for x, p in phi.components.items():
         kept = (e for e in p.terms if not any(e[i] for i in drop))
         comps[x] = Polynomial._trusted({tuple(e[i] for i in keep): p.terms[e] for e in kept}, rest)
-    return MorphismOfPairs(new_source, phi.target, comps)
+    return MorphismOfPairs._trusted(new_source, phi.target, comps)
 
 
 def restricted_geometric_rank(phi: MorphismOfPairs, D: Sequence[str]) -> int:

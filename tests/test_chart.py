@@ -1,7 +1,9 @@
+import re
 from fractions import Fraction
 
 import pytest
 
+from logmono.blowup import blowup_chart, transform_morphism
 from logmono.chart import (
     ChartedPair,
     DegenerateMorphismError,
@@ -11,11 +13,14 @@ from logmono.chart import (
     stratum_of_point,
     validate_pair_condition,
 )
+from logmono.frontend import ProblemFile, parse_problem
+from logmono.rank import restrict_morphism
 from helpers import (
     P,
     empty_divisor_corpus,
     monomial_surface_corpus,
     normal_form_corpus,
+    origin,
     pair_condition_corpus,
     radical_pair_condition,
     radical_preimage_equality,
@@ -71,13 +76,33 @@ class TestChartedPair:
 
 class TestMorphism:
     def test_component_coverage_enforced(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^components must cover exactly the target variables$"):
             MorphismOfPairs(SRC, TGT, {"x1": P("u1", SRC.variables)})
 
     def test_component_ambient_enforced(self):
-        with pytest.raises(ValueError):
+        message = "component 'x1' has ambient ('u1',), expected ('u1', 'u2', 'v1')"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             MorphismOfPairs(SRC, TGT, {"x1": P("u1", ("u1",)),
                                        "y1": P("u1", ("u1",))})
+
+    def test_trusted_morphisms_pass_the_validator(self):
+        """parse_problem, transform_morphism and restrict_morphism build
+        their morphisms unchecked; each passes the public constructor and
+        keeps its components in target order."""
+        phis = [phi for phi, _ in normal_form_corpus()]
+        phis += empty_divisor_corpus() + monomial_surface_corpus() + pair_condition_corpus()
+        checked = 0
+        for phi in phis:
+            parsed = parse_problem(ProblemFile(phi, origin(phi.source)).render()).morphism
+            built = [parsed]
+            built += [transform_morphism(parsed, child)
+                      for child in blowup_chart(parsed.source, parsed.source.variables[:2])]
+            built += [restrict_morphism(parsed, (d,)) for d in parsed.source.divisor_vars]
+            for m in built:
+                again = MorphismOfPairs(m.source, m.target, m.components)
+                assert list(m.components.items()) == list(again.components.items())
+                checked += 1
+        assert checked > 1000
 
     def test_pullback_is_substitution(self):
         phi = phi_of("u1*u2", "v1")

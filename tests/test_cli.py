@@ -460,6 +460,19 @@ class TestErrorHandling:
         path.write_text(EXAMPLE1.replace("point 0,0,0", f"point {point}"))
         assert run(capsys, command, "--at", point, example1) == run(capsys, command, str(path))
 
+    @pytest.mark.parametrize("fmt", [[], ["--json"]])
+    @pytest.mark.parametrize("command", ["logrank", "rank", "lradapted", "verify-monomial"])
+    def test_negative_at_value_follows_its_option(self, capsys, tmp_path, command, fmt):
+        # A value that starts with "-" is the option's value, in either
+        # spelling; argparse refused "--at -1,0" ("expected one argument").
+        path = tmp_path / "negative.problem"
+        path.write_text(TestLogRankAdapted.ACCEPTED[1])
+        spaced = run(capsys, *fmt, command, "--at", "-1,0", str(path))
+        assert spaced == run(capsys, *fmt, command, "--at=-1,0", str(path))
+        assert spaced[0] in (0, 1) and spaced[2] == ""
+        if command in ("logrank", "rank"):
+            assert "-1" in spaced[1]
+
     def test_missing_point(self, capsys, tmp_path):
         path = tmp_path / "nopoint.problem"
         path.write_text(
