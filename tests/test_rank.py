@@ -1,9 +1,12 @@
+import hashlib
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import logmono.ideal
 import logmono.rank
 from logmono.chart import ChartedPair, MorphismOfPairs, RationalPoint
 from logmono.poly import Polynomial
@@ -20,6 +23,7 @@ from logmono.rank import (
     symbolic_matrix_rank,
 )
 
+import cli_corpus
 from helpers import (
     P,
     assert_canonical,
@@ -300,3 +304,49 @@ class TestImageDimension:
         tgt = ChartedPair(("x",), ())
         phi = MorphismOfPairs(src, tgt, {"x": P("x^2", ("x",))})
         assert image_closure_dimension(phi) == 1
+
+    def test_buchberger_work_over_the_corpus_is_pinned(self, monkeypatch):
+        # Pinned before the Buchberger bookkeeping was reworked: the same
+        # pairs formed and dropped, in the same order, reduce the same
+        # S-polynomials and install the same elements.  Over the 509 corpus
+        # morphisms, 1805 records are installed (input generators and new
+        # basis elements) and 1552 reductions run (S-polynomials and the
+        # interreduction of the kept block); the digest covers every
+        # installed record and every reduction's input, in order, as
+        # packed ints (so a change of packing re-pins it).
+        digest = hashlib.sha256()
+        record, reduce = logmono.ideal._primitive_record, logmono.ideal._reduce
+
+        def recording(lt, terms):
+            out = record(lt, terms)
+            digest.update(repr(("record", out)).encode())
+            return out
+
+        def reducing(work, divisors, guard):
+            digest.update(repr(("reduce", sorted(work.items()), len(divisors))).encode())
+            return reduce(work, divisors, guard)
+
+        monkeypatch.setattr(logmono.ideal, "_primitive_record", recording)
+        monkeypatch.setattr(logmono.ideal, "_reduce", reducing)
+        installed = _count_calls(monkeypatch, logmono.ideal, "_primitive_record")
+        reductions = _count_calls(monkeypatch, logmono.ideal, "_reduce")
+        dims = Counter(image_closure_dimension(phi) for phi in cli_corpus.corpus_morphisms())
+        assert dims == {2: 345, 1: 148, 3: 9, 0: 7}
+        assert (len(installed), len(reductions)) == (1805, 1552)
+        assert digest.hexdigest() == (
+            "1535ba646305db6dc719048054000c736ee5ed6a4da57ef55ad0a76d80aa5a29"
+        )
+
+
+def _count_calls(monkeypatch, module, name) -> list:
+    """Replace ``module.name`` by a wrapper that records each call's
+    arguments in the returned list."""
+    calls = []
+    original = getattr(module, name)
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
