@@ -4,6 +4,12 @@ Buchberger's algorithm over the rationals with sugar selection and
 Gebauer-Moeller pair installation (Gebauer & Moeller, "On an installation
 of Buchberger's algorithm", JSC 1988): the B, M and F criteria and the
 coprime-leading-term criterion are applied once per new basis element.
+Installing an element computes its leading exponent tuple and degree
+once, and each new pair's lcm (packed inline) and whether its two leading
+terms share a variable once; the B pass runs only while a pair is
+pending, and the M/F pass only when an active element can pair with the
+new one.  An input enters packed straight from its term dict, with one
+guard test for all its terms.
 Reduction queues each term once and pops terms from a heap, largest first.
 On top of it: membership, radical membership by unique factorization, by
 the supports of a monomial ideal's generators (its radical is generated by
@@ -52,12 +58,13 @@ is also kept as a tuple for the lcms of its pairs.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations
+from functools import cache, reduce
+from heapq import heapify, heappop, heappush
+from itertools import combinations
 from math import gcd, lcm
-from operator import mul
+from operator import mul, or_
 from typing import Sequence
 
 from .poly import (
@@ -100,6 +107,7 @@ def grevlex_order() -> MonomialOrder:
     return MonomialOrder(grevlex_key, 0)
 
 
+@cache
 def block_order(n_eliminated: int) -> MonomialOrder:
     """Eliminated block (the first ``n_eliminated`` variables) dominates."""
 
@@ -138,6 +146,16 @@ class IdealPresentation:
         self.generators = gens
         self.ambient = amb
         self._basis: list[Polynomial] | None = None
+
+    @classmethod
+    def _from_basis(cls, basis: list[Polynomial], ambient: tuple[str, ...]) -> "IdealPresentation":
+        """The ideal generated by its own reduced grevlex basis, whose
+        elements are nonzero and over ``ambient``; nothing is checked."""
+        out = object.__new__(cls)
+        out.generators = list(basis)
+        out.ambient = ambient
+        out._basis = basis
+        return out
 
     def __repr__(self):
         return f"IdealPresentation([{', '.join(map(str, self.generators))}])"
@@ -181,7 +199,7 @@ class _Packing:
         is exact while every field stays below 2^width, as it does for an
         input (``_packed_run`` picks the width from their largest degree)
         and for the lcm of two packed monomials (each of its fields is at
-        most the sum of theirs)."""
+        most the sum of theirs).  The kernel inlines this sum and test."""
         p = sum(map(mul, exps, self.units))
         if p & self.guard:
             raise _Overflow
@@ -193,9 +211,14 @@ class _Packing:
         unpack = self.unpackers.get(cut)
         if unpack is None:
             n, width = self.n, self.width
-            mask = (1 << width) - 1
-            shifts = range(cut * width, n * width, width)
-            unpack = lambda p: tuple([p >> s & mask for s in shifts])
+            if width == 8:
+                # One field per byte: the exponents are the low n bytes.
+                low = (1 << 8 * n) - 1
+                unpack = lambda p: tuple((p & low).to_bytes(n, "little")[cut:])
+            else:
+                mask = (1 << width) - 1
+                shifts = range(cut * width, n * width, width)
+                unpack = lambda p: tuple([p >> s & mask for s in shifts])
             self.unpackers[cut] = unpack
         return unpack
 
@@ -236,12 +259,22 @@ def _packed_run(run, order: MonomialOrder, n: int, polys: Sequence[Polynomial]):
 
 def _packed(terms: dict, packing: _Packing) -> tuple[dict, int]:
     """``terms`` times the lcm D of their denominators, as ints keyed by
-    packed exponents, and D."""
-    pack = packing.pack
-    d = lcm(*(c.denominator for c in terms.values()))
+    packed exponents, and D.  One guard test covers every term: the or of
+    their ints sets a guard bit iff one of them does.  (``_packed_run``
+    picks a width whose fields hold any input's weighted sums, so the
+    test does not fire for inputs.)"""
+    units = packing.units
+    d = lcm(*[c.denominator for c in terms.values()])
     if d == 1:
-        return {pack(e): c for e, c in terms.items()}, 1
-    return {pack(e): c.numerator * (d // c.denominator) for e, c in terms.items()}, d
+        out = {sum(map(mul, e, units)): c for e, c in terms.items()}
+    else:
+        out = {
+            sum(map(mul, e, units)): c.numerator * (d // c.denominator)
+            for e, c in terms.items()
+        }
+    if reduce(or_, out) & packing.guard:
+        raise _Overflow
+    return out, d
 
 
 def _unpacked(terms: dict, d: int, unpack) -> dict:
@@ -253,14 +286,16 @@ def _unpacked(terms: dict, d: int, unpack) -> dict:
 
 
 def _primitive_record(lt, terms: dict) -> tuple:
-    """The record of the int ``terms`` with leading exponent ``lt``:
-    divided by their content, signed so that the leading coefficient is
-    positive."""
+    """The record of the int ``terms`` (consumed) with leading exponent
+    ``lt``: divided by their content, signed so that the leading
+    coefficient is positive."""
     content = gcd(*terms.values())
-    if terms[lt] < 0:
+    lc = terms.pop(lt)
+    if lc < 0:
         content = -content
-    tail = [(e, c // content) for e, c in terms.items() if e != lt]
-    return lt, terms[lt] // content, tail
+    if content == 1:
+        return lt, lc, list(terms.items())
+    return lt, lc // content, [(e, c // content) for e, c in terms.items()]
 
 
 def _record(g: Polynomial, packing: _Packing) -> tuple:
@@ -282,11 +317,11 @@ def _reduce(work: dict, divisors: Sequence, guard: int) -> tuple[dict, int]:
     when its entry surfaces.  A remainder term is stored with the
     multiplier of its time and scaled up to the final M at the end."""
     heap = [-e for e in work]
-    heapq.heapify(heap)
+    heapify(heap)
     out = []
     m = 1
     while heap:
-        e = -heapq.heappop(heap)
+        e = -heappop(heap)
         c = work.pop(e)
         if not c:
             continue
@@ -308,7 +343,7 @@ def _reduce(work: dict, divisors: Sequence, guard: int) -> tuple[dict, int]:
                     s = work.get(ne)
                     if s is None:
                         work[ne] = -c * tc
-                        heapq.heappush(heap, -ne)
+                        heappush(heap, -ne)
                     else:
                         work[ne] = s - c * tc
                 break
@@ -357,13 +392,16 @@ def _minimal_records(gens: Sequence[Polynomial], packing: _Packing) -> list:
     and its own new pairs (criteria M and F, and coprime leading terms)
     once, when it enters the basis."""
     guard = packing.guard
-    # Per element: packed leading exponent, the same as a tuple (for lcms,
-    # degrees and supports), primitive record and sugar.  Every record
+    units = packing.units
+    unpack = packing.unpack
+    # Per element: packed leading exponent, the same as a tuple (for lcms
+    # and supports), its degree, primitive record and sugar.  Every record
     # reduces, oldest first.  New pairs are formed only with the active
     # elements, those whose leading term no later element's leading term
     # divides.
     lts: list[int] = []
     exps: list[tuple[int, ...]] = []
+    degrees: list[int] = []
     records: list = []
     sugars: list[int] = []
     active: list[int] = []
@@ -375,50 +413,68 @@ def _minimal_records(gens: Sequence[Polynomial], packing: _Packing) -> list:
 
     def install(record, sugar):
         lt = record[0]
-        e = packing.unpack(lt)
+        e = unpack(lt)
+        degree = sum(e)
         k = len(lts)
         lts.append(lt)
         exps.append(e)
+        degrees.append(degree)
         records.append(record)
         sugars.append(sugar)
         # B: drop a pending pair whose lcm lt divides, unless lt shares
         # that lcm with one of the pair's elements.
-        for (i, j), (l, le) in list(live.items()):
-            if (
-                not (l - lt) & guard
-                and tuple(map(max, exps[i], e)) != le
-                and tuple(map(max, exps[j], e)) != le
-            ):
-                del live[i, j]
+        if live:
+            for (i, j), (l, le) in list(live.items()):
+                if (
+                    not (l - lt) & guard
+                    and tuple(map(max, exps[i], e)) != le
+                    and tuple(map(max, exps[j], e)) != le
+                ):
+                    del live[i, j]
+        if not active:
+            active.append(k)
+            return
         # M and F: of the new pairs, keep one per minimal lcm, preferring a
         # coprime pair; then drop the coprime ones, whose S-polynomials
-        # reduce to zero.
+        # reduce to zero.  A new pair is (packed lcm, lcm, m, whether the
+        # leading terms share a variable).  Each field of a packed lcm is
+        # at most the sum of the two leading terms', so its guard test is
+        # exact.
         new = []
         for m in active:
-            le = tuple(map(max, exps[m], e))
-            new.append((packing.pack(le), le, m))
+            em = exps[m]
+            le = tuple(map(max, em, e))
+            l = sum(map(mul, le, units))
+            if l & guard:
+                raise _Overflow
+            new.append((l, le, m, any(map(min, em, e))))
         kept = []
         while new:
-            l, le, m = new.pop()
-            if not any(map(min, exps[m], e)) or not any(
-                not (l - l2) & guard for l2, _, _ in chain(new, kept)
-            ):
-                kept.append((l, le, m))
-        for l, le, m in kept:
-            if any(map(min, exps[m], e)):
+            pair = new.pop()
+            if pair[3]:
+                l = pair[0]
+                for other in new + kept:
+                    if not (l - other[0]) & guard:
+                        break
+                else:
+                    kept.append(pair)
+            else:
+                kept.append(pair)
+        for l, le, m, shared in kept:
+            if shared:
                 d = sum(le)
                 live[k, m] = l, le
-                heapq.heappush(
-                    pairs,
-                    (max(sugar + d - sum(e), sugars[m] + d - sum(exps[m])), (k, m)),
+                heappush(
+                    pairs, (max(sugar + d - degree, sugars[m] + d - degrees[m]), (k, m))
                 )
-        active[:] = [m for m in active if (lts[m] - lt) & guard] + [k]
+        active[:] = [m for m in active if (lts[m] - lt) & guard]
+        active.append(k)
 
     for g in gens:
         install(_record(g, packing), max(map(sum, g.terms)))
 
     while pairs:
-        sugar, (i, j) = heapq.heappop(pairs)
+        sugar, (i, j) = heappop(pairs)
         pair = live.pop((i, j), None)
         if pair is None:
             continue
@@ -436,7 +492,7 @@ def _minimal_records(gens: Sequence[Polynomial], packing: _Packing) -> list:
         for te, tc in tail_j:
             ne = te + sj
             work[ne] = work.get(ne, 0) - cj * tc
-        if any(map(guard.__and__, work)):
+        if reduce(or_, work, 0) & guard:
             raise _Overflow
         rem, _ = _reduce(work, records, guard)
         if rem:
@@ -444,9 +500,14 @@ def _minimal_records(gens: Sequence[Polynomial], packing: _Packing) -> list:
 
     # Minimalize: active leading terms are distinct, so drop each that
     # another divides.
-    minimal = [
-        k for k in active if not any(m != k and not (lts[k] - lts[m]) & guard for m in active)
-    ]
+    minimal = []
+    for k in active:
+        lk = lts[k]
+        for m in active:
+            if m != k and not (lk - lts[m]) & guard:
+                break
+        else:
+            minimal.append(k)
     minimal.sort(key=lts.__getitem__)
     return [records[k] for k in minimal]
 
@@ -551,7 +612,8 @@ def elimination(I: IdealPresentation, keep: Sequence[str]) -> IdealPresentation:
     eliminated = tuple(v for v in I.ambient if v not in keep)
     ext = eliminated + keep
     n = len(eliminated)
-    gens = [g.extend_ambient(ext) for g in I.generators]
+    # A graph ideal already lists the eliminated (source) variables first.
+    gens = I.generators if ext == I.ambient else [g.extend_ambient(ext) for g in I.generators]
 
     def run(packing):
         # The eliminated variables' exponents are the lowest n fields.
@@ -559,13 +621,10 @@ def elimination(I: IdealPresentation, keep: Sequence[str]) -> IdealPresentation:
         kept = [r for r in _minimal_records(gens, packing) if not r[0] & low]
         return _interreduced(kept, packing, keep, n)
 
-    kept_gens = _packed_run(run, block_order(n), len(ext), gens)
-    out = IdealPresentation(kept_gens, keep)
     # The block order restricts to grevlex on the kept variables, so the
     # kept part of the reduced basis is the reduced grevlex basis of the
     # elimination ideal, already in grevlex order.
-    out._basis = kept_gens
-    return out
+    return IdealPresentation._from_basis(_packed_run(run, block_order(n), len(ext), gens), keep)
 
 
 def dimension(I: IdealPresentation) -> int:

@@ -3,11 +3,26 @@ image-dimension computation through elimination ideals.
 
 One fraction-free Bareiss kernel (``_bareiss_rank``) gives every rank: the
 pointwise and log ranks eliminate an integer matrix (each rational row
-with its denominators cleared), the geometric rank a polynomial one."""
+with its denominators cleared), the geometric rank a polynomial one.
+``jacobian_at`` evaluates the Jacobian at a point straight from the
+components' terms, with no partial-derivative polynomials.
+
+The geometric rank is certified at one fixed point first.  The rank of
+the Jacobian at a point is a lower bound for its generic rank: a k x k
+minor that is nonzero at the point is a nonzero polynomial.  No rank
+exceeds min(n, N), the smaller side of the N x n matrix, so a point at
+which the rank reaches min(n, N) proves that the generic rank is exactly
+min(n, N).  ``geometric_rank`` evaluates at the first n primes
+(``probe_point``); where the rank there falls short, which happens when
+the generic rank does or when the point lies on the zero set of every
+maximal minor, it runs the exact polynomial kernel.  So every answer is
+exact: the point either proves the rank or is not used, and nothing is
+sampled."""
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import lcm
 from typing import Sequence
 
@@ -23,6 +38,47 @@ def jacobian(phi: MorphismOfPairs) -> list[list[Polynomial]]:
         [phi.components[x].partial_derivative(v) for v in phi.source.variables]
         for x in phi.target.variables
     ]
+
+
+def jacobian_at(
+    phi: MorphismOfPairs, point: Sequence[int | Fraction]
+) -> list[list[int | Fraction]]:
+    """The Jacobian at ``point``, rows per target variable and columns per
+    source variable, read off the components' term dicts: entry (x, v) is
+    the sum, over the terms c*s^e of component x with e_v > 0, of
+    c * e_v * prod_i p_i^(e_i - [i = v]).  Int coefficients at an int
+    point give ints; nothing is converted to ``Fraction``."""
+    n = len(phi.source.variables)
+    if len(point) != n:
+        raise ValueError(f"point of length {len(point)} for ambient of length {n}")
+    matrix = []
+    for x in phi.target.variables:
+        row = [0] * n
+        for e, c in phi.components[x].terms.items():
+            for v, k in enumerate(e):
+                if k:
+                    t = c * k
+                    for i, ei in enumerate(e):
+                        if i == v:
+                            ei -= 1
+                        if ei:
+                            t *= point[i] ** ei
+                    row[v] += t
+        matrix.append(row)
+    return matrix
+
+
+@cache
+def probe_point(n: int) -> tuple[int, ...]:
+    """The first n primes: the one point at which ``geometric_rank`` tries
+    to certify the generic rank (see the module docstring)."""
+    primes: list[int] = []
+    q = 2
+    while len(primes) < n:
+        if all(q % p for p in primes):
+            primes.append(q)
+        q += 1
+    return tuple(primes)
 
 
 def _degree(x: int | Polynomial) -> int:
@@ -89,13 +145,17 @@ def symbolic_matrix_rank(rows: list[list[Polynomial]]) -> int:
 
 
 def rank_at_point(phi: MorphismOfPairs, a: RationalPoint) -> int:
-    pt = a.coordinates
-    return rational_matrix_rank(
-        [[e.evaluate(pt) for e in row] for row in jacobian(phi)]
-    )
+    return rational_matrix_rank(jacobian_at(phi, a.coordinates))
 
 
 def geometric_rank(phi: MorphismOfPairs) -> int:
+    """The Jacobian's rank over the fraction field: min(n, N) when the
+    rank at ``probe_point(n)`` reaches it, which proves it, and otherwise
+    the polynomial kernel's answer."""
+    n = len(phi.source.variables)
+    top = min(n, len(phi.target.variables))
+    if rational_matrix_rank(jacobian_at(phi, probe_point(n))) == top:
+        return top
     return symbolic_matrix_rank(jacobian(phi))
 
 

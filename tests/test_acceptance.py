@@ -55,6 +55,7 @@ from helpers import (
     origin,
     random_sparse_poly,
     random_stratum_point,
+    rank_law_corpus,
     strata,
     two_var_antichains,
 )
@@ -162,23 +163,12 @@ def test_criterion_2_semantic_syntactic_agreement(prepared_corpus):
 
 def test_criterion_3_rank_equals_image_dimension():
     """Geometric rank equals the dimension of the image closure on 100
-    random morphisms with n, N <= 3 and degree <= 3."""
+    random morphisms with n, N <= 3 and degree <= 3 (``rank_law_corpus``)."""
     start = time.monotonic()
     passed = True
     try:
-        corpus = []
-        rng = random.Random(42)
-        while len(corpus) < 100:
-            n = rng.randint(1, 3)
-            N = rng.randint(1, 3)
-            max_terms = 2 if max(n, N) == 3 else 3
-            src = ChartedPair(tuple(f"w{k}" for k in range(n)), ())
-            tgt = ChartedPair(tuple(f"x{k}" for k in range(N)), ())
-            comps = {
-                x: random_sparse_poly(src.variables, rng, max_terms=max_terms)
-                for x in tgt.variables
-            }
-            corpus.append(MorphismOfPairs(src, tgt, comps))
+        corpus = rank_law_corpus()
+        assert len(corpus) == 100
         for phi in corpus:
             assert image_closure_dimension(phi) == geometric_rank(phi), repr(phi)
         elapsed = time.monotonic() - start

@@ -17,11 +17,20 @@ changes no verdict: quasi-preparedness, geometric rank, log rank at the
 origin, monomiality, the normal-form case and strong preparedness.  The
 reduced bases compared here are computed under two different variable
 orders of the same ring, so the law checks the Groebner kernel as well.
+
+Ranks are read off the log-Fitting ideals.  F_k is generated by the k x k
+minors of the log Jacobian, which off the divisor is the Jacobian times an
+invertible diagonal matrix; so the geometric rank is the largest k with
+F_k nonzero, and the log rank at a point the largest k with a generator of
+F_k that does not vanish there.  ``geometric_rank`` (a certificate at one
+integer point, else a polynomial Bareiss elimination of the plain
+Jacobian) and ``log_rank_at_point`` (an integer elimination of the log
+Jacobian at the point) share no kernel with these ideals' generators.
 """
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice, product
 
 from logmono.blowup import blowup_chart, transform_morphism
 from logmono.chart import ChartedPair, MorphismOfPairs, RationalPoint, validate_pair_condition
@@ -36,6 +45,7 @@ from logmono.ideal import IdealPresentation
 from logmono.poly import Polynomial
 from logmono.rank import geometric_rank, log_rank_at_point
 
+from cli_corpus import corpus_morphisms
 from helpers import (
     monomial_surface_corpus,
     normal_form_corpus,
@@ -139,3 +149,26 @@ def test_coordinate_permutations_permute_every_invariant():
                 assert IdealPresentation(moved, new).basis() == log_fitting_ideal(psi, k).basis()
                 ideals += 1
     assert (morphisms, ideals) == (479, 583)
+
+
+def _top_nonzero(phi, nonzero) -> int:
+    """The largest k in 1..min(n, N) whose log-Fitting ideal F_k has
+    ``nonzero(F_k)``, and 0 if none has (F_0 is the unit ideal)."""
+    top = min(len(phi.source.variables), len(phi.target.variables))
+    return max((k for k in range(1, top + 1) if nonzero(log_fitting_ideal(phi, k))), default=0)
+
+
+def test_ranks_are_read_off_the_log_fitting_ideals():
+    morphisms = points = 0
+    for phi in corpus_morphisms():
+        if not validate_pair_condition(phi)[0]:
+            continue
+        assert geometric_rank(phi) == _top_nonzero(phi, lambda F: not F.is_zero_ideal()), phi
+        morphisms += 1
+        n = len(phi.source.variables)
+        for a in islice(product((0, 1, -2), repeat=n), 9):
+            pt = tuple(map(Fraction, a))
+            want = _top_nonzero(phi, lambda F: any(g.evaluate(pt) for g in F.generators))
+            assert log_rank_at_point(phi, RationalPoint(pt)) == want, (phi, a)
+            points += 1
+    assert (morphisms, points) == (347, 2907)

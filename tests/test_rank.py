@@ -2,6 +2,7 @@ import hashlib
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import islice, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +16,9 @@ from logmono.rank import (
     graph_ideal,
     image_closure_dimension,
     jacobian,
+    jacobian_at,
     log_rank_at_point,
+    probe_point,
     rank_at_point,
     rational_matrix_rank,
     restrict_morphism,
@@ -207,6 +210,82 @@ class TestMorphismRanks:
         pt = origin(src)
         assert rank_at_point(phi, pt) == 1
         assert log_rank_at_point(phi, pt) == 2
+
+
+class TestGenericRankProbe:
+    """``geometric_rank`` returns min(n, N) when the Jacobian reaches that
+    rank at ``probe_point(n)``, and otherwise the polynomial kernel's
+    rank; ``jacobian_at`` is the Jacobian's value at a point."""
+
+    def test_probe_point_is_the_first_primes(self):
+        assert probe_point(0) == ()
+        assert probe_point(1) == (2,)
+        assert probe_point(7) == (2, 3, 5, 7, 11, 13, 17)
+
+    def test_geometric_rank_equals_the_polynomial_kernel(self, monkeypatch):
+        # The 509 corpus morphisms hold criterion 3's corpus: it is
+        # rank_law_corpus, the same seed and draws.
+        phis = cli_corpus.corpus_morphisms()
+        want = [symbolic_matrix_rank(jacobian(phi)) for phi in phis]
+        tops = [min(len(phi.source.variables), len(phi.target.variables)) for phi in phis]
+        kernel = _count_calls(monkeypatch, logmono.rank, "symbolic_matrix_rank")
+        assert [geometric_rank(phi) for phi in phis] == want
+        # 410 ranks are certified at the probe point.  99 fall back: 96 of
+        # rank below min(n, N), and 3 whose maximal minors all vanish there.
+        assert sum(w < t for w, t in zip(want, tops)) == 96
+        assert len(kernel) == 99
+
+    @pytest.mark.parametrize(
+        "n, maps, rank",
+        [
+            (1, ["(w0 - 2)^2"], 1),
+            (2, ["(w0 - 2)*(w1 - 3)"], 1),
+            (2, ["(w0 - 2)^2", "w1"], 2),
+            (2, ["1/2*(w0 - 2)^2", "2/3*w1^3 - w0"], 2),
+            (3, ["(w0 - 2)*(w1 - 3)", "w2"], 2),
+            (1, ["(w0 - 2)^2", "(w0 - 2)^3"], 1),
+            (3, ["(w0 - 2)*(w1 - 3)*(w2 - 5)", "w0*w1", "w2^2 - 1/3*w1"], 3),
+            (2, ["w0 + w1", "(w0 + w1)^2"], 1),
+        ],
+    )
+    def test_minors_vanishing_at_the_probe_fall_back(self, monkeypatch, n, maps, rank):
+        # The probe point is (2, 3, 5): every maximal minor of these
+        # Jacobians vanishes there, and the last map has rank 1 < 2.
+        src = ChartedPair(tuple(f"w{k}" for k in range(n)), ())
+        tgt = ChartedPair(tuple(f"x{k}" for k in range(len(maps))), ())
+        comps = {x: P(m, src.variables) for x, m in zip(tgt.variables, maps)}
+        phi = MorphismOfPairs(src, tgt, comps)
+        top = min(n, len(maps))
+        assert rational_matrix_rank(jacobian_at(phi, probe_point(n))) < top
+        kernel = _count_calls(monkeypatch, logmono.rank, "symbolic_matrix_rank")
+        assert geometric_rank(phi) == reference_symbolic_rank(jacobian(phi)) == rank
+        assert len(kernel) == 1
+
+    def test_jacobian_at_is_the_evaluated_jacobian(self):
+        # At the first 9 points of {0, 1, -2}^n, the probe point and a
+        # point of Fractions; ints stay ints where coefficients and point
+        # are ints.
+        points = ints = 0
+        for phi in cli_corpus.corpus_morphisms():
+            n = len(phi.source.variables)
+            integral = all(
+                type(c) is int for p in phi.components.values() for c in p.terms.values()
+            )
+            fractions = tuple(Fraction((-1) ** k * (k + 1), 2 * k + 3) for k in range(n))
+            for pt in [*islice(product((0, 1, -2), repeat=n), 9), probe_point(n), fractions]:
+                got = jacobian_at(phi, pt)
+                assert got == [[e.evaluate(pt) for e in row] for row in jacobian(phi)], (phi, pt)
+                points += 1
+                if integral and all(type(x) is int for x in pt):
+                    assert all(type(x) is int for row in got for x in row)
+                    ints += 1
+        assert (points, ints) == (5383, 4874)
+
+    def test_point_of_the_wrong_length(self):
+        with pytest.raises(ValueError, match=r"^point of length 3 for ambient of length 2$"):
+            rank_at_point(simple_phi(), RationalPoint((1, 2, 3)))
+        with pytest.raises(ValueError, match=r"^point of length 1 for ambient of length 2$"):
+            jacobian_at(simple_phi(), (1,))
 
 
 class TestRestriction:
