@@ -211,14 +211,9 @@ class _Packing:
         unpack = self.unpackers.get(cut)
         if unpack is None:
             n, width = self.n, self.width
-            if width == 8:
-                # One field per byte: the exponents are the low n bytes.
-                low = (1 << 8 * n) - 1
-                unpack = lambda p: tuple((p & low).to_bytes(n, "little")[cut:])
-            else:
-                mask = (1 << width) - 1
-                shifts = range(cut * width, n * width, width)
-                unpack = lambda p: tuple([p >> s & mask for s in shifts])
+            mask = (1 << width) - 1
+            shifts = range(cut * width, n * width, width)
+            unpack = lambda p: tuple([p >> s & mask for s in shifts])
             self.unpackers[cut] = unpack
         return unpack
 
@@ -293,8 +288,6 @@ def _primitive_record(lt, terms: dict) -> tuple:
     lc = terms.pop(lt)
     if lc < 0:
         content = -content
-    if content == 1:
-        return lt, lc, list(terms.items())
     return lt, lc // content, [(e, c // content) for e, c in terms.items()]
 
 
@@ -612,8 +605,7 @@ def elimination(I: IdealPresentation, keep: Sequence[str]) -> IdealPresentation:
     eliminated = tuple(v for v in I.ambient if v not in keep)
     ext = eliminated + keep
     n = len(eliminated)
-    # A graph ideal already lists the eliminated (source) variables first.
-    gens = I.generators if ext == I.ambient else [g.extend_ambient(ext) for g in I.generators]
+    gens = [g.extend_ambient(ext) for g in I.generators]
 
     def run(packing):
         # The eliminated variables' exponents are the lowest n fields.

@@ -17,7 +17,10 @@ min(n, N).  ``geometric_rank`` evaluates at the first n primes
 the generic rank does or when the point lies on the zero set of every
 maximal minor, it runs the exact polynomial kernel.  So every answer is
 exact: the point either proves the rank or is not used, and nothing is
-sampled."""
+sampled.  The probe is skipped, for the polynomial kernel, when a power
+of a probe coordinate could need more than ``PROBE_MAX_BITS`` bits: the
+kernel keeps an exponent as a number, where the probe would expand
+3^(10^9) into a 200 MB int."""
 
 from __future__ import annotations
 
@@ -66,6 +69,13 @@ def jacobian_at(
                     row[v] += t
         matrix.append(row)
     return matrix
+
+
+# The largest power, in bits, that ``geometric_rank`` evaluates at its
+# probe point: the parser's budget for a coefficient
+# (``frontend.MAX_COEFFICIENT_BITS``), so the probe's entries are no larger
+# than the numbers a problem may spell out.
+PROBE_MAX_BITS = 10_000
 
 
 @cache
@@ -151,10 +161,19 @@ def rank_at_point(phi: MorphismOfPairs, a: RationalPoint) -> int:
 def geometric_rank(phi: MorphismOfPairs) -> int:
     """The Jacobian's rank over the fraction field: min(n, N) when the
     rank at ``probe_point(n)`` reaches it, which proves it, and otherwise
-    the polynomial kernel's answer."""
+    the polynomial kernel's answer.  A monomial of total degree d is at
+    most d * b bits at the probe point, b the bit length of its largest
+    coordinate; a map with d * b over ``PROBE_MAX_BITS`` is not probed."""
     n = len(phi.source.variables)
     top = min(n, len(phi.target.variables))
-    if rational_matrix_rank(jacobian_at(phi, probe_point(n))) == top:
+    if not top:
+        return 0
+    point = probe_point(n)
+    degree = max([p.total_degree for p in phi.components.values()])
+    if (
+        degree * point[-1].bit_length() <= PROBE_MAX_BITS
+        and rational_matrix_rank(jacobian_at(phi, point)) == top
+    ):
         return top
     return symbolic_matrix_rank(jacobian(phi))
 

@@ -144,6 +144,22 @@ class TestRanks:
         code, data = run_json(capsys, "imagedim", example1)
         assert code == 0 and data["image_dimension"] == 2
 
+    def test_grk_of_a_huge_power_is_fast(self, capsys, tmp_path):
+        # At the probe point (2, 3) the Jacobian's entries would be powers
+        # of 3 of about 1.6e9 bits; the polynomial kernel keeps the
+        # exponent as a number.
+        path = tmp_path / "power.problem"
+        path.write_text(
+            "source vars u v divisor u\n"
+            "target vars x divisor x\n"
+            "map x = u^1000000000*v\n"
+        )
+        start = time.perf_counter()
+        code, data = run_json(capsys, "grk", str(path))
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        assert data["geometric_rank"] == 1
+
 
 class TestClassify:
     def test_example1_report(self, capsys, example1):

@@ -12,6 +12,7 @@ import logmono.rank
 from logmono.chart import ChartedPair, MorphismOfPairs, RationalPoint
 from logmono.poly import Polynomial
 from logmono.rank import (
+    PROBE_MAX_BITS,
     geometric_rank,
     graph_ideal,
     image_closure_dimension,
@@ -260,6 +261,20 @@ class TestGenericRankProbe:
         kernel = _count_calls(monkeypatch, logmono.rank, "symbolic_matrix_rank")
         assert geometric_rank(phi) == reference_symbolic_rank(jacobian(phi)) == rank
         assert len(kernel) == 1
+
+    @pytest.mark.parametrize("degree, probed", [(5000, True), (5001, False), (10**9, False)])
+    def test_a_power_over_the_bit_budget_is_not_probed(self, monkeypatch, degree, probed):
+        # The probe point is (2, 3); 3 has 2 bits, so u^d*v is probed while
+        # 2 * (d + 1) bits fit the budget.  The polynomial kernel keeps the
+        # exponent as a number, where the probe would expand 3^d.
+        assert PROBE_MAX_BITS == 10_000
+        src = ChartedPair(("u", "v"), ("u",))
+        tgt = ChartedPair(("x",), ("x",))
+        phi = MorphismOfPairs(src, tgt, {"x": P(f"u^{degree - 1}*v", src.variables)})
+        at = _count_calls(monkeypatch, logmono.rank, "jacobian_at")
+        kernel = _count_calls(monkeypatch, logmono.rank, "symbolic_matrix_rank")
+        assert geometric_rank(phi) == 1
+        assert (len(at), len(kernel)) == ((1, 0) if probed else (0, 1))
 
     def test_jacobian_at_is_the_evaluated_jacobian(self):
         # At the first 9 points of {0, 1, -2}^n, the probe point and a
