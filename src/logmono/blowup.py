@@ -11,11 +11,12 @@ composite of them, so a chart is a ``BlowupNode`` holding an n x n
 integer matrix: row r gives the exponents of root variable r in the
 node's chart.  ``blowup_chart`` gives each child its one-step matrix S,
 the identity with S[j][c] = 1 for every other center variable j, rooted
-at the chart it blows up; ``BlowupTree.expand`` multiplies the parent's
-matrix by S, so a tree node is rooted at the tree's root.  Each S has
-determinant 1, and so has every product of them.  ``transform_morphism``
-carries a morphism on the root chart to any node by mapping each term's
-exponent vector e to e*M.
+at the chart it blows up.  ``BlowupTree.expand`` roots each child at the
+tree's root: M*S is the parent's matrix M with column c replaced by the
+sum of M's center columns, one addition per center variable and row, so
+no n x n product is formed.  Each S has determinant 1, and so has every
+product of them.  ``transform_morphism`` carries a morphism on the root
+chart to any node by mapping each term's exponent vector e to e*M.
 """
 
 from __future__ import annotations
@@ -41,11 +42,6 @@ def _identity(n: int) -> Matrix:
 def _times(e: Sequence[int], cols: Matrix) -> tuple[int, ...]:
     """The row vector e times the matrix with columns ``cols``."""
     return tuple(sum(x * y for x, y in zip(e, col)) for col in cols)
-
-
-def _matmul(a: Matrix, b: Matrix) -> Matrix:
-    cols = tuple(zip(*b))
-    return tuple(_times(row, cols) for row in a)
 
 
 @dataclass
@@ -149,13 +145,19 @@ class BlowupTree:
 
     def expand(self, node: BlowupNode, center: Sequence[str]) -> list[BlowupNode]:
         """Blow up a leaf at a coordinate center, attaching one child per
-        center variable (matrices composed from the root)."""
+        center variable, its matrix composed from the root: the parent's
+        matrix with column c replaced by the sum of its center columns."""
         if not node.is_leaf:
             raise ValueError("only leaves can be expanded")
         node.children = blowup_chart(node.chart, center)
         node.center = tuple(center)
-        for child in node.children:
-            child.matrix = _matmul(node.matrix, child.matrix)
+        amb = node.chart.variables
+        idx = [amb.index(w) for w in node.center]
+        # This is M*S: S is the identity plus ones in column c.
+        for child, c in zip(node.children, idx):
+            child.matrix = tuple(
+                row[:c] + (sum([row[j] for j in idx]),) + row[c + 1:] for row in node.matrix
+            )
         return node.children
 
     def depth(self) -> int:

@@ -42,7 +42,7 @@ from .classify import (
     top_fitting_ideal,
 )
 from .fitting import log_fitting_ideal
-from .frontend import Report, parse_point, parse_problem
+from .frontend import MAX_COEFFICIENT_BITS, Report, parse_point, parse_problem
 from .principalize import (
     DepthLimitError,
     goward_principalize,
@@ -75,12 +75,35 @@ def _load(args) -> tuple:
     return parse_problem(data.decode())
 
 
+def _check_point(phi, a: RationalPoint) -> None:
+    """Refuse a point at which the map's monomials could need more than
+    MAX_COEFFICIENT_BITS bits, before anything is evaluated.  With d the
+    largest total degree of a component and B the largest bit length of
+    |numerator| - 1 or denominator - 1 over the coordinates, no numerator
+    or denominator of a monomial of degree at most d exceeds (2^B)^d, so
+    d * B bits bound it (to within one); 0 and +-1 cost nothing."""
+    bits = max(
+        [(max(abs(c.numerator), c.denominator) - 1).bit_length() for c in a.coordinates],
+        default=0,
+    )
+    if bits:
+        d = max([p.total_degree for p in phi.components.values()], default=0)
+        if d * bits > MAX_COEFFICIENT_BITS:
+            raise InputError(
+                f"the map's powers at this point may need {d * bits} bits, over the"
+                f" budget of MAX_COEFFICIENT_BITS = {MAX_COEFFICIENT_BITS}"
+            )
+
+
 def _point_from(args, problem) -> RationalPoint:
     if args.at is not None:
-        return parse_point(args.at, len(problem.morphism.source.variables))
-    if problem.point is None:
+        a = parse_point(args.at, len(problem.morphism.source.variables))
+    elif problem.point is None:
         raise InputError("a point is required (problem 'point' line or --at)")
-    return problem.point
+    else:
+        a = problem.point
+    _check_point(problem.morphism, a)
+    return a
 
 
 def _ideal_strings(I) -> list[str]:
@@ -135,6 +158,8 @@ def cmd_imagedim(problem, args) -> Report:
 
 def cmd_classify(problem, args) -> Report:
     phi = problem.morphism
+    if problem.point is not None:
+        _check_point(phi, problem.point)
     report = Report("classify")
     pair_ok, pair_diags = validate_pair_condition(phi)
     report.add("pair_condition", pair_ok)

@@ -82,6 +82,21 @@ def two_var_antichains(max_exp):
                 yield tuple(zip(a_vals, sorted(b_vals, reverse=True)))
 
 
+def criterion_six_problems():
+    """(ideal, chart, max_depth) for each principalization of acceptance
+    criterion 6, in order: every two-variable antichain with exponents
+    <= 6 within depth 12 (3431), then 50 seeded three-variable ideals
+    within the default depth."""
+    chart2 = ChartedPair(("u", "v"), ("u", "v"))
+    for gens in two_var_antichains(6):
+        yield MonomialIdeal.from_exponents(chart2.variables, gens), chart2, 12
+    chart3 = ChartedPair(("u", "v", "w"), ("u", "v", "w"))
+    rng = random.Random(6)
+    for _ in range(50):
+        gens = [tuple(rng.randint(0, 4) for _ in range(3)) for _ in range(rng.randint(2, 4))]
+        yield MonomialIdeal.from_exponents(chart3.variables, gens), chart3, 64
+
+
 # ---------------------------------------------------------------------------
 # Principalization: the multi-pass pair scan and the re-tupling transform
 # that ``principalize`` replaced, kept as differential oracles.  They do

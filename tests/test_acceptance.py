@@ -34,7 +34,6 @@ from logmono.ideal import (
 from logmono.logdiff import NotAMorphismOfPairsError, pullback_basis_form
 from logmono.poly import Polynomial
 from logmono.principalize import (
-    MonomialIdeal,
     goward_principalize,
     monomialize_monomial_morphism,
 )
@@ -48,6 +47,7 @@ from logmono.rank import (
 
 from helpers import (
     P,
+    criterion_six_problems,
     empty_divisor_corpus,
     linear_membership_oracle,
     monomial_surface_corpus,
@@ -57,7 +57,6 @@ from helpers import (
     random_stratum_point,
     rank_law_corpus,
     strata,
-    two_var_antichains,
 )
 
 
@@ -260,27 +259,14 @@ def test_criterion_6_principalization_terminates():
     passed = True
     try:
         digest = hashlib.sha256()
-        chart2 = ChartedPair(("u", "v"), ("u", "v"))
         count = 0
-        for gens in two_var_antichains(6):
-            ideal = MonomialIdeal.from_exponents(chart2.variables, gens)
-            tree = goward_principalize(ideal, chart2, max_depth=12)
-            assert tree.depth() <= 12
+        for ideal, chart, max_depth in criterion_six_problems():
+            tree = goward_principalize(ideal, chart, max_depth=max_depth)
+            assert tree.depth() <= max_depth
             _reverify_leaves(tree)
             _hash_tree(digest, tree)
             count += 1
-        assert count >= 3000
-        chart3 = ChartedPair(("u", "v", "w"), ("u", "v", "w"))
-        rng = random.Random(6)
-        for _ in range(50):
-            gens = [
-                tuple(rng.randint(0, 4) for _ in range(3))
-                for _ in range(rng.randint(2, 4))
-            ]
-            ideal = MonomialIdeal.from_exponents(chart3.variables, gens)
-            tree = goward_principalize(ideal, chart3)
-            _reverify_leaves(tree)
-            _hash_tree(digest, tree)
+        assert count == 3481
         assert digest.hexdigest() == (
             "01ed9e97434964216d0ac536d058202e97963ab062aa7841f99293e73dc8fd85"
         ), digest.hexdigest()

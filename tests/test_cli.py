@@ -161,6 +161,55 @@ class TestRanks:
         assert data["geometric_rank"] == 1
 
 
+# Maps whose powers at a point off {0, 1, -1} could pass the coefficient
+# budget: 3^1000000000 has about 1.6e9 bits.
+HUGE_POWER_CURVE = "source vars u v divisor u\ntarget vars x divisor x\nmap x = u^1000000000*v\n"
+HUGE_POWER_SURFACE = (
+    "source vars u v divisor u\ntarget vars x y divisor x\nmap x = u\nmap y = v^1000000000*u\n"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (("rank", "--at", "3,1"), HUGE_POWER_CURVE),
+        (("rank", "--at", "1/3,1"), HUGE_POWER_CURVE),
+        (("logrank", "--at", "1,3"), HUGE_POWER_SURFACE),
+        (("verify-monomial", "--at", "1,3"), HUGE_POWER_SURFACE),
+        (("classify",), HUGE_POWER_SURFACE + "point 1,3\n"),
+    ],
+    ids=["rank", "rank-fraction", "logrank", "verify-monomial", "classify"],
+)
+def test_a_point_past_the_coefficient_budget_is_refused(capsys, tmp_path, argv, text):
+    path = tmp_path / "power.problem"
+    path.write_text(text)
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv, str(path))
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert "over the budget of MAX_COEFFICIENT_BITS = 10000" in err
+
+
+@pytest.mark.parametrize(
+    "argv, text, key, value",
+    [
+        (("rank", "--at", "1,1"), HUGE_POWER_CURVE, "rank", 1),
+        (("rank", "--at", "-1,0"), HUGE_POWER_CURVE, "rank", 1),
+        (("logrank", "--at", "1,1"), HUGE_POWER_SURFACE, "logrank", 2),
+        (("verify-monomial", "--at", "1,1"), HUGE_POWER_SURFACE, "monomial", False),
+        (("classify",), HUGE_POWER_SURFACE + "point 0,1\n", "monomial_at_point", False),
+    ],
+    ids=["rank", "rank-minus-one", "logrank", "verify-monomial", "classify"],
+)
+def test_points_of_zeros_and_units_cost_no_bits(capsys, tmp_path, argv, text, key, value):
+    path = tmp_path / "power.problem"
+    path.write_text(text)
+    start = time.perf_counter()
+    code, data = run_json(capsys, *argv, str(path))
+    assert time.perf_counter() - start < 1.0
+    assert code in (0, 1) and data[key] == value
+
+
 class TestClassify:
     def test_example1_report(self, capsys, example1):
         code, data = run_json(capsys, "classify", example1)

@@ -26,11 +26,22 @@ F_k that does not vanish there.  ``geometric_rank`` (a certificate at one
 integer point, else a polynomial Bareiss elimination of the plain
 Jacobian) and ``log_rank_at_point`` (an integer elimination of the log
 Jacobian at the point) share no kernel with these ideals' generators.
+
+Principalization is proper: the leaves of a blowup tree tile the positive
+orthant (W. Fulton, *Introduction to Toric Varieties*, 1993, §2.4).  A
+leaf's chart matrix M (row r: the exponents of root variable r) is a
+non-negative integer matrix of determinant 1 whose columns span the
+leaf's cone.  Cut by the hyperplane x_1 + ... + x_n = 1, that cone is a
+simplex whose share of the standard simplex's volume is the product over
+M's columns of 1 / (column sum), so over the leaves these shares sum to
+exactly 1.  The law reads only the leaf matrices, with integer and
+``Fraction`` arithmetic.
 """
 
 import random
 from fractions import Fraction
-from itertools import combinations, islice, product
+from itertools import combinations, islice, permutations, product
+from math import prod
 
 from logmono.blowup import blowup_chart, transform_morphism
 from logmono.chart import ChartedPair, MorphismOfPairs, RationalPoint, validate_pair_condition
@@ -43,10 +54,12 @@ from logmono.classify import (
 from logmono.fitting import log_fitting_ideal
 from logmono.ideal import IdealPresentation
 from logmono.poly import Polynomial
+from logmono.principalize import goward_principalize
 from logmono.rank import geometric_rank, log_rank_at_point
 
 from cli_corpus import corpus_morphisms
 from helpers import (
+    criterion_six_problems,
     monomial_surface_corpus,
     normal_form_corpus,
     origin,
@@ -172,3 +185,28 @@ def test_ranks_are_read_off_the_log_fitting_ideals():
             assert log_rank_at_point(phi, RationalPoint(pt)) == want, (phi, a)
             points += 1
     assert (morphisms, points) == (347, 2907)
+
+
+def _determinant(m) -> int:
+    """Leibniz's formula: a signed product per permutation."""
+    n = len(m)
+    total = 0
+    for p in permutations(range(n)):
+        inversions = sum(p[i] > p[j] for i in range(n) for j in range(i + 1, n))
+        total += (-1) ** inversions * prod(m[i][p[i]] for i in range(n))
+    return total
+
+
+def test_principalization_leaves_tile_the_orthant():
+    trees = leaves = 0
+    for ideal, chart, max_depth in criterion_six_problems():
+        tree = goward_principalize(ideal, chart, max_depth=max_depth)
+        volume = Fraction(0)
+        for leaf in tree.leaves():
+            assert min(map(min, leaf.matrix)) >= 0, leaf.matrix
+            assert _determinant(leaf.matrix) == 1, leaf.matrix
+            volume += Fraction(1, prod(map(sum, zip(*leaf.matrix))))
+            leaves += 1
+        assert volume == 1, (ideal.generators, volume)
+        trees += 1
+    assert (trees, leaves) == (3481, 14920)
